@@ -3,8 +3,9 @@
 The state is represented by the Fourier coefficients of
 exp(i mu (x1 cos s + x2 sin s)) on the circle; the measured output becomes a
 single linear functional of those coefficients.  The "exact" driver
-propagates the estimation error by per-interval matrix exponentials (the
-error system is linear time-invariant while the control is held), the RK4
+propagates the estimation error by the action of the matrix exponential on
+each interval (the error system is linear time-invariant while the control
+is held), the RK4
 driver integrates the observer exactly as written, fed by the transformed
 measurement.  The two agree to integrator accuracy, and the coefficient norms
 behave as the theory says: the embedded state keeps unit norm, the error norm

@@ -6,12 +6,15 @@ distinguish states near the target:
 * a finite-dimensional loop that lifts the state to (x, |x|^2/2), runs a
   Luenberger observer with dissipative error dynamics, and perturbs the
   stabilizing feedback so the closed loop stays observable away from the
-  origin (``finite``, ``sim.run_finite_loop``);
+  origin (``finite``, ``sim.run_finite_batch``);
 * a spectral loop that represents the state as a function on the circle,
   truncates to finitely many Fourier modes, and drives the plant with a
   sample-and-hold feedback built from an explicit left inverse of the
   representation plus a weak-norm perturbation (``spectral``,
-  ``sim.run_spectral_loop``).
+  ``sim.run_spectral_batch``).
+
+Both loops are vectorized over runs; ``sim.run_finite_loop`` and
+``sim.run_spectral_loop`` are their one-run cases.
 
 Supporting modules: ``bessel`` (series/recurrence Bessel evaluation, zeros,
 local inverse of J1), ``linalg`` (matrix exponential, Lyapunov, Ackermann),

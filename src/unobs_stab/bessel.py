@@ -22,26 +22,46 @@ import numpy as np
 # large: at r = 8 the peak is ~1e2, keeping the absolute error near 1e-14.
 # Beyond that, Miller's recurrence is the accurate route.
 _SERIES_MAX_R = 8.0
-_MAX_R = 50.0
+MAX_ARG = 50.0
 
 
-def _series_orders(r: float, kmax: int) -> np.ndarray:
-    """J_0(r)..J_kmax(r) by the ascending series, for 0 < r <= _SERIES_MAX_R."""
+def _series_rows(r: np.ndarray, kmax: int) -> np.ndarray:
+    """Rows [J_0(r_i)..J_kmax(r_i)] by the ascending series, 0 <= r_i <= _SERIES_MAX_R.
+
+    Row i sums the terms up to and including its first one below 1e-20 (in
+    every order), in sequence, so a row's value does not depend on the
+    other rows it is evaluated with.  The term count is bounded above from
+    the largest radius: |term_{m,k}| <= e^{r/2} (r/2)^{2m} / (m!)^2.
+    """
     half = 0.5 * r
+    h2_max = float(half.max(initial=0.0)) ** 2
+    bound, terms = math.exp(math.sqrt(h2_max)), 0
+    while bound >= 1e-20 and terms < 119:
+        terms += 1
+        bound *= h2_max / (terms * terms)
+    orders, denominators = _series_tables(kmax, terms)
+    # seq[:, 0] is the leading term (r/2)^k / k!, seq[:, m] the m-th term
+    seq = np.empty((r.shape[0], terms + 1, kmax + 1))
+    seq[:, 0, 0] = 1.0
+    seq[:, 0, 1:] = half[:, None] / orders
+    seq[:, 1:] = -(half * half)[:, None, None] / denominators
+    seq[:, 0].cumprod(axis=1, out=seq[:, 0])
+    seq.cumprod(axis=1, out=seq)
+    small = np.abs(seq[:, 1:]).max(axis=2) < 1e-20
+    last = np.where(small.any(axis=1), small.argmax(axis=1) + 1, terms)
+    seq.cumsum(axis=1, out=seq)
+    return seq[np.arange(r.shape[0]), last]
+
+
+@lru_cache(maxsize=32)
+def _series_tables(kmax: int, terms: int):
+    """Orders 1..kmax and the denominators m (m + k) for m = 1..terms (read-only)."""
     k = np.arange(kmax + 1, dtype=float)
-    lead = np.empty(kmax + 1)
-    lead[0] = 1.0
-    for i in range(1, kmax + 1):
-        lead[i] = lead[i - 1] * half / i
-    term = lead.copy()
-    total = lead.copy()
-    h2 = half * half
-    for m in range(1, 120):
-        term *= -h2 / (m * (m + k))
-        total += term
-        if np.max(np.abs(term)) < 1e-20:
-            break
-    return total
+    m = np.arange(1, terms + 1, dtype=float)[:, None]
+    tables = (k[1:], m * (m + k))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _miller_orders(r: float, kmax: int) -> np.ndarray:
@@ -71,19 +91,28 @@ def _miller_orders(r: float, kmax: int) -> np.ndarray:
     return out / norm
 
 
-def bessel_j_all(kmax: int, r: float) -> np.ndarray:
-    """Vector [J_0(r), ..., J_kmax(r)] for r >= 0."""
+def bessel_j_all(kmax: int, r):
+    """[J_0(r), ..., J_kmax(r)] for 0 <= r < 50.
+
+    r may be a scalar (result shape (kmax+1,)) or an array of radii (result
+    shape r.shape + (kmax+1,)); each radius is evaluated independently, by the
+    series up to _SERIES_MAX_R and by Miller's recurrence beyond.
+    """
     if kmax < 0:
         raise ValueError("bessel_j_all: kmax must be >= 0")
-    if not math.isfinite(r) or r < 0.0 or r >= _MAX_R:
-        raise ValueError(f"bessel_j_all: need 0 <= r < {_MAX_R}, got r={r}")
-    if r == 0.0:
-        out = np.zeros(kmax + 1)
-        out[0] = 1.0
-        return out
-    if r <= _SERIES_MAX_R:
-        return _series_orders(r, kmax)
-    return _miller_orders(r, kmax)
+    radii = np.asarray(r, dtype=float)
+    rows = radii.reshape(-1)
+    largest = rows.max(initial=0.0)
+    if not (rows.min(initial=0.0) >= 0.0 and largest < MAX_ARG):  # NaN fails too
+        bad = rows[~((rows >= 0.0) & (rows < MAX_ARG))][0]
+        raise ValueError(f"bessel_j_all: need 0 <= r < {MAX_ARG}, got r={bad}")
+    far = rows > _SERIES_MAX_R
+    out = np.empty((rows.shape[0], kmax + 1))
+    if not far.all():
+        out[~far] = _series_rows(rows[~far], kmax)
+    for i in np.flatnonzero(far):
+        out[i] = _miller_orders(float(rows[i]), kmax)
+    return out.reshape(radii.shape + (kmax + 1,))
 
 
 def bessel_j(k: int, r: float) -> float:
@@ -92,8 +121,8 @@ def bessel_j(k: int, r: float) -> float:
     Uses J_{-k}(r) = (-1)^k J_k(r) and J_k(-r) = (-1)^k J_k(r) to reduce to
     k >= 0, r >= 0.
     """
-    if not math.isfinite(r) or abs(r) >= _MAX_R:
-        raise ValueError(f"bessel_j: argument out of range |r| < {_MAX_R}: r={r}")
+    if not math.isfinite(r) or abs(r) >= MAX_ARG:
+        raise ValueError(f"bessel_j: argument out of range |r| < {MAX_ARG}: r={r}")
     k = int(k)
     sign = 1.0
     if k < 0:
@@ -154,12 +183,19 @@ def find_zeros() -> BesselZeros:
     return BesselZeros(j1=j1, j0=j0)
 
 
-def inv_j1(y: float, cap: float | None = None) -> float:
+@lru_cache(maxsize=8)
+def _j1_at(cap: float) -> float:
+    return bessel_j(1, cap)
+
+
+def inv_j1(y, cap: float | None = None):
     """The unique r in [0, cap] with J_1(r) = y.
 
     J_1 is strictly increasing on [0, j1], so the inverse is well defined for
     cap <= j1 and 0 <= y <= J_1(cap).  Safeguarded Newton iteration with a
-    bisection fallback; accurate to ~1e-13.
+    bisection fallback; accurate to ~1e-13.  y may be a scalar or an array:
+    each entry iterates on its own and is frozen once it has converged, so
+    it takes the same steps as it would alone.
     """
     zeros = find_zeros()
     if cap is None:
@@ -167,28 +203,30 @@ def inv_j1(y: float, cap: float | None = None) -> float:
     if not 0.0 < cap <= zeros.j1 + 1e-12:
         raise ValueError(f"inv_j1: cap must lie in (0, j1], got {cap}")
     cap = min(cap, zeros.j1)
-    ymax = bessel_j(1, cap)
-    if not 0.0 <= y <= ymax + 1e-12:
-        raise ValueError(f"inv_j1: y={y} outside [0, J1(cap)] = [0, {ymax}]")
-    y = min(y, ymax)
-    if y == 0.0:
-        return 0.0
-    lo, hi = 0.0, cap
-    x = min(2.0 * y, cap)  # J_1(r) ~ r/2 near 0
+    ymax = _j1_at(cap)
+    ys = np.asarray(y, dtype=float)
+    target = ys.reshape(-1)
+    bad = ~((target >= 0.0) & (target <= ymax + 1e-12))
+    if bad.any():
+        raise ValueError(f"inv_j1: y={target[bad][0]} outside [0, J1(cap)] = [0, {ymax}]")
+    target = np.minimum(target, ymax)
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, cap)
+    x = np.minimum(2.0 * target, cap)  # J_1(r) ~ r/2 near 0
+    live = target != 0.0
     for _ in range(100):
-        fx = bessel_j(1, x) - y
-        if fx > 0.0:
-            hi = x
-        else:
-            lo = x
-        if abs(fx) < 1e-16 or hi - lo < 1e-15:
+        if not live.any():
             break
-        dfx = bessel_j_prime(1, x)
-        if dfx > 1e-12:
-            x_new = x - fx / dfx
-        else:
-            x_new = 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    return x
+        jv = bessel_j_all(2, x)
+        fx = jv[:, 1] - target
+        above = fx > 0.0
+        hi = np.where(live & above, x, hi)
+        lo = np.where(live & ~above, x, lo)
+        live &= ~((np.abs(fx) < 1e-16) | (hi - lo < 1e-15))
+        dfx = 0.5 * (jv[:, 0] - jv[:, 2])
+        mid = 0.5 * (lo + hi)
+        steep = dfx > 1e-12
+        x_new = np.where(steep, x - fx / np.where(steep, dfx, 1.0), mid)
+        x_new = np.where((lo < x_new) & (x_new < hi), x_new, mid)
+        x = np.where(live, x_new, x)
+    return float(x[0]) if ys.ndim == 0 else x.reshape(ys.shape)

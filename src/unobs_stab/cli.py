@@ -24,7 +24,7 @@ from . import observability, spectral
 from .artifacts import write_csv, write_summary, write_trajectory_svg
 from .bessel import find_zeros
 from .config import ConfigError, ScenarioConfig, parse_config
-from .finite import FinParams, delta_margin, rotation_plant
+from .finite import FinParams, delta_margin, embed as embed_fin, rotation_plant
 from .linalg import place_poles
 from .observability import (
     check_bound_inequalities,
@@ -33,7 +33,7 @@ from .observability import (
     max_control_bound,
     observability_gramian,
 )
-from .sim import IntegratorConfig, convergence_metrics, run_finite_loop, run_spectral_loop
+from .sim import IntegratorConfig, convergence_metrics, run_finite_batch, run_spectral_batch
 from .spectral import OutputSpec, SpectralParams, output_vector, weak_norm_bound
 
 SEED_ENV = "UNOBS_STAB_SEED"
@@ -85,18 +85,17 @@ def build_spectral(cfg: ScenarioConfig):
     return spec, params
 
 
-def _run_one(args):
-    cfg, index, x0, xhat0 = args
+def _run_batch(cfg: ScenarioConfig, pairs) -> list:
+    """Run the (x0, xhat0) pairs of a scenario as one batch."""
     icfg = IntegratorConfig(method=cfg.method, step=cfg.step, horizon=cfg.horizon,
                             record_every=cfg.record_every)
+    x0s = [x0 for x0, _ in pairs]
     if cfg.strategy == "finite":
         plant, params = build_finite(cfg)
-        from .finite import embed as embed_fin
-        traj = run_finite_loop(plant, params, x0, embed_fin(xhat0), icfg)
-    else:
-        spec, params = build_spectral(cfg)
-        traj = run_spectral_loop(spec, params, x0, xhat0, icfg)
-    return index, traj
+        return run_finite_batch(plant, params, x0s,
+                                [embed_fin(xhat0) for _, xhat0 in pairs], icfg)
+    spec, params = build_spectral(cfg)
+    return run_spectral_batch(spec, params, x0s, [xhat0 for _, xhat0 in pairs], icfg)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
@@ -106,17 +105,21 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
     os.makedirs(out_dir, exist_ok=True)
     seed = _effective_seed(cfg)
     pairs = draw_initial_conditions(cfg, seed)
-    tasks = [(cfg, i, x0, xh0) for i, (x0, xh0) in enumerate(pairs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, tasks))
+    shards = min(jobs, len(pairs))
+    if shards > 1:
+        # contiguous shards, one batch each; rows never mix inside a batch,
+        # so the artifacts do not depend on the shard count
+        bounds = [len(pairs) * s // shards for s in range(shards + 1)]
+        parts = [pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            results = [traj for part in pool.map(_run_batch, [cfg] * shards, parts)
+                       for traj in part]
     else:
-        results = [_run_one(t) for t in tasks]
-    results.sort(key=lambda item: item[0])
+        results = _run_batch(cfg, pairs)
 
     summary: dict = {"strategy": cfg.strategy, "seed": seed, "runs": len(results)}
     all_pass = True
-    for index, traj in results:
+    for index, traj in enumerate(results):
         name = f"run_{index:03d}"
         write_csv(os.path.join(out_dir, name + ".csv"), traj)
         if svg:
@@ -134,6 +137,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
             if isinstance(value, bool):
                 value = int(value)
             summary[f"{name}.{key}"] = value
+        if traj.diverged_at is not None:
+            summary[f"{name}.diverged_at"] = traj.diverged_at
         summary[f"{name}.pass"] = int(passed)
     summary["overall.pass"] = int(all_pass)
     write_summary(os.path.join(out_dir, "summary.txt"), summary)

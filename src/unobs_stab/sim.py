@@ -1,15 +1,18 @@
 """Time integration and closed-loop drivers.
 
-Two loops are provided.  The finite strategy integrates the coupled
-plant/observer ODE with classical fixed-step RK4 and a continuous feedback.
-The spectral strategy is sampled: the control is held constant on each
-interval, so the truncated error system is linear time-invariant there and is
-propagated by a matrix exponential (exact up to roundoff), while the plant
-state follows the closed-form rotation-with-constant-input solution.  An
-independent RK4 path integrates the observer exactly as written, fed by the
-transformed measurement, for cross-validation.
+Two loops are provided, each vectorized over runs.  The finite strategy
+integrates the coupled plant/observer ODE with classical fixed-step RK4 and a
+continuous feedback.  The spectral strategy is sampled: the control is held
+constant on each interval, so the truncated error system is linear
+time-invariant there and is propagated by the action of its matrix
+exponential (exact up to roundoff), while the plant state follows the
+closed-form rotation-with-constant-input solution.  An independent RK4 path
+integrates the observer exactly as written, fed by the transformed
+measurement, for cross-validation.
 
 Everything is deterministic: fixed steps, no adaptivity, no hidden state.
+The batched loops combine runs only elementwise (no matrix products across
+runs), so a run's trajectory is bitwise the same whatever batch it is in.
 """
 
 from __future__ import annotations
@@ -20,23 +23,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
+from .bessel import MAX_ARG, bessel_j
 from .finite import FinParams, Plant, delta_margin
-from .linalg import expm
 from .spectral import (
     OutputSpec,
     SpectralParams,
     embed,
     linearized_output,
-    observer_matrix,
+    observer_propagate,
     output_value,
     output_vector,
     sample_hold_feedback,
     weak_norm,
 )
-from .bessel import bessel_j
 
 DIVERGENCE_NORM = 1e6
 EPS_STEP_TOL = 1e-8
+# A spectral run stays in the numerically valid region while mu |x| is below
+# the Bessel argument limit; the margin covers outputs that square the radius
+# and take the root again.
+_VALID_MU_R = MAX_ARG * (1.0 - 1e-12)
 
 
 class DivergenceError(RuntimeError):
@@ -129,10 +135,15 @@ def rk4_integrate(rhs, s0, cfg: IntegratorConfig):
     return times[:rec], states[:rec]
 
 
+def _row_dot(a, b):
+    """Row-wise inner products over the last axis, without BLAS."""
+    return (a * b).sum(axis=-1)
+
+
 def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
                      cfg: IntegratorConfig) -> list[Trajectory]:
     """Integrate the embedded-observer loop for several initial conditions at
-    once (vectorized over runs; identical numerics to run_finite_loop)."""
+    once (vectorized over runs; each run bitwise equal to run_finite_loop)."""
     if params.rho is not None:
         margin = delta_margin(params.K, params.rho, plant)
         if not params.delta < margin:
@@ -145,7 +156,7 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     if zhat0s.shape != (nb, n + 1):
         raise ValueError("run_finite_batch: zhat0s must have shape (runs, n+1)")
 
-    a_t = plant.A.T.copy()
+    a_mat = plant.A
     b = plant.b
     k_gain = params.K
     delta, alpha = params.delta, params.alpha
@@ -154,18 +165,19 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     stride = cfg.record_every
 
     def rhs(xs, zb, zl):
-        u = zb @ k_gain + delta * zl
-        y = 0.5 * np.einsum("ij,ij->i", xs, xs)
+        u = _row_dot(zb, k_gain) + delta * zl
+        y = 0.5 * _row_dot(xs, xs)
         innov = zl - y
-        xd = xs @ a_t + u[:, None] * b
-        zbd = zb @ a_t + (u * (1.0 - innov))[:, None] * b
-        zld = u * (zb @ b) - alpha * innov
+        # einsum, not matmul: it never hands the run axis to BLAS
+        xd = np.einsum("ij,kj->ik", xs, a_mat) + u[:, None] * b
+        zbd = np.einsum("ij,kj->ik", zb, a_mat) + (u * (1.0 - innov))[:, None] * b
+        zld = u * _row_dot(zb, b) - alpha * innov
         return xd, zbd, zld
 
     def eps_norms(xs, zb, zl):
-        y = 0.5 * np.einsum("ij,ij->i", xs, xs)
+        y = 0.5 * _row_dot(xs, xs)
         d = zb - xs
-        return np.sqrt(np.einsum("ij,ij->i", d, d) + (zl - y) ** 2)
+        return np.sqrt(_row_dot(d, d) + (zl - y) ** 2)
 
     xs = x0s.copy()
     zb = zhat0s[:, :n].copy()
@@ -176,25 +188,24 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     max_inc = np.zeros(nb)
     prev_eps = eps_norms(xs, zb, zl)
 
+    # run-major records, so each run's trajectory is a view
     n_rec = steps // stride + 1
-    rec_t = np.empty(n_rec)
-    rec_x = np.empty((n_rec, nb, n))
-    rec_z = np.empty((n_rec, nb, n + 1))
-    rec_u = np.empty((n_rec, nb))
-    rec_e = np.empty((n_rec, nb))
-    rec_c = np.empty((n_rec, nb))
+    rec_t = np.arange(n_rec) * stride * h
+    rec_x = np.empty((nb, n_rec, n))
+    rec_z = np.empty((nb, n_rec, n + 1))
+    rec_u = np.empty((nb, n_rec))
+    rec_e = np.empty((nb, n_rec))
+    rec_c = np.empty((nb, n_rec))
 
-    def record(idx, t):
-        rec_t[idx] = t
-        rec_x[idx] = xs
-        rec_z[idx, :, :n] = zb
-        rec_z[idx, :, n] = zl
-        rec_u[idx] = zb @ k_gain + delta * zl
-        y = 0.5 * np.einsum("ij,ij->i", xs, xs)
-        rec_e[idx] = eps_norms(xs, zb, zl)
-        rec_c[idx] = np.abs(zl - y)
+    def record(idx):
+        rec_x[:, idx] = xs
+        rec_z[:, idx, :n] = zb
+        rec_z[:, idx, n] = zl
+        rec_u[:, idx] = _row_dot(zb, k_gain) + delta * zl
+        rec_e[:, idx] = eps_norms(xs, zb, zl)
+        rec_c[:, idx] = np.abs(zl - 0.5 * _row_dot(xs, xs))
 
-    record(0, 0.0)
+    record(0)
     rec = 1
     h6 = h / 6.0
     for i in range(steps):
@@ -212,34 +223,31 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
         violations += viol
         max_inc = np.maximum(max_inc, inc)
         prev_eps = cur_eps
-        big = (np.einsum("ij,ij->i", xs, xs) > DIVERGENCE_NORM ** 2) \
-            | (np.einsum("ij,ij->i", zb, zb) + zl ** 2 > DIVERGENCE_NORM ** 2) \
+        big = (_row_dot(xs, xs) > DIVERGENCE_NORM ** 2) \
+            | (_row_dot(zb, zb) + zl ** 2 > DIVERGENCE_NORM ** 2) \
             | ~np.isfinite(cur_eps)
         newly = big & (active > 0.0)
         if np.any(newly):
             diverged_at[newly] = (i + 1) * h
             active[newly] = 0.0
         if (i + 1) % stride == 0:
-            record(rec, (i + 1) * h)
+            record(rec)
             rec += 1
 
-    out = []
-    for run in range(nb):
-        out.append(Trajectory(
-            times=rec_t[:rec].copy(),
-            x=rec_x[:rec, run].copy(),
-            zhat=rec_z[:rec, run].copy(),
-            u=rec_u[:rec, run].copy(),
-            eps_norm=rec_e[:rec, run].copy(),
-            c_eps_abs=rec_c[:rec, run].copy(),
-            weak_eps=None,
-            dissipativity_violations=int(violations[run]),
-            max_eps_increase=float(max_inc[run]),
-            diverged=bool(active[run] == 0.0),
-            diverged_at=None if np.isnan(diverged_at[run]) else float(diverged_at[run]),
-            meta={"strategy": "finite", "step": h, "horizon": steps * h},
-        ))
-    return out
+    return [Trajectory(
+        times=rec_t[:rec],
+        x=rec_x[run, :rec],
+        zhat=rec_z[run, :rec],
+        u=rec_u[run, :rec],
+        eps_norm=rec_e[run, :rec],
+        c_eps_abs=rec_c[run, :rec],
+        weak_eps=None,
+        dissipativity_violations=int(violations[run]),
+        max_eps_increase=float(max_inc[run]),
+        diverged=bool(active[run] == 0.0),
+        diverged_at=None if np.isnan(diverged_at[run]) else float(diverged_at[run]),
+        meta={"strategy": "finite", "step": h, "horizon": steps * h},
+    ) for run in range(nb)]
 
 
 def run_finite_loop(plant: Plant, params: FinParams, x0, zhat0,
@@ -249,12 +257,15 @@ def run_finite_loop(plant: Plant, params: FinParams, x0, zhat0,
                             [np.asarray(zhat0, dtype=float)], cfg)[0]
 
 
-def rotation_step(x, u: float, h: float) -> np.ndarray:
+def rotation_step(x, u, h: float) -> np.ndarray:
     """Exact step of xdot = A x + b u for the quarter-turn plant and constant
-    input: x(h) = R(h) x + u (cos h - 1, sin h)."""
+    input: x(h) = R(h) x + u (cos h - 1, sin h).  x has shape (..., 2) and u
+    one value per point."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
     ch, sh = math.cos(h), math.sin(h)
-    return np.array([ch * x[0] - sh * x[1] + u * (ch - 1.0),
-                     sh * x[0] + ch * x[1] + u * sh])
+    return np.stack([ch * x[..., 0] - sh * x[..., 1] + u * (ch - 1.0),
+                     sh * x[..., 0] + ch * x[..., 1] + u * sh], axis=-1)
 
 
 def _spectral_grid(params: SpectralParams, cfg: IntegratorConfig):
@@ -267,157 +278,193 @@ def _spectral_grid(params: SpectralParams, cfg: IntegratorConfig):
     return n_sub, n_int
 
 
-def run_spectral_loop(spec: OutputSpec, params: SpectralParams, x0, xhat0,
-                      cfg: IntegratorConfig) -> Trajectory:
-    """Sample-and-hold spectral observer loop started from zhat(0) = embed(xhat0).
+def _valid(x, mu: float) -> np.ndarray:
+    """Per point: inside the numerically valid region (NaN and inf are not)."""
+    return mu * np.hypot(x[..., 0], x[..., 1]) < _VALID_MU_R
+
+
+def _row_norm(z) -> np.ndarray:
+    return np.sqrt((z.real ** 2 + z.imag ** 2).sum(axis=-1))
+
+
+def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
+                       cfg: IntegratorConfig) -> list[Trajectory]:
+    """Sample-and-hold spectral observer loops, one per row of (x0s, xhat0s),
+    each started from zhat(0) = embed(xhat0).
 
     method "exact_linear": plant state by the closed-form rotation solution,
-    embedded state analytically, estimation error by per-interval matrix
-    exponentials of the (frozen-input) error system.  method "rk4_coupled":
-    plant and observer integrated together by RK4, the observer fed by the
-    transformed measurement.  The control is refreshed at every sample instant
-    from the left limit of the observer state and held in between.
+    embedded state analytically, estimation error by the action of the
+    matrix exponential of the (frozen-input) error system.  method
+    "rk4_coupled": plant and observer integrated together by RK4, the
+    observer fed by the transformed measurement.  The control is refreshed
+    at every sample instant from the left limit of the observer state and
+    held in between.
+
+    A run whose state stops being finite, exceeds DIVERGENCE_NORM or leaves
+    the region mu |x| < MAX_ARG where the embedding can be evaluated is
+    frozen at its last valid step and reported as diverged (at t=0 if x0 or
+    xhat0 starts outside; its one record then holds x0 and NaN); the other
+    runs carry on unaffected.
     """
     if abs(spec.mu - params.mu) > 1e-15:
         raise ValueError("run_spectral_loop: OutputSpec.mu and SpectralParams.mu differ")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    xhat0 = np.asarray(xhat0, dtype=float).reshape(-1)
+    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+    xhat0s = np.atleast_2d(np.asarray(xhat0s, dtype=float))
+    nb = x0s.shape[0]
+    if x0s.shape != (nb, 2) or xhat0s.shape != (nb, 2):
+        raise ValueError("run_spectral_batch: x0s and xhat0s must have shape (runs, 2)")
     n_sub, n_int = _spectral_grid(params, cfg)
     n = params.N
     mu = params.mu
+    alpha = params.alpha
     zeta = output_vector(spec, n)
+    zeta_conj = zeta.conj()
     clamp_level = bessel_j(1, params.j)
     h = cfg.step
     stride = cfg.record_every
-    total_steps = n_int * n_sub
+    exact = cfg.method == "exact_linear"
 
-    n_rec = total_steps // stride + 1
-    rec_t = np.empty(n_rec)
-    rec_x = np.empty((n_rec, 2))
-    rec_zh = np.empty((n_rec, 2 * n + 1), dtype=complex)
-    rec_u = np.empty(n_rec)
-    rec_e = np.empty(n_rec)
-    rec_c = np.empty(n_rec)
-    rec_w = np.empty(n_rec)
+    # run-major records, so each run's trajectory is a view
+    n_rec = n_int * n_sub // stride + 1
+    rec_t = np.arange(n_rec) * stride * h
+    rec_x = np.empty((nb, n_rec, 2))
+    rec_zh = np.empty((nb, n_rec, 2 * n + 1), dtype=complex)
+    rec_u = np.empty((nb, n_rec))
+    rec_e = np.empty((nb, n_rec))
+    rec_c = np.empty((nb, n_rec))
+    rec_w = np.empty((nb, n_rec))
+    lengths = np.ones(nb, dtype=int)
 
-    x = x0.copy()
-    if cfg.method == "exact_linear":
+    active = _valid(x0s, mu) & _valid(xhat0s, mu)
+    diverged_at = np.where(active, np.nan, 0.0)
+    x = np.where(active[:, None], x0s, 0.0)
+    xh = np.where(active[:, None], xhat0s, 0.0)
+    if exact:
         z = embed(x, mu, n)
-        eps = embed(xhat0, mu, n) - z
+        eps = embed(xh, mu, n) - z
         zhat = z + eps
     else:
-        zhat = embed(xhat0, mu, n)
+        zhat = embed(xh, mu, n)
         eps = zhat - embed(x, mu, n)
 
-    clamp_count = 0
-    violations = 0
-    max_inc = 0.0
-    diverged = False
-    diverged_at = None
-    prev_eps = float(np.linalg.norm(eps))
+    clamp_count = np.zeros(nb, dtype=int)
+    violations = np.zeros(nb, dtype=int)
+    max_inc = np.zeros(nb)
+    prev_eps = _row_norm(eps)
 
-    def record(idx, t, u):
-        rec_t[idx] = t
-        rec_x[idx] = x
-        rec_zh[idx] = zhat
-        rec_u[idx] = u
-        rec_e[idx] = np.linalg.norm(eps)
-        rec_c[idx] = abs(np.vdot(zeta, eps))
-        rec_w[idx] = weak_norm(eps)
+    def record(idx):
+        rec_x[:, idx] = x
+        rec_zh[:, idx] = zhat
+        rec_u[:, idx] = u
+        rec_e[:, idx] = _row_norm(eps)
+        rec_c[:, idx] = np.abs(_row_dot(zeta_conj, eps))
+        rec_w[:, idx] = weak_norm(eps)
 
-    def refresh_control():
+    def feedback():
         # left limit of the observer state fixes the next hold value
-        nonlocal u, clamp_count
-        u = sample_hold_feedback(zhat, params)
-        if abs(zhat[n + 1]) > clamp_level:
-            clamp_count += 1
+        clamp_count[active & (np.abs(zhat[:, n + 1]) > clamp_level)] += 1
+        return sample_hold_feedback(zhat, params)
 
-    u = 0.0
-    refresh_control()
-    record(0, 0.0, u)
-    rec = 1
+    u = feedback()
+    record(0)
+    rec_x[~active, 0] = x0s[~active]
+    for arr in (rec_zh, rec_u, rec_e, rec_c, rec_w):
+        arr[~active, 0] = np.nan
+
+    if not exact:
+        def rhs(xs, eta):
+            inside = _valid(xs, mu)
+            fy = linearized_output(spec, output_value(spec, np.where(inside[:, None], xs, 0.0)))
+            xd = np.stack([-xs[:, 1], xs[:, 0] + u], axis=-1)
+            etad = spectral.apply_generator(u, mu, eta) \
+                - alpha * (_row_dot(zeta_conj, eta) - fy)[:, None] * zeta
+            return xd, etad, inside
+
     step_idx = 0
-
-    if cfg.method == "rk4_coupled":
-        a_rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        b_rot = np.array([0.0, 1.0])
-        alpha = params.alpha
-
-        def rhs(xs, eta, u_now):
-            y = output_value(spec, xs)
-            fy = linearized_output(spec, y)
-            xd = a_rot @ xs + b_rot * u_now
-            etad = spectral.apply_generator(u_now, mu, eta) \
-                - alpha * (np.vdot(zeta, eta) - fy) * zeta
-            return xd, etad
-
     for _ in range(n_int):
-        if cfg.method == "exact_linear":
-            prop = expm(observer_matrix(u, mu, params.alpha, zeta), h)
         for sub in range(n_sub):
-            if cfg.method == "exact_linear":
-                x = rotation_step(x, u, h)
-                eps = prop @ eps
-                zhat = embed(x, mu, n) + eps
+            if exact:
+                x_new = rotation_step(x, u, h)
+                ok = active & _valid(x_new, mu)
+                eps_new = observer_propagate(eps, u, mu, alpha, zeta, h)
+                zhat_new = embed(np.where(ok[:, None], x_new, 0.0), mu, n) + eps_new
             else:
-                k1 = rhs(x, zhat, u)
-                k2 = rhs(x + 0.5 * h * k1[0], zhat + 0.5 * h * k1[1], u)
-                k3 = rhs(x + 0.5 * h * k2[0], zhat + 0.5 * h * k2[1], u)
-                k4 = rhs(x + h * k3[0], zhat + h * k3[1], u)
-                x = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-                zhat = zhat + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-                eps = zhat - embed(x, mu, n)
+                k1 = rhs(x, zhat)
+                k2 = rhs(x + 0.5 * h * k1[0], zhat + 0.5 * h * k1[1])
+                k3 = rhs(x + 0.5 * h * k2[0], zhat + 0.5 * h * k2[1])
+                k4 = rhs(x + h * k3[0], zhat + h * k3[1])
+                x_new = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+                zhat_new = zhat + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+                ok = active & k1[2] & k2[2] & k3[2] & k4[2] & _valid(x_new, mu)
+                eps_new = zhat_new - embed(np.where(ok[:, None], x_new, 0.0), mu, n)
             step_idx += 1
-            cur = float(np.linalg.norm(eps))
-            if cur > prev_eps + EPS_STEP_TOL:
-                violations += 1
-            max_inc = max(max_inc, cur - prev_eps)
+            ok &= np.all(np.isfinite(zhat_new), axis=-1) \
+                & (_row_dot(x_new, x_new) <= DIVERGENCE_NORM ** 2)
+            diverged_at[active & ~ok] = step_idx * h
+            active = ok
+            keep = active[:, None]
+            x = np.where(keep, x_new, x)
+            eps = np.where(keep, eps_new, eps)
+            zhat = np.where(keep, zhat_new, zhat)
+            cur = _row_norm(eps)
+            inc = np.where(active, cur - prev_eps, 0.0)
+            violations += inc > EPS_STEP_TOL
+            max_inc = np.maximum(max_inc, inc)
             prev_eps = cur
-            if np.dot(x, x) > DIVERGENCE_NORM ** 2 or not np.all(np.isfinite(zhat)):
-                diverged, diverged_at = True, step_idx * h
-            elif sub == n_sub - 1:
-                refresh_control()  # before the boundary record: u is
-                # right-continuous, each sample carries the value just applied
+            if sub == n_sub - 1:
+                # before the boundary record: u is right-continuous, each
+                # sample carries the value just applied
+                u = np.where(active, feedback(), u)
             if step_idx % stride == 0:
-                record(rec, step_idx * h, u)
-                rec += 1
-            if diverged:
+                record(step_idx // stride)
+                lengths[active] += 1
+            if not active.any():
                 break
-        if diverged:
+        if not active.any():
             break
 
-    return Trajectory(
-        times=rec_t[:rec].copy(),
-        x=rec_x[:rec].copy(),
-        zhat=rec_zh[:rec].copy(),
-        u=rec_u[:rec].copy(),
-        eps_norm=rec_e[:rec].copy(),
-        c_eps_abs=rec_c[:rec].copy(),
-        weak_eps=rec_w[:rec].copy(),
-        dissipativity_violations=violations,
-        max_eps_increase=max_inc,
-        clamp_count=clamp_count,
-        diverged=diverged,
-        diverged_at=diverged_at,
-        meta={"strategy": "spectral", "method": cfg.method, "step": h,
-              "Delta": params.Delta, "horizon": n_int * params.Delta,
-              "output_kind": spec.kind},
-    )
+    meta = {"strategy": "spectral", "method": cfg.method, "step": h,
+            "Delta": params.Delta, "horizon": n_int * params.Delta,
+            "output_kind": spec.kind}
+    return [Trajectory(
+        times=rec_t[:m],
+        x=rec_x[run, :m],
+        zhat=rec_zh[run, :m],
+        u=rec_u[run, :m],
+        eps_norm=rec_e[run, :m],
+        c_eps_abs=rec_c[run, :m],
+        weak_eps=rec_w[run, :m],
+        dissipativity_violations=int(violations[run]),
+        max_eps_increase=float(max_inc[run]),
+        clamp_count=int(clamp_count[run]),
+        diverged=not active[run],
+        diverged_at=None if np.isnan(diverged_at[run]) else float(diverged_at[run]),
+        meta=dict(meta),
+    ) for run, m in enumerate(lengths)]
+
+
+def run_spectral_loop(spec: OutputSpec, params: SpectralParams, x0, xhat0,
+                      cfg: IntegratorConfig) -> Trajectory:
+    """Single run of the sample-and-hold spectral loop (see run_spectral_batch)."""
+    return run_spectral_batch(spec, params, [np.asarray(x0, dtype=float).reshape(-1)],
+                              [np.asarray(xhat0, dtype=float).reshape(-1)], cfg)[0]
 
 
 def propagate_coefficients(u: float, mu: float, z0, T: float, steps: int):
     """Evolve a coefficient vector under the constant-input generator alone
-    (no observer): z(t+h) = expm(G(u) h) z(t).  Returns (times, norms)."""
+    (no observer): z(t+h) = expm(G(u) h) z(t), applied as an action.
+    Returns (times, norms)."""
     z = np.asarray(z0, dtype=complex).copy()
     n = spectral.truncation_order(z)
     h = T / steps
-    prop = expm(spectral.generator_matrix(u, mu, n), h)
+    target = spectral.embedded_target(n)
     times = np.linspace(0.0, T, steps + 1)
     norms = np.empty(steps + 1)
-    norms[0] = np.linalg.norm(z)
+    norms[0] = _row_norm(z)
     for i in range(steps):
-        z = prop @ z
-        norms[i + 1] = np.linalg.norm(z)
+        # alpha = 0 leaves the generator alone; zeta then plays no part
+        z = observer_propagate(z, u, mu, 0.0, target, h)
+        norms[i + 1] = _row_norm(z)
     return times, norms
 
 

@@ -14,6 +14,10 @@ Conventions used throughout:
 * The inner product is (1/2pi) * integral of xi * conj(zeta); the modes are
   orthonormal, hence ||z||^2 = sum |z_k|^2.
 * The embedded coefficient of order k is i^k J_k(mu r) exp(-i k theta).
+* The kernels work on the last axis: a point may be an array of shape
+  (..., 2) and a coefficient vector one of shape (..., 2N+1), one row per
+  run.  Rows never mix (no matrix products across them), so a row's result
+  does not depend on the other rows it is computed with.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ _KINDS = (NORM_SQ, J0_RADIAL, J2_COS2THETA, NORM, BESSEL_SERIES)
 
 
 def truncation_order(z) -> int:
-    """N for a coefficient vector of length 2N+1."""
-    m = len(z)
+    """N for a coefficient vector (or rows of them) of length 2N+1."""
+    m = np.shape(z)[-1]
     if m % 2 == 0:
         raise ValueError("coefficient vectors have odd length 2N+1")
     return (m - 1) // 2
@@ -55,40 +59,54 @@ def embedded_target(n: int) -> np.ndarray:
     return z
 
 
+def _polar(x):
+    """Radius and angle of points of shape (..., 2); the origin gets angle 0."""
+    x = np.asarray(x, dtype=float)
+    r = np.hypot(x[..., 0], x[..., 1])
+    theta = np.where(r > 0.0, np.arctan2(x[..., 1], x[..., 0]), 0.0)
+    return r, theta
+
+
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
 def embed(x, mu: float, n: int) -> np.ndarray:
     """Coefficient vector of the embedded state, z_k = i^k J_k(mu r) e^{-ik theta}.
 
     Exactly unit norm before truncation; the truncated norm falls short of 1
-    by the (rapidly vanishing) Bessel tail.
+    by the (rapidly vanishing) Bessel tail.  x of shape (..., 2) gives
+    coefficients of shape (..., 2N+1).
     """
     if n < 1:
         raise ValueError("embed: truncation order must be >= 1")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    r = float(np.hypot(x[0], x[1]))
-    theta = math.atan2(x[1], x[0]) if r > 0.0 else 0.0
+    r, theta = _polar(x)
     j = bessel_j_all(n, mu * r)
     k = np.arange(n + 1)
-    zpos = (1j) ** k * j * np.exp(-1j * k * theta)
-    z = np.empty(2 * n + 1, dtype=complex)
-    z[n:] = zpos
+    zpos = _I_POWERS[k % 4] * j * np.exp(-1j * k * theta[..., None])
+    z = np.empty(zpos.shape[:-1] + (2 * n + 1,), dtype=complex)
+    z[..., n:] = zpos
     # z_{-k} = i^k J_k(mu r) e^{+ik theta} = (-1)^k conj(z_k)
-    z[:n] = ((-1.0) ** k[1:] * np.conj(zpos[1:]))[::-1]
+    z[..., :n] = ((-1.0) ** k[1:] * np.conj(zpos[..., 1:]))[..., ::-1]
     return z
 
 
-def apply_generator(u: float, mu: float, z) -> np.ndarray:
+def _generator_rows(z: np.ndarray, diag: np.ndarray, c) -> np.ndarray:
+    """G z from its diagonal -i k and off-diagonal weight c = u mu / 2
+    (c broadcasts against z's rows)."""
+    out = z * diag
+    out[..., 1:] += c * z[..., :-1]
+    out[..., :-1] -= c * z[..., 1:]
+    return out
+
+
+def apply_generator(u, mu: float, z) -> np.ndarray:
     """Apply the transport-plus-control generator in coefficient space:
     (G(u) z)_k = -i k z_k + (u mu / 2)(z_{k-1} - z_{k+1}),
-    with out-of-range neighbors treated as zero."""
+    with out-of-range neighbors treated as zero.  u may hold one value per
+    row of z."""
     z = np.asarray(z, dtype=complex)
-    n = truncation_order(z)
-    k = mode_orders(n)
-    out = -1j * k * z
-    c = 0.5 * u * mu
-    if c != 0.0:
-        out[1:] += c * z[:-1]
-        out[:-1] -= c * z[1:]
-    return out
+    return _generator_rows(z, -1j * mode_orders(truncation_order(z)),
+                           (0.5 * np.asarray(u, dtype=float) * mu)[..., None])
 
 
 def generator_matrix(u: float, mu: float, n: int) -> np.ndarray:
@@ -112,6 +130,52 @@ def observer_matrix(u: float, mu: float, alpha: float, zeta) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=complex)
     n = truncation_order(zeta)
     return generator_matrix(u, mu, n) - alpha * np.outer(zeta, zeta.conj())
+
+
+# _TAYLOR_THETA[m - 1] is the largest ||h M|| for which the first term the
+# degree-m Taylor polynomial of exp(h M) leaves out, ||h M||^{m+1} / (m+1)!,
+# is at most 2^-53; the whole tail is at most e^{||h M||} times that term.
+_TAYLOR_THETA = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1))
+                          for m in range(1, 19)])
+
+
+def observer_propagate(z, u, mu: float, alpha: float, zeta, h: float) -> np.ndarray:
+    """Action of expm(h * observer_matrix(u, mu, alpha, zeta)) on z.
+
+    Truncated Taylor series of structured matrix-vector products (diagonal,
+    the two off-diagonals and the rank-one term), after Al-Mohy and Higham,
+    "Computing the action of the matrix exponential" (SIAM J. Sci. Comput.
+    33(2), 2011).  Each row takes its own u: the bound
+    ||h M|| <= h (N + |u| mu + alpha ||zeta||^2) fixes how many sub-steps q
+    the row splits h into (each with ||h M|| / q <= 1.15) and the degree m
+    (at most 18) whose first neglected term stays below 2^-53 in every
+    sub-step; the whole tail is then below e^{1.15} 2^-53 ~ 3.5e-16.
+    """
+    z = np.asarray(z, dtype=complex)
+    rows = z.reshape(-1, z.shape[-1])
+    n = truncation_order(rows)
+    zeta = np.asarray(zeta, dtype=complex)
+    zeta_conj = zeta.conj()
+    azeta = alpha * zeta
+    u = np.broadcast_to(np.asarray(u, dtype=float).reshape(-1), rows.shape[:1])
+    c = (0.5 * u * mu)[:, None]
+    bound = h * (n + np.abs(u) * mu + alpha * float(np.sum(zeta.real ** 2 + zeta.imag ** 2)))
+    subs = np.maximum(1.0, np.ceil(bound / _TAYLOR_THETA[-1]))
+    degree = 1 + np.searchsorted(_TAYLOR_THETA, bound / subs)
+    hs = (h / subs)[:, None]
+    diag = -1j * mode_orders(n)
+    out = rows.copy()
+    for sub in range(int(subs.max())):
+        term = out
+        total = out.copy()
+        for m in range(1, int(degree.max()) + 1):
+            inner = (zeta_conj * term).sum(axis=-1, keepdims=True)
+            term = _generator_rows(term, diag, c)
+            term -= azeta * inner
+            term *= hs / m
+            np.add(total, term, out=total, where=((sub < subs) & (m <= degree))[:, None])
+        out = total
+    return out.reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -138,38 +202,39 @@ class OutputSpec:
 
 
 def output_value(spec: OutputSpec, x):
-    """The raw measurement y = h(x)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    r = float(np.hypot(x[0], x[1]))
+    """The raw measurement y = h(x), for points of shape (..., 2)."""
+    r, theta = _polar(x)
     if spec.kind == NORM_SQ:
         return 0.5 * r * r
     if spec.kind == NORM:
         return r
     if spec.kind == J0_RADIAL:
-        return bessel_j(0, spec.mu * r) - 1.0
-    theta = math.atan2(x[1], x[0]) if r > 0.0 else 0.0
+        return bessel_j_all(0, spec.mu * r)[..., 0] - 1.0
     if spec.kind == J2_COS2THETA:
-        return bessel_j(2, spec.mu * r) * math.cos(2.0 * theta)
+        return bessel_j_all(2, spec.mu * r)[..., 2] * np.cos(2.0 * theta)
+    j = bessel_j_all(max(abs(k) for k in spec.coeffs), spec.mu * r)
     total = 0.0 + 0.0j
     for k, c in spec.coeffs.items():
-        total += c * bessel_j(k, spec.mu * r) * np.exp(-1j * k * theta)
+        jk = j[..., abs(k)] * (-1.0) ** (k % 2) if k < 0 else j[..., k]
+        total = total + c * jk * np.exp(-1j * k * theta)
     return total
 
 
-def linearized_output(spec: OutputSpec, y) -> complex:
+def linearized_output(spec: OutputSpec, y):
     """Transform the measurement into the value of the linear functional,
     i.e. the map sending h(x) to <embed(x), output_vector>."""
+    y = np.asarray(y)
+    if spec.kind in (NORM_SQ, NORM) and np.any(y < 0.0):
+        raise ValueError(f"linearized_output: {spec.kind} output cannot be negative")
     if spec.kind == NORM_SQ:
-        if y < 0.0:
-            raise ValueError("linearized_output: norm_sq output cannot be negative")
-        return complex(bessel_j(0, spec.mu * math.sqrt(2.0 * y)))
-    if spec.kind == NORM:
-        if y < 0.0:
-            raise ValueError("linearized_output: norm output cannot be negative")
-        return complex(bessel_j(0, spec.mu * y))
-    if spec.kind == J0_RADIAL:
-        return complex(y + 1.0)
-    return complex(y)
+        value = bessel_j_all(0, spec.mu * np.sqrt(2.0 * y))[..., 0]
+    elif spec.kind == NORM:
+        value = bessel_j_all(0, spec.mu * y)[..., 0]
+    elif spec.kind == J0_RADIAL:
+        value = y + 1.0
+    else:
+        value = y
+    return np.asarray(value, dtype=complex)[()]
 
 
 def output_vector(spec: OutputSpec, n: int) -> np.ndarray:
@@ -196,11 +261,12 @@ def output_vector(spec: OutputSpec, n: int) -> np.ndarray:
     return zeta
 
 
-def weak_norm(z) -> float:
-    """sqrt(sum |z_k|^2 / (k^2 + 1)): metrizes weak convergence on bounded sets."""
+def weak_norm(z):
+    """sqrt(sum |z_k|^2 / (k^2 + 1)): metrizes weak convergence on bounded sets.
+    One value per row of z."""
     z = np.asarray(z, dtype=complex)
     k = mode_orders(truncation_order(z))
-    return float(np.sqrt(np.sum(np.abs(z) ** 2 / (k * k + 1.0))))
+    return np.sqrt(((z.real ** 2 + z.imag ** 2) / (k * k + 1.0)).sum(axis=-1))
 
 
 def weak_norm_bound() -> float:
@@ -224,25 +290,23 @@ def _blend_coefficients(j: float):
     return y0, y1, j, zeros.j1, s0
 
 
-def _radius_map(a: float, mu: float, j: float) -> float:
-    """Radius assigned to a coefficient magnitude a = |<xi, e_1>|."""
+def _radius_map(a, mu: float, j: float):
+    """Radius assigned to coefficient magnitudes a = |<xi, e_1>|."""
     zeros = find_zeros()
     y0, y1, g0, g1, s0 = _blend_coefficients(j)
-    if a <= y0:
-        return inv_j1(a, j) / mu
-    if a >= y1:
-        return zeros.j1 / mu
+    a = np.asarray(a, dtype=float)
     w = y1 - y0
     t = (a - y0) / w
     h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
     h10 = t * (1.0 - t) ** 2
     h01 = t * t * (3.0 - 2.0 * t)
-    h11 = t * t * (t - 1.0)
-    return (h00 * g0 + h10 * w * s0 + h01 * g1) / mu
+    blend = (h00 * g0 + h10 * w * s0 + h01 * g1) / mu
+    outer = np.where(a >= y1, zeros.j1 / mu, blend)
+    return np.where(a <= y0, inv_j1(np.minimum(a, y0), j) / mu, outer)
 
 
-def state_from_coef(c: complex, mu: float, j: float) -> np.ndarray:
-    """Invert a single e_1 coefficient back to a plane point.
+def state_from_coef(c, mu: float, j: float) -> np.ndarray:
+    """Invert e_1 coefficients back to plane points (shape c.shape + (2,)).
 
     For c = <embed(x), e_1> = i J_1(mu r) e^{-i theta} with mu r <= j this
     recovers x exactly; larger magnitudes are radially capped at j1/mu through
@@ -251,22 +315,20 @@ def state_from_coef(c: complex, mu: float, j: float) -> np.ndarray:
     zeros = find_zeros()
     if not 0.0 < j < zeros.j1:
         raise ValueError(f"state_from_coef: need 0 < j < j1, got j={j}")
-    c = complex(c)
-    a = abs(c)
-    if a == 0.0:
-        return np.zeros(2)
-    w = 1j * np.conj(c) / a
+    c = np.asarray(c, dtype=complex)
+    a = np.abs(c)
+    w = 1j * np.conj(c) / np.where(a > 0.0, a, 1.0)
     p = w * _radius_map(a, mu, j)
-    return np.array([p.real, p.imag])
+    return np.stack([p.real, p.imag], axis=-1)
 
 
 def left_inverse(z, mu: float, j: float) -> np.ndarray:
-    """State estimate from a coefficient vector: invert its e_1 coefficient."""
+    """State estimates from coefficient vectors: invert their e_1 coefficient."""
     z = np.asarray(z, dtype=complex)
     n = truncation_order(z)
     if n < 1:
         raise ValueError("left_inverse: truncation order must be >= 1")
-    return state_from_coef(z[n + 1], mu, j)
+    return state_from_coef(z[..., n + 1], mu, j)
 
 
 def inverse_lipschitz(mu: float, j: float, num: int = 4000) -> float:
@@ -276,7 +338,7 @@ def inverse_lipschitz(mu: float, j: float, num: int = 4000) -> float:
     zeros = find_zeros()
     ymax = bessel_j(1, zeros.j1)
     ys = np.linspace(1e-9, ymax * 1.2, num)
-    g = np.array([_radius_map(float(y), 1.0, j) for y in ys])
+    g = _radius_map(ys, 1.0, j)
     radial = np.max(np.abs(np.diff(g)) / np.diff(ys))
     tangential = np.max(g / ys)
     return float(max(radial, tangential) / mu)
@@ -321,14 +383,16 @@ def default_j() -> float:
     return 0.9 * find_zeros().j1
 
 
-def sample_hold_feedback(zhat, params: SpectralParams) -> float:
+def sample_hold_feedback(zhat, params: SpectralParams):
     """Control applied over one hold interval:
-    K * left_inverse(zhat) + delta * weak_norm(zhat - embedded_target)^2."""
+    K * left_inverse(zhat) + delta * weak_norm(zhat - embedded_target)^2.
+    A float for one coefficient vector, one value per row otherwise."""
     zhat = np.asarray(zhat, dtype=complex)
     n = truncation_order(zhat)
     xhat = left_inverse(zhat, params.mu, params.j)
     dev = zhat - embedded_target(n)
-    return float(params.K @ xhat + params.delta * weak_norm(dev) ** 2)
+    u = np.sum(params.K * xhat, axis=-1) + params.delta * weak_norm(dev) ** 2
+    return float(u) if zhat.ndim == 1 else u
 
 
 def truncation_tail_bound(s: float, n: int) -> float:

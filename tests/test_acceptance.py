@@ -29,6 +29,7 @@ from unobs_stab.sim import (
     convergence_metrics,
     propagate_coefficients,
     run_finite_batch,
+    run_spectral_batch,
     run_spectral_loop,
 )
 from unobs_stab.spectral import (
@@ -248,8 +249,7 @@ def spectral_closed_loop(kind, c_eps_threshold):
     x0s = ball_points(rng, 10, 1.0)
     xh0s = ball_points(rng, 10, 1.0)
     worst = {"viol": 0, "c_eps": 0.0, "x": 0.0, "eps_change": 0.0, "u": 0.0}
-    for x0, xh0 in zip(x0s, xh0s):
-        traj = run_spectral_loop(spec, params, x0, xh0, cfg)
+    for traj in run_spectral_batch(spec, params, x0s, xh0s, cfg):
         m = convergence_metrics(traj)
         worst["viol"] = max(worst["viol"], m["dissipativity_violations"])
         worst["c_eps"] = max(worst["c_eps"], m["final_c_eps_abs"])

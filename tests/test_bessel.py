@@ -33,6 +33,19 @@ def test_series_and_recurrence_ranges_agree_with_oracle():
                 bessel_j_series(k, float(r)), abs=5e-14), (k, r)
 
 
+def test_array_form_agrees_with_oracle_and_scalar_calls():
+    # radii on both sides of the series/recurrence switch at 8
+    radii = np.concatenate([np.linspace(0.0, 49.9, 21), [7.999, 8.0, 8.001]])
+    table = bessel_j_all(24, radii)
+    assert table.shape == (radii.shape[0], 25)
+    for r, row in zip(radii, table):
+        assert np.array_equal(row, bessel_j_all(24, float(r)))
+        for k in (0, 1, 2, 5, 11, 24):
+            assert row[k] == pytest.approx(bessel_j_series(k, float(r)), abs=5e-14), (k, r)
+    with pytest.raises(ValueError):
+        bessel_j_all(3, np.array([1.0, 50.0]))
+
+
 def test_negative_order_symmetry():
     rng = np.random.default_rng(7)
     for _ in range(50):

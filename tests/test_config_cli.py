@@ -160,6 +160,34 @@ class TestRunScenario:
         for name in sorted(os.listdir(out1)):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_spectral_jobs_match_serial(self, tmp_path):
+        cfg = parse_config(write(tmp_path, SPECTRAL_CFG.replace("init.count = 2",
+                                                                "init.count = 3")))
+        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
+        run_scenario(cfg, str(out1), jobs=1)
+        run_scenario(cfg, str(out2), jobs=2)
+        assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
+        for name in sorted(os.listdir(out1)):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_run_outside_domain_does_not_end_batch(self, tmp_path):
+        # mu |x0| = 60 for the second run: it is reported as diverged at t=0,
+        # and the first run's artifacts are those of its solo run
+        pair = "init.x0 = 0.5, 0.0, 600.0, 0.0\ninit.xhat0 = 0.0, 0.2, 0.0, 0.0\n"
+        solo = "init.x0 = 0.5, 0.0\ninit.xhat0 = 0.0, 0.2\n"
+        out_pair, out_solo = tmp_path / "pair", tmp_path / "solo"
+        code = run_scenario(parse_config(write(tmp_path, SPECTRAL_CFG + pair, "pair.cfg")),
+                            str(out_pair))
+        run_scenario(parse_config(write(tmp_path, SPECTRAL_CFG + solo, "solo.cfg")),
+                     str(out_solo))
+        assert code == 1
+        assert (out_pair / "run_000.csv").read_bytes() == (out_solo / "run_000.csv").read_bytes()
+        summary = (out_pair / "summary.txt").read_text().splitlines()
+        assert "run_000.diverged=0" in summary
+        assert "run_001.diverged=1" in summary
+        assert "run_001.diverged_at=0" in summary
+        assert "run_001.pass=0" in summary
+
     def test_svg_written(self, tmp_path):
         text = FINITE_CFG + "init.x0 = 1.0, 0.0\ninit.xhat0 = 0.5, 0.0\n"
         cfg = parse_config(write(tmp_path, text))

@@ -15,9 +15,11 @@ from unobs_stab.sim import (
     rotation_step,
     run_finite_batch,
     run_finite_loop,
+    run_spectral_batch,
     run_spectral_loop,
 )
 from unobs_stab.spectral import (
+    J2_COS2THETA,
     NORM_SQ,
     OutputSpec,
     SpectralParams,
@@ -120,10 +122,8 @@ class TestFiniteLoop:
         batch = run_finite_batch(plant, fin_params, x0s, z0s, cfg)
         for x0, z0, traj in zip(x0s, z0s, batch):
             single = run_finite_loop(plant, fin_params, x0, z0, cfg)
-            # BLAS may pick different kernels for different batch widths, so
-            # cross-width agreement is to roundoff, not bitwise
-            assert np.allclose(single.x, traj.x, atol=1e-12)
-            assert np.allclose(single.zhat, traj.zhat, atol=1e-12)
+            assert np.array_equal(single.x, traj.x)
+            assert np.array_equal(single.zhat, traj.zhat)
 
     def test_delta_budget_enforced_with_rho(self, plant):
         gain = place_poles(plant.A, plant.b, [-1.0, -2.0])
@@ -215,6 +215,50 @@ class TestSpectralLoop:
             run_spectral_loop(bad, params, np.zeros(2), np.zeros(2),
                               IntegratorConfig(method="exact_linear",
                                                step=0.05, horizon=1.0))
+
+
+class TestSpectralBatch:
+    @pytest.mark.parametrize("method,kind", [("exact_linear", NORM_SQ),
+                                             ("rk4_coupled", J2_COS2THETA)])
+    def test_batch_matches_single(self, method, kind):
+        _, params = spectral_setup(n=12)
+        spec = OutputSpec(kind=kind, mu=params.mu)
+        cfg = IntegratorConfig(method=method, step=0.01, horizon=1.0, record_every=5)
+        x0s = np.array([[0.6, 0.2], [-0.9, 0.4], [0.0, 0.0]])
+        xh0s = np.array([[0.1, -0.4], [0.3, 0.3], [0.5, -0.2]])
+        batch = run_spectral_batch(spec, params, x0s, xh0s, cfg)
+        for x0, xh0, traj in zip(x0s, xh0s, batch):
+            single = run_spectral_loop(spec, params, x0, xh0, cfg)
+            for name in ("times", "x", "zhat", "u", "eps_norm", "c_eps_abs", "weak_eps"):
+                assert np.array_equal(getattr(single, name), getattr(traj, name)), name
+            assert single.clamp_count == traj.clamp_count
+            assert single.max_eps_increase == traj.max_eps_increase
+            assert not traj.diverged
+
+    def test_start_outside_domain_frozen_at_zero(self):
+        # mu |x0| = 60 is past the Bessel argument limit: that run is reported
+        # as diverged at t=0, its neighbour runs exactly as it would alone
+        spec, params = spectral_setup(mu=0.1, n=12)
+        cfg = IntegratorConfig(method="exact_linear", step=0.05, horizon=1.0)
+        x0s = [[0.5, 0.0], [600.0, 0.0]]
+        xh0s = [[0.0, 0.2], [0.0, 0.0]]
+        good, bad = run_spectral_batch(spec, params, x0s, xh0s, cfg)
+        alone = run_spectral_loop(spec, params, x0s[0], xh0s[0], cfg)
+        assert np.array_equal(good.x, alone.x) and np.array_equal(good.u, alone.u)
+        assert not good.diverged and good.diverged_at is None
+        assert bad.diverged and bad.diverged_at == 0.0
+        assert bad.times.shape == (1,)
+        assert np.array_equal(bad.x[0], [600.0, 0.0]) and np.isnan(bad.eps_norm[0])
+
+    def test_leaving_domain_mid_run_freezes_the_run(self):
+        # the held control swings x around a circle through mu |x| = 50
+        spec, params = spectral_setup(mu=0.1, n=12)
+        cfg = IntegratorConfig(method="exact_linear", step=0.05, horizon=8.0)
+        traj = run_spectral_loop(spec, params, [499.0, 0.0], [0.0, 5.0], cfg)
+        assert traj.diverged and 0.0 < traj.diverged_at < 8.0
+        assert traj.times[-1] < traj.diverged_at
+        assert np.all(0.1 * np.linalg.norm(traj.x, axis=1) < 50.0)
+        assert np.all(np.isfinite(traj.zhat))
 
 
 class TestPropagator:

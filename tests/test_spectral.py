@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from unobs_stab.bessel import bessel_j, find_zeros
+from unobs_stab.bessel import bessel_j, find_zeros, inv_j1
 from unobs_stab.spectral import (
     J0_RADIAL,
     J2_COS2THETA,
@@ -22,6 +23,7 @@ from unobs_stab.spectral import (
     linearized_output,
     mode_orders,
     observer_matrix,
+    observer_propagate,
     output_value,
     output_vector,
     sample_hold_feedback,
@@ -139,6 +141,40 @@ class TestObserverMatrix:
             got = 2.0 * np.real(np.vdot(eps, m @ eps))
             want = -2.0 * alpha * abs(np.vdot(zeta, eps)) ** 2
             assert got == pytest.approx(want, abs=1e-13 * np.vdot(eps, eps).real)
+
+
+class TestPropagation:
+    MU, ALPHA, N = 0.1, 1.0, 24
+
+    def vectors(self, zeta):
+        rng = np.random.default_rng(11)
+        m = 2 * self.N + 1
+        eps = rng.normal(size=m) + 1j * rng.normal(size=m)
+        # one vector the rank-one term does not see at t=0
+        perp = eps - zeta * np.vdot(zeta, eps) / np.vdot(zeta, zeta)
+        return [eps / np.linalg.norm(eps), perp / np.linalg.norm(perp)]
+
+    @pytest.mark.parametrize("kind", [NORM_SQ, J2_COS2THETA])
+    @pytest.mark.parametrize("h", [1e-3, 1.0 / 32.0, 0.5])
+    @pytest.mark.parametrize("u", [0.0, 0.3, 5.0, 40.0])
+    def test_matches_dense_expm(self, kind, h, u):
+        zeta = output_vector(OutputSpec(kind=kind, mu=self.MU), self.N)
+        dense = scipy.linalg.expm(h * observer_matrix(u, self.MU, self.ALPHA, zeta))
+        for eps in self.vectors(zeta):
+            got = observer_propagate(eps, u, self.MU, self.ALPHA, zeta, h)
+            size = np.linalg.norm(eps)
+            assert np.linalg.norm(got - dense @ eps) < 1e-14 * size
+            assert np.linalg.norm(got) <= size + 1e-15
+
+    def test_rows_take_their_own_input(self):
+        # rows with different u need different degrees and sub-step counts;
+        # each row comes out bitwise as it does alone
+        zeta = output_vector(OutputSpec(kind=J2_COS2THETA, mu=self.MU), self.N)
+        us = np.array([0.0, 0.3, 5.0, 40.0, 400.0])
+        eps = np.array([self.vectors(zeta)[0]] * len(us))
+        batch = observer_propagate(eps, us, self.MU, self.ALPHA, zeta, 0.5)
+        for u, e, row in zip(us, eps, batch):
+            assert np.array_equal(observer_propagate(e, u, self.MU, self.ALPHA, zeta, 0.5), row)
 
 
 class TestOutputs:
@@ -275,6 +311,24 @@ class TestInverse:
                 x = polar(r_frac * j / mu, theta)
                 err = np.linalg.norm(left_inverse(embed(x, mu, n), mu, j) - x)
                 assert err < 1e-9
+
+    def test_batched_inverse_matches_scalar_path(self):
+        mu, j, n = 0.25, default_j(), 16
+        points = [polar(r_frac * j / mu, theta)
+                  for r_frac in np.linspace(0.0, 0.9, 7)
+                  for theta in np.linspace(0.0, 2.0 * math.pi, 9)]
+        zs = np.array([embed(x, mu, n) for x in points])
+        # clamped branch and blend region of the radius map
+        for a in (50.0 - 12.0j, 2.0 * bessel_j(1, find_zeros().j1),
+                  0.5 * (bessel_j(1, j) + bessel_j(1, find_zeros().j1))):
+            z = embedded_target(n)
+            z[n + 1] = a
+            zs = np.vstack([zs, z])
+        batch = left_inverse(zs, mu, j)
+        assert np.array_equal(batch, np.array([left_inverse(z, mu, j) for z in zs]))
+        ys = np.abs(zs[:, n + 1])
+        ys = ys[ys <= bessel_j(1, j)]
+        assert np.array_equal(inv_j1(ys, j), np.array([inv_j1(float(y), j) for y in ys]))
 
     def test_huge_coefficient_clamped(self):
         mu, j, n = 0.5, default_j(), 8
