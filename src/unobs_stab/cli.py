@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,13 @@ from . import observability, spectral
 from .artifacts import write_csv, write_summary, write_trajectory_svg
 from .bessel import find_zeros
 from .config import ConfigError, ScenarioConfig, parse_config
-from .finite import FinParams, delta_margin, embed as embed_fin, rotation_plant
+from .finite import (
+    FinParams,
+    delta_margin,
+    embed as embed_fin,
+    observability_certificate,
+    rotation_plant,
+)
 from .linalg import place_poles
 from .observability import (
     check_bound_inequalities,
@@ -111,6 +116,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
         # so the artifacts do not depend on the shard count
         bounds = [len(pairs) * s // shards for s in range(shards + 1)]
         parts = [pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=shards) as pool:
             results = [traj for part in pool.map(_run_batch, [cfg] * shards, parts)
                        for traj in part]
@@ -158,10 +165,9 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
     report["det_check.singular_when_unperturbed"] = int(det.singular_when_unperturbed)
 
     if cfg.strategy == "finite":
-        plant, _ = build_finite(ScenarioConfig(**{**cfg.__dict__, "delta": cfg.delta or 1.0}))
+        plant = rotation_plant()
         gain = cfg.K if cfg.K is not None else place_poles(plant.A, plant.b, cfg.poles)
         delta = cfg.delta if cfg.delta is not None else 0.0
-        from .finite import observability_certificate
         q = observability_certificate(gain, plant.A, delta, cfg.alpha)
         rank = int(np.linalg.matrix_rank(q, tol=1e-10))
         report["certificate.delta"] = delta

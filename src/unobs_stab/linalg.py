@@ -2,13 +2,14 @@
 
 Plants in this package have at most a handful of states, so everything here
 favors directness over scale: Lyapunov equations are solved by Kronecker
-vectorization, pole placement is Ackermann's formula (SISO only).
+vectorization, pole placement is Ackermann's formula (SISO only).  scipy is
+imported only when the dense exponential is called, so that importing the
+package (and every CLI command) needs numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 HURWITZ_TOL = -1e-12
 
@@ -26,6 +27,8 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     Rejects |t| * ||M||_F > 1e4; nothing in this package is remotely close,
     and beyond that the result overflows for generic matrices anyway.
     """
+    import scipy.linalg
+
     m = _square(m)
     if abs(t) * np.linalg.norm(m) > 1e4:
         raise OverflowError("expm: |t| * ||M|| too large")

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_prime, find_zeros
+from .bessel import bessel_j, bessel_j_all, bessel_j_prime, find_zeros
 from .finite import observability_certificate
-from .linalg import expm, kalman_matrix
-from .spectral import generator_matrix, truncation_order, weak_norm_bound
+from .linalg import kalman_matrix
+from .spectral import observer_propagate, truncation_order, weak_norm_bound
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,22 @@ def observability_gramian(u: float, T: float, zeta, mu: float, N: int,
     if truncation_order(zeta) != N:
         raise ValueError("observability_gramian: zeta length does not match N")
     dt = T / steps
-    u_step = expm(generator_matrix(u, mu, N), dt)
-    u_step_h = u_step.conj().T
-    v = zeta.astype(complex)
-    w = np.zeros((2 * N + 1, 2 * N + 1), dtype=complex)
-    for i in range(steps + 1):
-        wt = dt if 0 < i < steps else 0.5 * dt
-        w += wt * np.outer(v, v.conj())
-        if i < steps:
-            v = u_step_h @ v
+    # row i of the propagated identity is expm(dt G) e_i, so the rows form
+    # expm(dt G)^T and their conjugate is the one-step adjoint expm(dt G)^*
+    step_h = observer_propagate(np.eye(2 * N + 1), u, mu, 0.0, zeta, dt).conj()
+    # samples[i] = step_h^i zeta, by doubling: rows [m, 2m) are rows [0, m)
+    # advanced by step_h^m, and power_t holds (step_h^m)^T
+    samples = np.empty((steps + 1, 2 * N + 1), dtype=complex)
+    samples[0] = zeta
+    power_t, m = step_h.T, 1
+    while m <= steps:
+        k = min(m, steps + 1 - m)
+        samples[m:m + k] = samples[:k] @ power_t
+        power_t = power_t @ power_t
+        m *= 2
+    weights = np.full(steps + 1, dt)
+    weights[[0, -1]] = 0.5 * dt
+    w = (samples.T * weights) @ samples.conj()
     w = 0.5 * (w + w.conj().T)
     eig = np.linalg.eigvalsh(w)
     return GramianReport(u=u, T=T, lambda_min=float(eig[0]),
@@ -91,13 +98,16 @@ def empirical_obstruction_radius(coeffs: dict, ell_max: int = 12,
     if r_max is None:
         r_max = find_zeros().j0
     rs = np.linspace(r_max / num, r_max, num)
-    for r in rs:
-        for ell in range(-ell_max, ell_max + 1):
-            scale = sum(abs(d) * abs(bessel_j(k + ell, float(r)))
-                        for k, d in coeffs.items())
-            if abs(shifted_bessel_sum(ell, float(r), coeffs)) < tol * scale:
-                return float(r)
-    return float(r_max)
+    ks = np.array(list(coeffs), dtype=int)
+    d = np.array(list(coeffs.values()), dtype=complex)
+    # orders[ell, k] = k + ell; J_{-n} = (-1)^n J_n
+    orders = np.arange(-ell_max, ell_max + 1)[:, None] + ks
+    size = np.abs(orders)
+    j = bessel_j_all(int(size.max()), rs)[:, size] * np.where(orders < 0, (-1.0) ** size, 1.0)
+    total = (d * j).sum(axis=-1)
+    scale = (np.abs(d) * np.abs(j)).sum(axis=-1)
+    cancels = (np.abs(total) < tol * scale).any(axis=-1)
+    return float(rs[cancels.argmax()] if cancels.any() else r_max)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import unobs_stab
 from unobs_stab.cli import analyze, draw_initial_conditions, main, run_scenario
 from unobs_stab.config import ConfigError, parse_config
 
@@ -244,3 +248,27 @@ class TestMain:
     def test_bad_config_exit_code(self, tmp_path):
         path = write(tmp_path, "strategy = nope\n")
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+class TestImports:
+    def test_cli_commands_do_not_import_scipy(self, tmp_path):
+        # a fresh interpreter, so that no other test's imports count
+        spectral_cfg = write(tmp_path, SPECTRAL_CFG + "analyze.trials = 5\n"
+                             "analyze.u_grid = 0.0, 0.3\n", "spectral.cfg")
+        finite_cfg = write(tmp_path, FINITE_CFG, "finite.cfg")
+        calls = [["analyze", "--config", spectral_cfg, "--out", str(tmp_path / "analyze")],
+                 ["simulate", "--config", spectral_cfg, "--out", str(tmp_path / "spectral")],
+                 ["simulate", "--config", finite_cfg, "--out", str(tmp_path / "finite")]]
+        script = ("import json, sys\n"
+                  "from unobs_stab.cli import main\n"
+                  f"codes = [main(argv) for argv in {calls!r}]\n"
+                  "print(json.dumps({'codes': codes, 'scipy': sorted("
+                  "m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(unobs_stab.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        assert result["codes"][0] == 0
+        assert result["scipy"] == []

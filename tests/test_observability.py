@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from unobs_stab.bessel import bessel_j, find_zeros
 from unobs_stab.observability import (
@@ -15,7 +16,7 @@ from unobs_stab.observability import (
     shifted_bessel_sum,
     working_disc_inverse_lipschitz,
 )
-from unobs_stab.spectral import embedded_target, weak_norm_bound
+from unobs_stab.spectral import embedded_target, generator_matrix, weak_norm_bound
 
 
 class TestGramian:
@@ -54,6 +55,34 @@ class TestGramian:
             z = u_step @ z
         assert energy < 1e-14
 
+    @pytest.mark.parametrize("u", [0.0, 0.3, 5.0])
+    def test_matches_dense_exponential(self, u, monkeypatch):
+        # reference: the one-step adjoint from a dense expm, one outer product
+        # per trapezoid sample
+        n, steps = 12, 400
+        T = 2.0 * math.pi
+        dt = T / steps
+        zeta = embedded_target(n)
+        step_h = scipy.linalg.expm(dt * generator_matrix(u, 1.0, n)).conj().T
+        w_ref = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+        v = zeta.copy()
+        for i in range(steps + 1):
+            w_ref += (dt if 0 < i < steps else 0.5 * dt) * np.outer(v, v.conj())
+            v = step_h @ v
+        w_ref = 0.5 * (w_ref + w_ref.conj().T)
+        eig_ref = np.linalg.eigvalsh(w_ref)
+        spectra = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            spectra.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        rep = observability_gramian(u, T, zeta, mu=1.0, N=n, steps=steps)
+        assert abs(rep.lambda_max - eig_ref[-1]) <= 1e-12 * eig_ref[-1]
+        assert np.max(np.abs(spectra[-1] - w_ref)) <= 1e-13 * eig_ref[-1]
+
     def test_validation(self):
         zeta = embedded_target(3)
         with pytest.raises(ValueError):
@@ -79,6 +108,23 @@ class TestObstructionSums:
         # with |k1| != |k2| present the sums stay away from zero on the scan
         radius = empirical_obstruction_radius({0: 1.0, 3: 0.5}, r_max=2.0)
         assert radius == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("coeffs", [{0: 1.0, 1: 0.7}, {0: 1.0, 3: -0.2, -2: 0.5j}])
+    def test_first_cancellation_matches_pointwise_scan(self, coeffs):
+        # a loose tolerance makes the sums "cancel" inside the grid
+        r_max, num, ell_max, tol = 15.0, 200, 4, 3e-2
+        expected = r_max
+        for r in np.linspace(r_max / num, r_max, num):
+            if any(abs(shifted_bessel_sum(ell, float(r), coeffs))
+                   < tol * sum(abs(d) * abs(bessel_j(k + ell, float(r)))
+                               for k, d in coeffs.items())
+                   for ell in range(-ell_max, ell_max + 1)):
+                expected = float(r)
+                break
+        radius = empirical_obstruction_radius(coeffs, ell_max=ell_max, r_max=r_max,
+                                              num=num, tol=tol)
+        assert expected < r_max
+        assert radius == expected
 
 
 class TestDeterminantIdentity:
