@@ -5,7 +5,8 @@ embedded state z = (x, y) obeys a bilinear system with linear output, which
 admits a Luenberger observer whose error norm never increases.  Feedback is
 the stabilizing gain plus a small multiple of the estimated output coordinate;
 that perturbation is what restores observability of the closed loop at the
-target.
+target.  closed_loop_rhs states the whole loop once, on packed rows
+(x, zhat); sim.run_finite_batch steps those rows.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ class Plant:
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    def output(self, x: np.ndarray) -> float:
-        return 0.5 * float(np.dot(x, x))
 
 
 def rotation_plant() -> Plant:
@@ -78,53 +76,35 @@ def embed(x) -> np.ndarray:
     return np.append(x, 0.5 * np.dot(x, x))
 
 
-def project(z) -> np.ndarray:
-    """Drop the output coordinate: left inverse of embed."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    return z[:-1].copy()
+def perturbed_feedback(zhat, K, delta: float):
+    """u = K zhat[:n] + delta * zhat[n] for each row of zhat; on embedded
+    states this equals K x + (delta/2) |x|^2."""
+    zhat = np.asarray(zhat, dtype=float)
+    K = np.asarray(K, dtype=float)
+    return (zhat[..., :-1] * K).sum(axis=-1) + delta * zhat[..., -1]
 
 
-def observer_matrices(u: float, alpha: float, plant: Plant):
-    """Embedded-system matrices (A_emb(u), B_emb, C_emb) and observer gain L(u).
-
-    A_emb(u) = [[A, 0], [u b', 0]], B_emb = (b, 0), C_emb = (0, ..., 0, 1),
-    L(u) = (b u, alpha).  The error matrix A_emb(u) - L(u) C_emb has symmetric
-    part -alpha C'C, which is what makes the estimation error dissipative.
-    """
-    n = plant.n
-    a_emb = np.zeros((n + 1, n + 1))
-    a_emb[:n, :n] = plant.A
-    a_emb[n, :n] = u * plant.b
-    b_emb = np.append(plant.b, 0.0)
-    c_emb = np.zeros(n + 1)
-    c_emb[n] = 1.0
-    gain = np.append(plant.b * u, alpha)
-    return a_emb, b_emb, c_emb, gain
-
-
-def perturbed_feedback(zhat, K, delta: float) -> float:
-    """u = K zhat[:n] + delta * zhat[n]; on embedded states this equals
-    K x + (delta/2) |x|^2."""
-    zhat = np.asarray(zhat, dtype=float).reshape(-1)
-    K = np.asarray(K, dtype=float).reshape(-1)
-    return float(K @ zhat[:-1] + delta * zhat[-1])
-
-
-def closed_loop_rhs(x, zhat, params: FinParams, plant: Plant):
-    """Time derivative of (x, zhat) for the output-feedback loop.
+def closed_loop_rhs(s, params: FinParams, plant: Plant) -> np.ndarray:
+    """Time derivative of the output-feedback loop, for each packed row
+    s = (x, zhat) of length 2n+1.
 
     u = perturbed_feedback(zhat);  xdot = A x + b u;
-    zhatdot = A_emb(u) zhat + B_emb u - L(u) (C zhat - y) with y = |x|^2/2.
+    zhatdot = A_emb(u) zhat + B_emb u - L(u) (C zhat - y), with y = |x|^2/2,
+    A_emb(u) = [[A, 0], [u b', 0]], B_emb = (b, 0), C = (0, ..., 0, 1) and
+    L(u) = (b u, alpha).  The error matrix A_emb(u) - L(u) C has symmetric
+    part -alpha C'C, which is what makes the estimation error dissipative.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    zhat = np.asarray(zhat, dtype=float).reshape(-1)
-    u = perturbed_feedback(zhat, params.K, params.delta)
-    y = plant.output(x)
-    innov = zhat[-1] - y
-    xdot = plant.A @ x + plant.b * u
-    zbar_dot = plant.A @ zhat[:-1] + plant.b * (u * (1.0 - innov))
-    zlast_dot = u * (plant.b @ zhat[:-1]) - params.alpha * innov
-    return xdot, np.append(zbar_dot, zlast_dot)
+    s = np.asarray(s, dtype=float)
+    n = plant.n
+    x, zbar, zlast = s[..., :n], s[..., n:2 * n], s[..., 2 * n]
+    u = perturbed_feedback(s[..., n:], params.K, params.delta)
+    innov = zlast - 0.5 * (x * x).sum(axis=-1)
+    # einsum, not matmul: it never hands the run axis to BLAS
+    xdot = np.einsum("...j,kj->...k", x, plant.A) + u[..., None] * plant.b
+    zbar_dot = np.einsum("...j,kj->...k", zbar, plant.A) \
+        + (u * (1.0 - innov))[..., None] * plant.b
+    zlast_dot = u * (zbar * plant.b).sum(axis=-1) - params.alpha * innov
+    return np.concatenate([xdot, zbar_dot, zlast_dot[..., None]], axis=-1)
 
 
 def delta_margin(K, rho: float, plant: Plant) -> float:

@@ -1,14 +1,21 @@
 """Time integration and closed-loop drivers.
 
 Two loops are provided, each vectorized over runs.  The finite strategy
-integrates the coupled plant/observer ODE with classical fixed-step RK4 and a
-continuous feedback.  The spectral strategy is sampled: the control is held
-constant on each interval, so the truncated error system is linear
-time-invariant there and is propagated by the action of its matrix
-exponential (exact up to roundoff), while the plant state follows the
-closed-form rotation-with-constant-input solution.  An independent RK4 path
-integrates the observer exactly as written, fed by the transformed
-measurement, for cross-validation.
+steps the packed rows (x, zhat) of the coupled plant/observer ODE
+(finite.closed_loop_rhs, continuous feedback) with classical fixed-step RK4.
+The spectral strategy is sampled: the control is held constant on each
+interval, so the truncated error system is linear time-invariant there and
+is propagated by the action of its matrix exponential (exact up to
+roundoff), while the plant state follows the closed-form
+rotation-with-constant-input solution.  An independent path integrates the
+packed rows (x, zhat) of plant and observer exactly as written, the observer
+fed by the transformed measurement, with the same RK4 step (rk4_step), for
+cross-validation.
+
+Both loops freeze a run at its last valid step when it leaves the region
+where it can be evaluated (a non-finite state, a norm past DIVERGENCE_NORM
+and, for the spectral loop, mu |x| >= MAX_ARG) and end its records there;
+the other runs carry on.
 
 Everything is deterministic: fixed steps, no adaptivity, no hidden state.
 The batched loops combine runs only elementwise (no matrix products across
@@ -24,7 +31,7 @@ import numpy as np
 
 from . import spectral
 from .bessel import MAX_ARG, bessel_j
-from .finite import FinParams, Plant, delta_margin
+from .finite import FinParams, Plant, closed_loop_rhs, delta_margin, perturbed_feedback
 from .spectral import (
     OutputSpec,
     SpectralParams,
@@ -43,15 +50,6 @@ EPS_STEP_TOL = 1e-8
 # the Bessel argument limit; the margin covers outputs that square the radius
 # and take the root again.
 _VALID_MU_R = MAX_ARG * (1.0 - 1e-12)
-
-
-class DivergenceError(RuntimeError):
-    """Raised by the generic integrator when the state stops being finite."""
-
-    def __init__(self, t: float, state):
-        super().__init__(f"state became non-finite at t={t:.6g}")
-        self.t = t
-        self.state = np.asarray(state)
 
 
 @dataclass(frozen=True)
@@ -103,36 +101,16 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
 
-def rk4_integrate(rhs, s0, cfg: IntegratorConfig):
-    """Classical fixed-step RK4 for ds/dt = rhs(t, s).
+def rk4_step(rhs, s, h: float):
+    """One classical RK4 step of ds/dt = rhs(s) on a state array s.
 
-    Returns (times, states) with states[i] the state at times[i].  Aborts
-    with DivergenceError if the state stops being finite.
-    """
-    s = np.asarray(s0, dtype=float).copy()
-    steps = max(1, int(round(cfg.horizon / cfg.step)))
-    h = cfg.horizon / steps  # land exactly on the horizon
-    stride = cfg.record_every
-    n_rec = steps // stride + 1
-    times = np.empty(n_rec)
-    states = np.empty((n_rec, s.shape[0]))
-    times[0] = 0.0
-    states[0] = s
-    rec = 1
-    for i in range(steps):
-        t = i * h
-        k1 = rhs(t, s)
-        k2 = rhs(t + 0.5 * h, s + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, s + 0.5 * h * k2)
-        k4 = rhs(t + h, s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(s)):
-            raise DivergenceError((i + 1) * h, s)
-        if (i + 1) % stride == 0:
-            times[rec] = (i + 1) * h
-            states[rec] = s
-            rec += 1
-    return times[:rec], states[:rec]
+    The loops hold their inputs fixed over a step, so rhs takes no time
+    argument; a time-dependent field carries t as a state component."""
+    k1 = rhs(s)
+    k2 = rhs(s + 0.5 * h * k1)
+    k3 = rhs(s + 0.5 * h * k2)
+    k4 = rhs(s + h * k3)
+    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _row_dot(a, b):
@@ -143,7 +121,14 @@ def _row_dot(a, b):
 def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
                      cfg: IntegratorConfig) -> list[Trajectory]:
     """Integrate the embedded-observer loop for several initial conditions at
-    once (vectorized over runs; each run bitwise equal to run_finite_loop)."""
+    once (vectorized over runs; each run bitwise equal to run_finite_loop).
+
+    The state of a run is the packed row (x, zhat), stepped by RK4 on
+    finite.closed_loop_rhs.  A run whose state stops being finite or whose
+    x or zhat exceeds DIVERGENCE_NORM is frozen at its last valid step and
+    reported as diverged, its records ending there; the other runs carry on
+    unaffected.
+    """
     if params.rho is not None:
         margin = delta_margin(params.K, params.rho, plant)
         if not params.delta < margin:
@@ -156,98 +141,75 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     if zhat0s.shape != (nb, n + 1):
         raise ValueError("run_finite_batch: zhat0s must have shape (runs, n+1)")
 
-    a_mat = plant.A
-    b = plant.b
-    k_gain = params.K
-    delta, alpha = params.delta, params.alpha
     steps = max(1, int(round(cfg.horizon / cfg.step)))
     h = cfg.horizon / steps
     stride = cfg.record_every
 
-    def rhs(xs, zb, zl):
-        u = _row_dot(zb, k_gain) + delta * zl
-        y = 0.5 * _row_dot(xs, xs)
-        innov = zl - y
-        # einsum, not matmul: it never hands the run axis to BLAS
-        xd = np.einsum("ij,kj->ik", xs, a_mat) + u[:, None] * b
-        zbd = np.einsum("ij,kj->ik", zb, a_mat) + (u * (1.0 - innov))[:, None] * b
-        zld = u * _row_dot(zb, b) - alpha * innov
-        return xd, zbd, zld
+    def rhs(s):
+        return closed_loop_rhs(s, params, plant)
 
-    def eps_norms(xs, zb, zl):
-        y = 0.5 * _row_dot(xs, xs)
-        d = zb - xs
-        return np.sqrt(_row_dot(d, d) + (zl - y) ** 2)
+    def eps_norms(s):
+        xs, zl = s[:, :n], s[:, 2 * n]
+        d = s[:, n:2 * n] - xs
+        return np.sqrt(_row_dot(d, d) + (zl - 0.5 * _row_dot(xs, xs)) ** 2)
 
-    xs = x0s.copy()
-    zb = zhat0s[:, :n].copy()
-    zl = zhat0s[:, n].copy()
-    active = np.ones(nb)
+    s = np.concatenate([x0s, zhat0s], axis=1)
+    active = np.ones(nb, dtype=bool)
     diverged_at = np.full(nb, np.nan)
     violations = np.zeros(nb, dtype=int)
     max_inc = np.zeros(nb)
-    prev_eps = eps_norms(xs, zb, zl)
+    prev_eps = eps_norms(s)
 
     # run-major records, so each run's trajectory is a view
     n_rec = steps // stride + 1
     rec_t = np.arange(n_rec) * stride * h
-    rec_x = np.empty((nb, n_rec, n))
-    rec_z = np.empty((nb, n_rec, n + 1))
+    rec_s = np.empty((nb, n_rec, 2 * n + 1))
     rec_u = np.empty((nb, n_rec))
     rec_e = np.empty((nb, n_rec))
     rec_c = np.empty((nb, n_rec))
+    lengths = np.ones(nb, dtype=int)
 
-    def record(idx):
-        rec_x[:, idx] = xs
-        rec_z[:, idx, :n] = zb
-        rec_z[:, idx, n] = zl
-        rec_u[:, idx] = _row_dot(zb, k_gain) + delta * zl
-        rec_e[:, idx] = eps_norms(xs, zb, zl)
-        rec_c[:, idx] = np.abs(zl - 0.5 * _row_dot(xs, xs))
+    def record(idx, eps):
+        rec_s[:, idx] = s
+        rec_u[:, idx] = perturbed_feedback(s[:, n:], params.K, params.delta)
+        rec_e[:, idx] = eps
+        rec_c[:, idx] = np.abs(s[:, 2 * n] - 0.5 * _row_dot(s[:, :n], s[:, :n]))
 
-    record(0)
-    rec = 1
-    h6 = h / 6.0
+    record(0, prev_eps)
     for i in range(steps):
-        k1 = rhs(xs, zb, zl)
-        k2 = rhs(xs + 0.5 * h * k1[0], zb + 0.5 * h * k1[1], zl + 0.5 * h * k1[2])
-        k3 = rhs(xs + 0.5 * h * k2[0], zb + 0.5 * h * k2[1], zl + 0.5 * h * k2[2])
-        k4 = rhs(xs + h * k3[0], zb + h * k3[1], zl + h * k3[2])
-        am = active[:, None]
-        xs = xs + am * (h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]))
-        zb = zb + am * (h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
-        zl = zl + active * (h6 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]))
-        cur_eps = eps_norms(xs, zb, zl)
-        inc = (cur_eps - prev_eps) * active
-        viol = inc > EPS_STEP_TOL
-        violations += viol
+        s_new = rk4_step(rhs, s, h)
+        cur_eps = eps_norms(s_new)
+        ok = active & np.isfinite(cur_eps) \
+            & (_row_dot(s_new[:, :n], s_new[:, :n]) <= DIVERGENCE_NORM ** 2) \
+            & (_row_dot(s_new[:, n:], s_new[:, n:]) <= DIVERGENCE_NORM ** 2)
+        diverged_at[active & ~ok] = (i + 1) * h
+        active = ok
+        s = np.where(active[:, None], s_new, s)
+        cur_eps = np.where(active, cur_eps, prev_eps)
+        inc = cur_eps - prev_eps
+        violations += inc > EPS_STEP_TOL
         max_inc = np.maximum(max_inc, inc)
         prev_eps = cur_eps
-        big = (_row_dot(xs, xs) > DIVERGENCE_NORM ** 2) \
-            | (_row_dot(zb, zb) + zl ** 2 > DIVERGENCE_NORM ** 2) \
-            | ~np.isfinite(cur_eps)
-        newly = big & (active > 0.0)
-        if np.any(newly):
-            diverged_at[newly] = (i + 1) * h
-            active[newly] = 0.0
         if (i + 1) % stride == 0:
-            record(rec)
-            rec += 1
+            record((i + 1) // stride, cur_eps)
+            lengths[active] += 1
+        if not active.any():
+            break
 
     return [Trajectory(
-        times=rec_t[:rec],
-        x=rec_x[run, :rec],
-        zhat=rec_z[run, :rec],
-        u=rec_u[run, :rec],
-        eps_norm=rec_e[run, :rec],
-        c_eps_abs=rec_c[run, :rec],
+        times=rec_t[:m],
+        x=rec_s[run, :m, :n],
+        zhat=rec_s[run, :m, n:],
+        u=rec_u[run, :m],
+        eps_norm=rec_e[run, :m],
+        c_eps_abs=rec_c[run, :m],
         weak_eps=None,
         dissipativity_violations=int(violations[run]),
         max_eps_increase=float(max_inc[run]),
-        diverged=bool(active[run] == 0.0),
+        diverged=not active[run],
         diverged_at=None if np.isnan(diverged_at[run]) else float(diverged_at[run]),
         meta={"strategy": "finite", "step": h, "horizon": steps * h},
-    ) for run in range(nb)]
+    ) for run, m in enumerate(lengths)]
 
 
 def run_finite_loop(plant: Plant, params: FinParams, x0, zhat0,
@@ -271,10 +233,10 @@ def rotation_step(x, u, h: float) -> np.ndarray:
 def _spectral_grid(params: SpectralParams, cfg: IntegratorConfig):
     n_sub = int(round(params.Delta / cfg.step))
     if n_sub < 1 or abs(n_sub * cfg.step - params.Delta) > 1e-9 * max(1.0, params.Delta):
-        raise ValueError("run_spectral_loop: step must divide the sample period Delta")
+        raise ValueError("run_spectral_batch: step must divide the sample period Delta")
     n_int = int(round(cfg.horizon / params.Delta))
     if n_int < 1:
-        raise ValueError("run_spectral_loop: horizon shorter than one sample period")
+        raise ValueError("run_spectral_batch: horizon shorter than one sample period")
     return n_sub, n_int
 
 
@@ -295,10 +257,10 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     method "exact_linear": plant state by the closed-form rotation solution,
     embedded state analytically, estimation error by the action of the
     matrix exponential of the (frozen-input) error system.  method
-    "rk4_coupled": plant and observer integrated together by RK4, the
-    observer fed by the transformed measurement.  The control is refreshed
-    at every sample instant from the left limit of the observer state and
-    held in between.
+    "rk4_coupled": the packed rows (x, zhat) of plant and observer stepped
+    together by rk4_step, the observer fed by the transformed measurement.
+    The control is refreshed at every sample instant from the left limit of
+    the observer state and held in between.
 
     A run whose state stops being finite, exceeds DIVERGENCE_NORM or leaves
     the region mu |x| < MAX_ARG where the embedding can be evaluated is
@@ -307,7 +269,7 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     runs carry on unaffected.
     """
     if abs(spec.mu - params.mu) > 1e-15:
-        raise ValueError("run_spectral_loop: OutputSpec.mu and SpectralParams.mu differ")
+        raise ValueError("run_spectral_batch: OutputSpec.mu and SpectralParams.mu differ")
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     xhat0s = np.atleast_2d(np.asarray(xhat0s, dtype=float))
     nb = x0s.shape[0]
@@ -371,14 +333,19 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     for arr in (rec_zh, rec_u, rec_e, rec_c, rec_w):
         arr[~active, 0] = np.nan
 
-    if not exact:
-        def rhs(xs, eta):
-            inside = _valid(xs, mu)
-            fy = linearized_output(spec, output_value(spec, np.where(inside[:, None], xs, 0.0)))
-            xd = np.stack([-xs[:, 1], xs[:, 0] + u], axis=-1)
-            etad = spectral.apply_generator(u, mu, eta) \
-                - alpha * (_row_dot(zeta_conj, eta) - fy)[:, None] * zeta
-            return xd, etad, inside
+    # rk4_coupled steps the packed complex rows (x, zhat); rhs collects the
+    # mu |x| < MAX_ARG flags of every stage of the step being taken
+    stages_inside = []
+
+    def rhs(s):
+        xs, eta = s[:, :2].real, s[:, 2:]
+        inside = _valid(xs, mu)
+        stages_inside.append(inside)
+        fy = linearized_output(spec, output_value(spec, np.where(inside[:, None], xs, 0.0)))
+        xd = np.stack([-xs[:, 1], xs[:, 0] + u], axis=-1)
+        etad = spectral.apply_generator(u, mu, eta) \
+            - alpha * (_row_dot(zeta_conj, eta) - fy)[:, None] * zeta
+        return np.concatenate([xd, etad], axis=-1)
 
     step_idx = 0
     for _ in range(n_int):
@@ -389,13 +356,10 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
                 eps_new = observer_propagate(eps, u, mu, alpha, zeta, h)
                 zhat_new = embed(np.where(ok[:, None], x_new, 0.0), mu, n) + eps_new
             else:
-                k1 = rhs(x, zhat)
-                k2 = rhs(x + 0.5 * h * k1[0], zhat + 0.5 * h * k1[1])
-                k3 = rhs(x + 0.5 * h * k2[0], zhat + 0.5 * h * k2[1])
-                k4 = rhs(x + h * k3[0], zhat + h * k3[1])
-                x_new = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-                zhat_new = zhat + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-                ok = active & k1[2] & k2[2] & k3[2] & k4[2] & _valid(x_new, mu)
+                s_new = rk4_step(rhs, np.concatenate([x, zhat], axis=-1), h)
+                x_new, zhat_new = s_new[:, :2].real, s_new[:, 2:]
+                ok = active & np.logical_and.reduce(stages_inside) & _valid(x_new, mu)
+                stages_inside.clear()
                 eps_new = zhat_new - embed(np.where(ok[:, None], x_new, 0.0), mu, n)
             step_idx += 1
             ok &= np.all(np.isfinite(zhat_new), axis=-1) \

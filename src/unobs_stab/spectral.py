@@ -331,19 +331,6 @@ def left_inverse(z, mu: float, j: float) -> np.ndarray:
     return state_from_coef(z[..., n + 1], mu, j)
 
 
-def inverse_lipschitz(mu: float, j: float, num: int = 4000) -> float:
-    """Sampled Lipschitz constant of the whole inverse map (a diagnostic;
-    the radial blend makes the true constant finite but it is not derived
-    in closed form)."""
-    zeros = find_zeros()
-    ymax = bessel_j(1, zeros.j1)
-    ys = np.linspace(1e-9, ymax * 1.2, num)
-    g = _radius_map(ys, 1.0, j)
-    radial = np.max(np.abs(np.diff(g)) / np.diff(ys))
-    tangential = np.max(g / ys)
-    return float(max(radial, tangential) / mu)
-
-
 @dataclass(frozen=True)
 class SpectralParams:
     """Tuning constants for the spectral observer loop.

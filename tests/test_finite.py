@@ -4,13 +4,11 @@ import pytest
 from unobs_stab.finite import (
     FinParams,
     Plant,
+    closed_loop_rhs,
     delta_margin,
     embed,
     observability_certificate,
-    observer_matrices,
     perturbed_feedback,
-    project,
-    closed_loop_rhs,
     rotation_plant,
 )
 from unobs_stab.linalg import place_poles, solve_lyapunov
@@ -32,43 +30,9 @@ def test_embed_examples():
     assert np.allclose(embed([1.0, 0.0]), [1.0, 0.0, 0.5])
 
 
-def test_project_examples():
-    assert np.allclose(project([0.0, 0.0, 0.0]), [0.0, 0.0])
-    assert np.allclose(project([3.0, 4.0, 12.5]), [3.0, 4.0])
-    assert np.allclose(project([1.0, 2.0, 99.0]), [1.0, 2.0])
-    x = np.array([0.3, -1.2])
-    assert np.allclose(project(embed(x)), x)
-
-
 def test_plant_rejects_non_skew():
     with pytest.raises(ValueError):
         Plant(A=np.array([[0.1, -1.0], [1.0, 0.0]]), b=np.array([0.0, 1.0]))
-
-
-def test_observer_matrices_structure(plant):
-    u, alpha = 0.7, 2.0
-    a_emb, b_emb, c_emb, gain = observer_matrices(u, alpha, plant)
-    assert np.allclose(c_emb, [0.0, 0.0, 1.0])
-    assert np.allclose(b_emb, [0.0, 1.0, 0.0])
-    # A_emb(u) - L(u) C equals the drift block matrix minus alpha C'C
-    err_mat = a_emb - np.outer(gain, c_emb)
-    block = np.zeros((3, 3))
-    block[:2, :2] = plant.A
-    block[:2, 2] = -plant.b * u
-    block[2, :2] = u * plant.b
-    assert np.allclose(err_mat, block - alpha * np.outer(c_emb, c_emb), atol=1e-14)
-    # symmetric part is -alpha e3 e3'
-    sym = 0.5 * (err_mat + err_mat.T)
-    assert np.allclose(sym, -alpha * np.outer(c_emb, c_emb), atol=1e-14)
-
-
-def test_observer_matrices_u_zero(plant):
-    a_emb, _, c_emb, gain = observer_matrices(0.0, 1.0, plant)
-    err_mat = a_emb - np.outer(gain, c_emb)
-    want = np.zeros((3, 3))
-    want[:2, :2] = plant.A
-    want[2, 2] = -1.0
-    assert np.allclose(err_mat, want)
 
 
 def test_perturbed_feedback_examples():
@@ -83,32 +47,42 @@ def test_perturbed_feedback_examples():
     delta = 0.37
     assert perturbed_feedback(embed(x), k, delta) == pytest.approx(
         k @ x + 0.5 * delta * np.dot(x, x), abs=1e-15)
+    # one value per row, each as the row would give alone
+    zhats = np.array([[1.0, 0.0, 2.0], embed(x), np.zeros(3)])
+    rows = perturbed_feedback(zhats, k, delta)
+    assert rows.shape == (3,)
+    assert all(u == perturbed_feedback(z, k, delta) for z, u in zip(zhats, rows))
 
 
 def test_closed_loop_equilibrium(plant, gain):
     params = FinParams(K=gain, delta=0.2, alpha=10.0)
-    xdot, zdot = closed_loop_rhs(np.zeros(2), np.zeros(3), params, plant)
-    assert np.allclose(xdot, 0.0)
-    assert np.allclose(zdot, 0.0)
+    sdot = closed_loop_rhs(np.zeros(5), params, plant)
+    assert sdot.shape == (5,)
+    assert np.allclose(sdot, 0.0)
 
 
 def test_error_dynamics_annihilate_on_manifold(plant, gain):
     # if zhat = embed(x), the estimation error has zero derivative
     params = FinParams(K=gain, delta=0.2, alpha=3.0)
     x = np.array([0.8, -0.5])
-    xdot, zdot = closed_loop_rhs(x, embed(x), params, plant)
+    sdot = closed_loop_rhs(np.append(x, embed(x)), params, plant)
+    xdot, zdot = sdot[:2], sdot[2:]
     tau_dot = np.append(xdot, x @ xdot)  # chain rule through (x, |x|^2/2)
     assert np.allclose(zdot - tau_dot, 0.0, atol=1e-14)
 
 
 def test_error_norm_derivative_is_dissipative(plant, gain):
-    # d|eps|^2/dt = -2 alpha (C eps)^2 along the coupled dynamics
+    # d|eps|^2/dt = -2 alpha (C eps)^2 along the coupled dynamics, for every
+    # packed row (x, zhat) of a batch, each row as it would be alone
     rng = np.random.default_rng(8)
     params = FinParams(K=gain, delta=0.15, alpha=4.0)
-    for _ in range(10):
-        x = rng.normal(size=2)
-        zhat = rng.normal(size=3)
-        xdot, zdot = closed_loop_rhs(x, zhat, params, plant)
+    rows = rng.normal(size=(10, 5))
+    sdots = closed_loop_rhs(rows, params, plant)
+    assert sdots.shape == (10, 5)
+    for s, sdot in zip(rows, sdots):
+        assert np.array_equal(sdot, closed_loop_rhs(s, params, plant))
+        x, zhat = s[:2], s[2:]
+        xdot, zdot = sdot[:2], sdot[2:]
         eps = zhat - embed(x)
         eps_dot = zdot - np.append(xdot, x @ xdot)
         got = 2.0 * eps @ eps_dot

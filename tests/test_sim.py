@@ -6,12 +6,11 @@ import pytest
 from unobs_stab.finite import FinParams, embed as embed_fin, rotation_plant
 from unobs_stab.linalg import place_poles
 from unobs_stab.sim import (
-    DivergenceError,
     IntegratorConfig,
     Trajectory,
     convergence_metrics,
     propagate_coefficients,
-    rk4_integrate,
+    rk4_step,
     rotation_step,
     run_finite_batch,
     run_finite_loop,
@@ -48,39 +47,38 @@ def spectral_setup(delta=0.003, alpha=1.0, Delta=0.05, mu=0.1, n=16):
     return spec, params
 
 
+def rk4_path(rhs, s0, h, steps):
+    """States of `steps` RK4 steps of size h from s0, s0 included."""
+    path = [np.asarray(s0, dtype=float)]
+    for _ in range(steps):
+        path.append(rk4_step(rhs, path[-1], h))
+    return np.array(path)
+
+
 class TestRk4:
     def test_constant_field(self):
-        times, states = rk4_integrate(lambda t, s: np.zeros_like(s),
-                                      np.array([1.0, -2.0]),
-                                      IntegratorConfig(step=0.1, horizon=1.0))
+        states = rk4_path(np.zeros_like, np.array([1.0, -2.0]), 0.1, 10)
         assert np.allclose(states, [1.0, -2.0])
-        assert times[-1] == pytest.approx(1.0)
 
     def test_rotation_returns_after_full_turn(self):
-        cfg = IntegratorConfig(step=1e-3, horizon=2.0 * math.pi)
-        _, states = rk4_integrate(lambda t, s: ROT @ s, np.array([1.0, 0.0]), cfg)
+        steps = int(round(2.0 * math.pi / 1e-3))
+        states = rk4_path(lambda s: ROT @ s, np.array([1.0, 0.0]),
+                          2.0 * math.pi / steps, steps)
         assert np.linalg.norm(states[-1] - [1.0, 0.0]) < 1e-8
 
     def test_fourth_order_richardson(self):
-        def rhs(t, s):
-            return np.array([math.sin(t) * s[0] - s[1], s[0] * 0.5])
+        # time-dependent field: t rides along as the last state component
+        def rhs(s):
+            return np.array([math.sin(s[2]) * s[0] - s[1], s[0] * 0.5, 1.0])
 
-        s0 = np.array([1.0, 0.3])
-        ref, _ = None, None
+        s0 = np.array([1.0, 0.3, 0.0])
+        ref = rk4_path(rhs, s0, 2e-4, 10000)[-1]
         errs = []
-        fine, _ = rk4_integrate(rhs, s0, IntegratorConfig(step=2e-4, horizon=2.0))
-        ref = rk4_integrate(rhs, s0, IntegratorConfig(step=2e-4, horizon=2.0))[1][-1]
         for h in (2e-2, 1e-2):
-            _, states = rk4_integrate(rhs, s0, IntegratorConfig(step=h, horizon=2.0))
+            states = rk4_path(rhs, s0, h, int(round(2.0 / h)))
             errs.append(np.linalg.norm(states[-1] - ref))
         ratio = errs[0] / errs[1]
         assert 8.0 < ratio < 32.0  # halving the step cuts the error ~16x
-
-    def test_divergence_aborts(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError):
-                rk4_integrate(lambda t, s: s ** 3, np.array([5.0]),
-                              IntegratorConfig(step=0.1, horizon=10.0))
 
 
 class TestFiniteLoop:
@@ -100,11 +98,11 @@ class TestFiniteLoop:
         traj = run_finite_loop(plant, fin_params, x0, embed_fin(x0), cfg)
         assert np.max(traj.eps_norm) <= 1e-8
 
-        def state_feedback(t, x):
+        def state_feedback(x):
             u = fin_params.K @ x + 0.5 * fin_params.delta * np.dot(x, x)
             return plant.A @ x + plant.b * u
 
-        _, states = rk4_integrate(state_feedback, x0, cfg)
+        states = rk4_path(state_feedback, x0, cfg.step, 10000)
         assert np.max(np.linalg.norm(states - traj.x, axis=1)) < 1e-7
 
     def test_error_norm_non_increasing(self, plant, fin_params):
@@ -133,12 +131,19 @@ class TestFiniteLoop:
                             IntegratorConfig(step=0.1, horizon=1.0))
 
     def test_divergence_reported_not_raised(self, plant):
+        # the second start leaves the valid region at t=2.7, after which RK4
+        # increments from its state overflow: a frozen run must keep its last
+        # valid state and end its records there, not turn into NaN
         params = FinParams(K=np.array([0.0, 3.0]), delta=0.5, alpha=1.0)
         cfg = IntegratorConfig(step=1e-2, horizon=40.0)
-        traj = run_finite_loop(plant, params, np.array([1.0, 0.0]),
-                               np.zeros(3), cfg)
-        assert traj.diverged
-        assert traj.diverged_at is not None
+        for x0, z0 in (([1.0, 0.0], [0.0, 0.0, 0.0]),
+                       ([-1.62, -0.27], [1.51, -1.59, 1.4])):
+            traj = run_finite_loop(plant, params, np.array(x0), np.array(z0), cfg)
+            assert traj.diverged
+            assert traj.diverged_at is not None
+            assert traj.times[-1] < traj.diverged_at
+            assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.zhat))
+            assert np.isfinite(traj.max_eps_increase)
 
 
 class TestRotationStep:
@@ -147,8 +152,8 @@ class TestRotationStep:
         for _ in range(5):
             x0 = rng.normal(size=2)
             u = float(rng.normal())
-            _, states = rk4_integrate(lambda t, s: ROT @ s + np.array([0.0, 1.0]) * u,
-                                      x0, IntegratorConfig(step=1e-4, horizon=0.3))
+            states = rk4_path(lambda s: ROT @ s + np.array([0.0, 1.0]) * u,
+                              x0, 1e-4, 3000)
             x_exact = x0.copy()
             for _ in range(3):
                 x_exact = rotation_step(x_exact, u, 0.1)
@@ -203,7 +208,7 @@ class TestSpectralLoop:
 
     def test_step_must_divide_sample_period(self):
         spec, params = spectral_setup(Delta=0.05)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^run_spectral_batch: step"):
             run_spectral_loop(spec, params, np.zeros(2), np.zeros(2),
                               IntegratorConfig(method="exact_linear",
                                                step=0.03, horizon=1.0))
@@ -211,7 +216,7 @@ class TestSpectralLoop:
     def test_mu_mismatch_rejected(self):
         spec, params = spectral_setup()
         bad = OutputSpec(kind=NORM_SQ, mu=2.0 * params.mu)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^run_spectral_batch: OutputSpec.mu"):
             run_spectral_loop(bad, params, np.zeros(2), np.zeros(2),
                               IntegratorConfig(method="exact_linear",
                                                step=0.05, horizon=1.0))
@@ -251,14 +256,29 @@ class TestSpectralBatch:
         assert np.array_equal(bad.x[0], [600.0, 0.0]) and np.isnan(bad.eps_norm[0])
 
     def test_leaving_domain_mid_run_freezes_the_run(self):
-        # the held control swings x around a circle through mu |x| = 50
+        # the held control swings x around a circle through mu |x| = 50; under
+        # rk4_coupled the per-stage domain flags come back through rk4_step
         spec, params = spectral_setup(mu=0.1, n=12)
-        cfg = IntegratorConfig(method="exact_linear", step=0.05, horizon=8.0)
-        traj = run_spectral_loop(spec, params, [499.0, 0.0], [0.0, 5.0], cfg)
-        assert traj.diverged and 0.0 < traj.diverged_at < 8.0
-        assert traj.times[-1] < traj.diverged_at
-        assert np.all(0.1 * np.linalg.norm(traj.x, axis=1) < 50.0)
-        assert np.all(np.isfinite(traj.zhat))
+        for method in ("exact_linear", "rk4_coupled"):
+            cfg = IntegratorConfig(method=method, step=0.05, horizon=8.0)
+            traj = run_spectral_loop(spec, params, [499.0, 0.0], [0.0, 5.0], cfg)
+            assert traj.diverged and 0.0 < traj.diverged_at < 8.0, method
+            assert traj.times[-1] < traj.diverged_at, method
+            assert np.all(0.1 * np.linalg.norm(traj.x, axis=1) < 50.0), method
+            assert np.all(np.isfinite(traj.zhat)), method
+        # traj is now the rk4_coupled run: every step it took kept all its
+        # RK4 stages inside, and the step from its last record had one outside
+        for rows, inside in ((slice(0, -1), True), (slice(-1, None), False)):
+            x, u = traj.x[rows], traj.u[rows]
+            stages = []
+
+            def plant_rhs(s):
+                stages.append(s)
+                return np.stack([-s[:, 1], s[:, 0] + u], axis=-1)
+
+            stages.append(rk4_step(plant_rhs, x, cfg.step))
+            radii = 0.1 * np.linalg.norm(np.array(stages), axis=-1)
+            assert np.all(radii < 50.0) if inside else np.any(radii >= 50.0)
 
 
 class TestPropagator:

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from unobs_stab.bessel import bessel_j, find_zeros, inv_j1
+from unobs_stab.observability import working_disc_inverse_lipschitz
 from unobs_stab.spectral import (
     J0_RADIAL,
     J2_COS2THETA,
@@ -18,7 +19,6 @@ from unobs_stab.spectral import (
     embed,
     embedded_target,
     generator_matrix,
-    inverse_lipschitz,
     left_inverse,
     linearized_output,
     mode_orders,
@@ -300,9 +300,19 @@ class TestInverse:
         radii = [np.linalg.norm(state_from_coef(y, mu, j)) for y in ys]
         assert all(b >= a - 1e-12 for a, b in zip(radii[:-1], radii[1:]))
 
-    def test_sampled_lipschitz_constant_is_finite(self):
-        ell = inverse_lipschitz(0.1, default_j())
-        assert np.isfinite(ell) and ell > 0.0
+    @pytest.mark.parametrize("mu,r2", [(0.1, 2.9), (0.25, 5.0)])
+    def test_sampled_lipschitz_matches_closed_form(self, mu, r2):
+        # difference quotients of the inverse between neighbours of a polar
+        # grid over the working disc |c| <= J1(mu R2): bounded by the closed
+        # form, and approaching it (the maximum is radial, at the edge)
+        ell = working_disc_inverse_lipschitz(mu, r2)
+        a = np.linspace(0.0, bessel_j(1, mu * r2), 401)[1:]
+        theta = np.linspace(0.0, 2.0 * math.pi, 65)
+        c = a[:, None] * np.exp(1j * theta)[None, :]
+        x = state_from_coef(c, mu, default_j())
+        sampled = max(np.max(np.linalg.norm(np.diff(x, axis=ax), axis=-1)
+                             / np.abs(np.diff(c, axis=ax))) for ax in (0, 1))
+        assert 0.99 * ell < sampled <= ell
 
     def test_left_inverse_round_trip_grid(self):
         mu, j, n = 0.25, default_j(), 16
