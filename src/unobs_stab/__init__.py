@@ -15,8 +15,10 @@ distinguish states near the target:
 
 Both loops are vectorized over runs; ``sim.run_finite_loop`` and
 ``sim.run_spectral_loop`` are their one-run cases.  Both step with the one
-``sim.rk4_step`` where they integrate by RK4, and both freeze a run that
-leaves the valid region at its last valid step, reporting it as diverged.
+``sim.rk4_step`` where they integrate by RK4, and one loop in ``sim`` does
+their shared bookkeeping: it freezes a run that leaves the valid region at
+its last valid step, reporting it as diverged, counts the per-step
+dissipativity violations and keeps the records.
 
 Supporting modules: ``bessel`` (series/recurrence Bessel evaluation, zeros,
 local inverse of J1), ``linalg`` (matrix exponential, Lyapunov, Ackermann),

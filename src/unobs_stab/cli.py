@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import observability, spectral
+from . import spectral
 from .artifacts import write_csv, write_summary, write_trajectory_svg
 from .bessel import find_zeros
 from .config import ConfigError, ScenarioConfig, parse_config

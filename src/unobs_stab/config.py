@@ -226,6 +226,23 @@ def parse_config(path: str) -> ScenarioConfig:
             problems.append("params.Delta: required for the spectral strategy")
         if cfg.delta is None:
             problems.append("params.delta: required for the spectral strategy")
+        # the drawn starts must stay inside the region where the embedding
+        # can be evaluated (explicit init.x0 lists are checked per run)
+        key_x = "init.radius_x" if cfg.init_radius_x is not None else "init.rho"
+        balls = [(r, key) for key, r in ((key_x, cfg.init_radius_x or cfg.rho),
+                                         ("init.radius_xhat", cfg.init_radius_xhat))
+                 if r is not None]
+        if cfg.x0 is None and cfg.mu is not None and balls:
+            from .bessel import MAX_ARG
+            from .spectral import truncation_tail_bound
+            radius, key = max(balls)
+            arg = cfg.mu * radius
+            if arg >= MAX_ARG:
+                problems.append(f"params.mu/{key}: mu * {key} = {arg:g} must stay below "
+                                f"the Bessel argument limit {MAX_ARG:g}")
+            elif (tail := truncation_tail_bound(arg, cfg.N)) > 1e-12:
+                warnings.append(f"params.N: truncation tail bound {tail:.3g} > 1e-12 at "
+                                f"mu * {key} = {arg:g}; the drawn starts embed inexactly")
 
     cfg.method = take("integrator.method", "rk4_coupled")
     if cfg.method not in ("rk4_coupled", "exact_linear"):

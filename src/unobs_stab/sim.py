@@ -12,10 +12,12 @@ packed rows (x, zhat) of plant and observer exactly as written, the observer
 fed by the transformed measurement, with the same RK4 step (rk4_step), for
 cross-validation.
 
-Both loops freeze a run at its last valid step when it leaves the region
-where it can be evaluated (a non-finite state, a norm past DIVERGENCE_NORM
-and, for the spectral loop, mu |x| >= MAX_ARG) and end its records there;
-the other runs carry on.
+Each strategy supplies only its step and what it records; one loop (_drive)
+does the rest for both.  It freezes a run at its last valid step when it
+leaves the region where it can be evaluated (a non-finite state, a norm past
+DIVERGENCE_NORM and, for the spectral loop, mu |x| >= MAX_ARG) and ends its
+records there, the other runs carrying on; it counts the per-step
+dissipativity violations; and it builds the trajectories.
 
 Everything is deterministic: fixed steps, no adaptivity, no hidden state.
 The batched loops combine runs only elementwise (no matrix products across
@@ -25,7 +27,7 @@ runs), so a run's trajectory is bitwise the same whatever batch it is in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +100,6 @@ class Trajectory:
     clamp_count: int = 0
     diverged: bool = False
     diverged_at: float | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def rk4_step(rhs, s, h: float):
@@ -116,6 +117,70 @@ def rk4_step(rhs, s, h: float):
 def _row_dot(a, b):
     """Row-wise inner products over the last axis, without BLAS."""
     return (a * b).sum(axis=-1)
+
+
+# Trajectory fields a strategy's sample() returns, in this order (the finite
+# loop stops before weak_eps)
+_RECORDED = ("x", "zhat", "u", "eps_norm", "c_eps_abs", "weak_eps")
+
+
+def _drive(state, eps0, active, diverged_at, advance, sample, steps: int,
+           cfg: IntegratorConfig, h: float, first=None) -> list[Trajectory]:
+    """The loop both strategies share: step, freeze, count, record.
+
+    state is a sequence of per-run arrays (runs first) and eps0 the error
+    norms of the runs; active marks the runs still inside the valid region
+    and diverged_at holds the time each frozen run left it (NaN while
+    active).  advance(state, active, i) takes step i and returns the new
+    state, the new error norms and the active rows whose new state is valid;
+    any other row is frozen at its last valid state, its diverged_at set on
+    the step it leaves and its records ended there.  sample(state, eps)
+    returns the recorded fields in _RECORDED order; first, if given, replaces
+    them in the record at t=0.  The error norm is checked every step: a rise
+    past EPS_STEP_TOL counts as a dissipativity violation, and the largest
+    rise is kept.
+    """
+    nb = active.shape[0]
+    stride = cfg.record_every
+    # run-major records, so each run's trajectory is a view
+    n_rec = steps // stride + 1
+    rec_t = np.arange(n_rec) * stride * h
+    fields = sample(state, eps0) if first is None else first
+    rec = [np.empty((nb, n_rec) + f.shape[1:], dtype=f.dtype) for f in fields]
+    for r, f in zip(rec, fields):
+        r[:, 0] = f
+    lengths = np.ones(nb, dtype=int)
+    violations = np.zeros(nb, dtype=int)
+    max_inc = np.zeros(nb)
+    eps = eps0
+
+    for i in range(steps):
+        new, cur, ok = advance(state, active, i)
+        diverged_at[active & ~ok] = (i + 1) * h
+        active = ok
+        keep = active[:, None]
+        state = [np.where(keep if a.ndim > 1 else active, a, b)
+                 for a, b in zip(new, state)]
+        cur = np.where(active, cur, eps)
+        inc = cur - eps
+        violations += inc > EPS_STEP_TOL
+        max_inc = np.maximum(max_inc, inc)
+        eps = cur
+        if (i + 1) % stride == 0:
+            for r, f in zip(rec, sample(state, eps)):
+                r[:, (i + 1) // stride] = f
+            lengths[active] += 1
+        if not active.any():
+            break
+
+    return [Trajectory(
+        times=rec_t[:m],
+        **{name: r[run, :m] for name, r in zip(_RECORDED, rec)},
+        dissipativity_violations=int(violations[run]),
+        max_eps_increase=float(max_inc[run]),
+        diverged=not active[run],
+        diverged_at=None if np.isnan(diverged_at[run]) else float(diverged_at[run]),
+    ) for run, m in enumerate(lengths)]
 
 
 def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
@@ -143,7 +208,6 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
 
     steps = max(1, int(round(cfg.horizon / cfg.step)))
     h = cfg.horizon / steps
-    stride = cfg.record_every
 
     def rhs(s):
         return closed_loop_rhs(s, params, plant)
@@ -153,63 +217,22 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
         d = s[:, n:2 * n] - xs
         return np.sqrt(_row_dot(d, d) + (zl - 0.5 * _row_dot(xs, xs)) ** 2)
 
+    def advance(state, active, i):
+        s = rk4_step(rhs, state[0], h)
+        eps = eps_norms(s)
+        ok = active & np.isfinite(eps) \
+            & (_row_dot(s[:, :n], s[:, :n]) <= DIVERGENCE_NORM ** 2) \
+            & (_row_dot(s[:, n:], s[:, n:]) <= DIVERGENCE_NORM ** 2)
+        return (s,), eps, ok
+
+    def sample(state, eps):
+        s = state[0]
+        return (s[:, :n], s[:, n:], perturbed_feedback(s[:, n:], params.K, params.delta),
+                eps, np.abs(s[:, 2 * n] - 0.5 * _row_dot(s[:, :n], s[:, :n])))
+
     s = np.concatenate([x0s, zhat0s], axis=1)
-    active = np.ones(nb, dtype=bool)
-    diverged_at = np.full(nb, np.nan)
-    violations = np.zeros(nb, dtype=int)
-    max_inc = np.zeros(nb)
-    prev_eps = eps_norms(s)
-
-    # run-major records, so each run's trajectory is a view
-    n_rec = steps // stride + 1
-    rec_t = np.arange(n_rec) * stride * h
-    rec_s = np.empty((nb, n_rec, 2 * n + 1))
-    rec_u = np.empty((nb, n_rec))
-    rec_e = np.empty((nb, n_rec))
-    rec_c = np.empty((nb, n_rec))
-    lengths = np.ones(nb, dtype=int)
-
-    def record(idx, eps):
-        rec_s[:, idx] = s
-        rec_u[:, idx] = perturbed_feedback(s[:, n:], params.K, params.delta)
-        rec_e[:, idx] = eps
-        rec_c[:, idx] = np.abs(s[:, 2 * n] - 0.5 * _row_dot(s[:, :n], s[:, :n]))
-
-    record(0, prev_eps)
-    for i in range(steps):
-        s_new = rk4_step(rhs, s, h)
-        cur_eps = eps_norms(s_new)
-        ok = active & np.isfinite(cur_eps) \
-            & (_row_dot(s_new[:, :n], s_new[:, :n]) <= DIVERGENCE_NORM ** 2) \
-            & (_row_dot(s_new[:, n:], s_new[:, n:]) <= DIVERGENCE_NORM ** 2)
-        diverged_at[active & ~ok] = (i + 1) * h
-        active = ok
-        s = np.where(active[:, None], s_new, s)
-        cur_eps = np.where(active, cur_eps, prev_eps)
-        inc = cur_eps - prev_eps
-        violations += inc > EPS_STEP_TOL
-        max_inc = np.maximum(max_inc, inc)
-        prev_eps = cur_eps
-        if (i + 1) % stride == 0:
-            record((i + 1) // stride, cur_eps)
-            lengths[active] += 1
-        if not active.any():
-            break
-
-    return [Trajectory(
-        times=rec_t[:m],
-        x=rec_s[run, :m, :n],
-        zhat=rec_s[run, :m, n:],
-        u=rec_u[run, :m],
-        eps_norm=rec_e[run, :m],
-        c_eps_abs=rec_c[run, :m],
-        weak_eps=None,
-        dissipativity_violations=int(violations[run]),
-        max_eps_increase=float(max_inc[run]),
-        diverged=not active[run],
-        diverged_at=None if np.isnan(diverged_at[run]) else float(diverged_at[run]),
-        meta={"strategy": "finite", "step": h, "horizon": steps * h},
-    ) for run, m in enumerate(lengths)]
+    return _drive((s,), eps_norms(s), np.ones(nb, dtype=bool), np.full(nb, np.nan),
+                  advance, sample, steps, cfg, h)
 
 
 def run_finite_loop(plant: Plant, params: FinParams, x0, zhat0,
@@ -276,135 +299,81 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     if x0s.shape != (nb, 2) or xhat0s.shape != (nb, 2):
         raise ValueError("run_spectral_batch: x0s and xhat0s must have shape (runs, 2)")
     n_sub, n_int = _spectral_grid(params, cfg)
-    n = params.N
-    mu = params.mu
-    alpha = params.alpha
+    n, mu, alpha = params.N, params.mu, params.alpha
     zeta = output_vector(spec, n)
     zeta_conj = zeta.conj()
     clamp_level = bessel_j(1, params.j)
     h = cfg.step
-    stride = cfg.record_every
-    exact = cfg.method == "exact_linear"
-
-    # run-major records, so each run's trajectory is a view
-    n_rec = n_int * n_sub // stride + 1
-    rec_t = np.arange(n_rec) * stride * h
-    rec_x = np.empty((nb, n_rec, 2))
-    rec_zh = np.empty((nb, n_rec, 2 * n + 1), dtype=complex)
-    rec_u = np.empty((nb, n_rec))
-    rec_e = np.empty((nb, n_rec))
-    rec_c = np.empty((nb, n_rec))
-    rec_w = np.empty((nb, n_rec))
-    lengths = np.ones(nb, dtype=int)
-
-    active = _valid(x0s, mu) & _valid(xhat0s, mu)
-    diverged_at = np.where(active, np.nan, 0.0)
-    x = np.where(active[:, None], x0s, 0.0)
-    xh = np.where(active[:, None], xhat0s, 0.0)
-    if exact:
-        z = embed(x, mu, n)
-        eps = embed(xh, mu, n) - z
-        zhat = z + eps
-    else:
-        zhat = embed(xh, mu, n)
-        eps = zhat - embed(x, mu, n)
-
     clamp_count = np.zeros(nb, dtype=int)
-    violations = np.zeros(nb, dtype=int)
-    max_inc = np.zeros(nb)
-    prev_eps = _row_norm(eps)
 
-    def record(idx):
-        rec_x[:, idx] = x
-        rec_zh[:, idx] = zhat
-        rec_u[:, idx] = u
-        rec_e[:, idx] = _row_norm(eps)
-        rec_c[:, idx] = np.abs(_row_dot(zeta_conj, eps))
-        rec_w[:, idx] = weak_norm(eps)
-
-    def feedback():
+    def feedback(zhat, active):
         # left limit of the observer state fixes the next hold value
         clamp_count[active & (np.abs(zhat[:, n + 1]) > clamp_level)] += 1
         return sample_hold_feedback(zhat, params)
 
-    u = feedback()
-    record(0)
-    rec_x[~active, 0] = x0s[~active]
-    for arr in (rec_zh, rec_u, rec_e, rec_c, rec_w):
-        arr[~active, 0] = np.nan
+    def exact_linear(x, eps, zhat, u, active):
+        x_new = rotation_step(x, u, h)
+        ok = active & _valid(x_new, mu)
+        eps_new = observer_propagate(eps, u, mu, alpha, zeta, h)
+        return x_new, eps_new, embed(np.where(ok[:, None], x_new, 0.0), mu, n) + eps_new, ok
 
-    # rk4_coupled steps the packed complex rows (x, zhat); rhs collects the
-    # mu |x| < MAX_ARG flags of every stage of the step being taken
-    stages_inside = []
+    def rk4_coupled(x, eps, zhat, u, active):
+        # steps the packed complex rows (x, zhat); rhs collects the
+        # mu |x| < MAX_ARG flags of every stage of the step
+        stages_inside = []
 
-    def rhs(s):
-        xs, eta = s[:, :2].real, s[:, 2:]
-        inside = _valid(xs, mu)
-        stages_inside.append(inside)
-        fy = linearized_output(spec, output_value(spec, np.where(inside[:, None], xs, 0.0)))
-        xd = np.stack([-xs[:, 1], xs[:, 0] + u], axis=-1)
-        etad = spectral.apply_generator(u, mu, eta) \
-            - alpha * (_row_dot(zeta_conj, eta) - fy)[:, None] * zeta
-        return np.concatenate([xd, etad], axis=-1)
+        def rhs(s):
+            xs, eta = s[:, :2].real, s[:, 2:]
+            inside = _valid(xs, mu)
+            stages_inside.append(inside)
+            fy = linearized_output(spec, output_value(spec, np.where(inside[:, None], xs, 0.0)))
+            xd = np.stack([-xs[:, 1], xs[:, 0] + u], axis=-1)
+            etad = spectral.apply_generator(u, mu, eta) \
+                - alpha * (_row_dot(zeta_conj, eta) - fy)[:, None] * zeta
+            return np.concatenate([xd, etad], axis=-1)
 
-    step_idx = 0
-    for _ in range(n_int):
-        for sub in range(n_sub):
-            if exact:
-                x_new = rotation_step(x, u, h)
-                ok = active & _valid(x_new, mu)
-                eps_new = observer_propagate(eps, u, mu, alpha, zeta, h)
-                zhat_new = embed(np.where(ok[:, None], x_new, 0.0), mu, n) + eps_new
-            else:
-                s_new = rk4_step(rhs, np.concatenate([x, zhat], axis=-1), h)
-                x_new, zhat_new = s_new[:, :2].real, s_new[:, 2:]
-                ok = active & np.logical_and.reduce(stages_inside) & _valid(x_new, mu)
-                stages_inside.clear()
-                eps_new = zhat_new - embed(np.where(ok[:, None], x_new, 0.0), mu, n)
-            step_idx += 1
-            ok &= np.all(np.isfinite(zhat_new), axis=-1) \
-                & (_row_dot(x_new, x_new) <= DIVERGENCE_NORM ** 2)
-            diverged_at[active & ~ok] = step_idx * h
-            active = ok
-            keep = active[:, None]
-            x = np.where(keep, x_new, x)
-            eps = np.where(keep, eps_new, eps)
-            zhat = np.where(keep, zhat_new, zhat)
-            cur = _row_norm(eps)
-            inc = np.where(active, cur - prev_eps, 0.0)
-            violations += inc > EPS_STEP_TOL
-            max_inc = np.maximum(max_inc, inc)
-            prev_eps = cur
-            if sub == n_sub - 1:
-                # before the boundary record: u is right-continuous, each
-                # sample carries the value just applied
-                u = np.where(active, feedback(), u)
-            if step_idx % stride == 0:
-                record(step_idx // stride)
-                lengths[active] += 1
-            if not active.any():
-                break
-        if not active.any():
-            break
+        s_new = rk4_step(rhs, np.concatenate([x, zhat], axis=-1), h)
+        x_new, zhat_new = s_new[:, :2].real, s_new[:, 2:]
+        ok = active & np.logical_and.reduce(stages_inside) & _valid(x_new, mu)
+        return x_new, zhat_new - embed(np.where(ok[:, None], x_new, 0.0), mu, n), zhat_new, ok
 
-    meta = {"strategy": "spectral", "method": cfg.method, "step": h,
-            "Delta": params.Delta, "horizon": n_int * params.Delta,
-            "output_kind": spec.kind}
-    return [Trajectory(
-        times=rec_t[:m],
-        x=rec_x[run, :m],
-        zhat=rec_zh[run, :m],
-        u=rec_u[run, :m],
-        eps_norm=rec_e[run, :m],
-        c_eps_abs=rec_c[run, :m],
-        weak_eps=rec_w[run, :m],
-        dissipativity_violations=int(violations[run]),
-        max_eps_increase=float(max_inc[run]),
-        clamp_count=int(clamp_count[run]),
-        diverged=not active[run],
-        diverged_at=None if np.isnan(diverged_at[run]) else float(diverged_at[run]),
-        meta=dict(meta),
-    ) for run, m in enumerate(lengths)]
+    step = exact_linear if cfg.method == "exact_linear" else rk4_coupled
+
+    def advance(state, active, i):
+        x, eps, zhat, u = state
+        x_new, eps_new, zhat_new, ok = step(x, eps, zhat, u, active)
+        ok &= np.all(np.isfinite(zhat_new), axis=-1) \
+            & (_row_dot(x_new, x_new) <= DIVERGENCE_NORM ** 2)
+        if (i + 1) % n_sub == 0:
+            # before the boundary record: u is right-continuous, each sample
+            # carries the value just applied
+            zhat_new = np.where(ok[:, None], zhat_new, zhat)
+            u = np.where(ok, feedback(zhat_new, ok), u)
+        return (x_new, eps_new, zhat_new, u), _row_norm(eps_new), ok
+
+    def sample(state, eps):
+        x, eps_vec, zhat, u = state
+        return x, zhat, u, eps, np.abs(_row_dot(zeta_conj, eps_vec)), weak_norm(eps_vec)
+
+    active = _valid(x0s, mu) & _valid(xhat0s, mu)
+    out = ~active
+    x = np.where(out[:, None], 0.0, x0s)
+    z, zhat = embed(x, mu, n), embed(np.where(out[:, None], 0.0, xhat0s), mu, n)
+    eps = zhat - z
+    if step is exact_linear:
+        # this method carries eps and rebuilds zhat from it
+        zhat = z + eps
+    state = (x, eps, zhat, feedback(zhat, active))
+    eps0 = _row_norm(eps)
+    # a run that starts outside records x0 and NaN at t=0
+    first = [np.where(out[:, None] if f.ndim > 1 else out, np.nan, f)
+             for f in sample(state, eps0)]
+    first[0] = np.where(out[:, None], x0s, x)
+    trajs = _drive(state, eps0, active, np.where(out, 0.0, np.nan), advance, sample,
+                   n_int * n_sub, cfg, h, first)
+    for traj, count in zip(trajs, clamp_count):
+        traj.clamp_count = int(count)
+    return trajs
 
 
 def run_spectral_loop(spec: OutputSpec, params: SpectralParams, x0, xhat0,

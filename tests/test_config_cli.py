@@ -62,6 +62,25 @@ class TestParseConfig:
         assert cfg.strategy == "spectral"
         assert cfg.output_kind == "norm_sq"
         assert cfg.Delta == 0.05
+        assert cfg.warnings == []
+
+    @pytest.mark.parametrize("balls,key", [
+        ("init.radius_x = 600.0", "init.radius_x"),
+        ("init.rho = 600.0", "init.rho"),
+        ("init.radius_x = 1.0\ninit.radius_xhat = 600.0", "init.radius_xhat"),
+    ])
+    def test_ball_outside_bessel_domain(self, tmp_path, balls, key):
+        # mu R = 0.1 * 600 = 60 is past the Bessel argument limit 50
+        text = SPECTRAL_CFG.replace("init.radius_x = 1.0", balls)
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        assert any(p.startswith(f"params.mu/{key}:") for p in err.value.problems)
+
+    def test_truncation_tail_warns(self, tmp_path):
+        # mu R = 4 at N = 12: tail bound 2 * 2^26 / (13!)^2 = 3.5e-12
+        text = SPECTRAL_CFG.replace("init.radius_x = 1.0", "init.radius_x = 40.0")
+        cfg = parse_config(write(tmp_path, text))
+        assert len(cfg.warnings) == 1 and cfg.warnings[0].startswith("params.N:")
 
     def test_sample_period_constraint(self, tmp_path):
         text = SPECTRAL_CFG.replace("params.Delta = 0.05", "params.Delta = 4.0")
