@@ -23,14 +23,7 @@ from . import spectral
 from .artifacts import write_csv, write_summary, write_trajectory_svg
 from .bessel import find_zeros
 from .config import ConfigError, ScenarioConfig, parse_config
-from .finite import (
-    FinParams,
-    delta_margin,
-    embed as embed_fin,
-    observability_certificate,
-    rotation_plant,
-)
-from .linalg import place_poles
+from .finite import FinParams, embed as embed_fin, observability_certificate, rotation_plant
 from .observability import (
     check_bound_inequalities,
     choose_radii,
@@ -70,21 +63,12 @@ def draw_initial_conditions(cfg: ScenarioConfig, seed: int):
 
 
 def build_finite(cfg: ScenarioConfig):
-    plant = rotation_plant()
-    gain = cfg.K if cfg.K is not None else place_poles(plant.A, plant.b, cfg.poles)
-    delta = cfg.delta
-    if delta is None:
-        rho = cfg.rho if cfg.rho is not None else cfg.init_radius_x
-        delta = cfg.delta_frac * delta_margin(gain, rho, plant)
-    params = FinParams(K=gain, delta=delta, alpha=cfg.alpha, rho=cfg.rho)
-    return plant, params
+    return rotation_plant(), FinParams(K=cfg.K, delta=cfg.delta, alpha=cfg.alpha, rho=cfg.rho)
 
 
 def build_spectral(cfg: ScenarioConfig):
-    gain = cfg.K if cfg.K is not None else place_poles(
-        rotation_plant().A, rotation_plant().b, cfg.poles)
     j = cfg.j_frac * find_zeros().j1
-    params = SpectralParams(K=gain, delta=cfg.delta, alpha=cfg.alpha,
+    params = SpectralParams(K=cfg.K, delta=cfg.delta, alpha=cfg.alpha,
                             Delta=cfg.Delta, mu=cfg.mu, j=j, N=cfg.N)
     spec = OutputSpec(kind=cfg.output_kind, mu=cfg.mu, coeffs=cfg.output_coeffs)
     return spec, params
@@ -166,14 +150,12 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
 
     if cfg.strategy == "finite":
         plant = rotation_plant()
-        gain = cfg.K if cfg.K is not None else place_poles(plant.A, plant.b, cfg.poles)
-        delta = cfg.delta if cfg.delta is not None else 0.0
-        q = observability_certificate(gain, plant.A, delta, cfg.alpha)
+        q = observability_certificate(cfg.K, plant.A, cfg.delta, cfg.alpha)
         rank = int(np.linalg.matrix_rank(q, tol=1e-10))
-        report["certificate.delta"] = delta
+        report["certificate.delta"] = cfg.delta
         report["certificate.rank"] = rank
         report["certificate.full_rank"] = int(rank == plant.n + 2)
-        if delta == 0.0:
+        if cfg.delta == 0.0:
             report["certificate.singular"] = 1
 
     mu = cfg.mu if cfg.mu is not None else 1.0
@@ -188,10 +170,8 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
 
     zeros = find_zeros()
     j = cfg.j_frac * zeros.j1
-    gain = cfg.K if cfg.K is not None else np.array([1.0, -2.0])
-    kappa = float(np.linalg.norm(gain))
-    delta = cfg.delta if cfg.delta is not None else 0.0
-    umax, applicable = max_control_bound(kappa, j, mu, delta)
+    kappa = float(np.linalg.norm(cfg.K))
+    umax, applicable = max_control_bound(kappa, j, mu, cfg.delta)
     report["umax.value"] = umax
     report["umax.mu_umax"] = mu * umax
     report["umax.j0"] = zeros.j0

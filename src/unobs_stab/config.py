@@ -1,10 +1,12 @@
 """Flat key=value scenario configuration.
 
 One `key = value` pair per line, `#` starts a comment, sections are expressed
-by key prefixes (params., init., integrator., ...).  Values are typed by
-shape: integer, real, comma-separated list of reals, or bare string.  Parsing
-validates everything it can and reports every violation at once, each named
-by the offending key.
+by key prefixes (params., init., integrator., ...).  `_KEYS` names every key
+with the `ScenarioConfig` field it sets and its kind; a key's default is its
+field's default.  Parsing validates everything it can and reports every
+violation at once, each named by the offending key.  It also settles the gain
+K and, for the finite strategy, the perturbation delta, so that every command
+describes the same loop.
 """
 
 from __future__ import annotations
@@ -14,6 +16,12 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .bessel import MAX_ARG
+from .finite import delta_margin, rotation_plant
+from .linalg import place_poles
+from .sim import hold_grid
+from .spectral import BESSEL_SERIES, J0_RADIAL, J2_COS2THETA, NORM, NORM_SQ, truncation_tail_bound
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -66,9 +74,11 @@ def read_key_values(path: str) -> dict:
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario description for the CLI drivers."""
+    """Validated scenario description for the CLI drivers.  After parsing, K
+    is the gain every command uses and, for the finite strategy, delta is the
+    perturbation every command uses."""
 
-    strategy: str
+    strategy: str | None = None
     seed: int = 0
     # initial conditions: explicit (k, 2) point lists, or seeded draws in balls
     x0: np.ndarray | None = None
@@ -77,7 +87,7 @@ class ScenarioConfig:
     init_radius_x: float | None = None
     init_radius_xhat: float | None = None
     rho: float | None = None
-    # gains
+    # gains: K as given, placed at the poles, or the strategy's default
     K: np.ndarray | None = None
     poles: list | None = None
     alpha: float = 10.0
@@ -87,8 +97,11 @@ class ScenarioConfig:
     mu: float | None = None
     j_frac: float = 0.9
     N: int = 24
-    # output map (spectral)
+    # output map (spectral); output_coeffs maps order k to c_k for bessel_series
     output_kind: str | None = None
+    output_orders: list | None = None
+    output_coeffs_re: list | None = None
+    output_coeffs_im: list | None = None
     output_coeffs: dict = field(default_factory=dict)
     # integrator
     method: str = "rk4_coupled"
@@ -103,127 +116,137 @@ class ScenarioConfig:
     analyze_u_grid: list = field(default_factory=lambda: [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
     analyze_R0: float = 1.0
     warnings: list = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
 
 
-_KNOWN_KEYS = {
-    "strategy", "seed",
-    "init.x0", "init.xhat0", "init.count", "init.radius_x", "init.radius_xhat", "init.rho",
-    "params.K", "params.poles", "params.alpha", "params.delta", "params.delta_frac",
-    "params.Delta", "params.mu", "params.j_frac", "params.N",
-    "output.kind", "output.orders", "output.coeffs_re", "output.coeffs_im",
-    "integrator.method", "integrator.step", "integrator.horizon", "integrator.record_every",
-    "thresholds.trailing_x_max", "thresholds.final_c_eps_max",
-    "analyze.trials", "analyze.u_grid", "analyze.R0",
+# every key: the ScenarioConfig field it sets and the kind `_typed` reads it as
+_KEYS = {
+    "strategy": ("strategy", "word"),
+    "seed": ("seed", "int"),
+    "init.x0": ("x0", "points"),
+    "init.xhat0": ("xhat0", "points"),
+    "init.count": ("init_count", "count"),
+    "init.radius_x": ("init_radius_x", "positive"),
+    "init.radius_xhat": ("init_radius_xhat", "positive"),
+    "init.rho": ("rho", "positive"),
+    "params.K": ("K", "pair"),
+    "params.poles": ("poles", "pair"),
+    "params.alpha": ("alpha", "positive"),
+    "params.delta": ("delta", "positive"),
+    "params.delta_frac": ("delta_frac", "positive"),
+    "params.Delta": ("Delta", "real"),
+    "params.mu": ("mu", "positive"),
+    "params.j_frac": ("j_frac", "positive"),
+    "params.N": ("N", "count"),
+    "output.kind": ("output_kind", "word"),
+    "output.orders": ("output_orders", "ints"),
+    "output.coeffs_re": ("output_coeffs_re", "reals"),
+    "output.coeffs_im": ("output_coeffs_im", "reals"),
+    "integrator.method": ("method", "word"),
+    "integrator.step": ("step", "positive"),
+    "integrator.horizon": ("horizon", "positive"),
+    "integrator.record_every": ("record_every", "count"),
+    "thresholds.trailing_x_max": ("trailing_x_max", "positive"),
+    "thresholds.final_c_eps_max": ("final_c_eps_max", "positive"),
+    "analyze.trials": ("analyze_trials", "count"),
+    "analyze.u_grid": ("analyze_u_grid", "reals"),
+    "analyze.R0": ("analyze_R0", "positive"),
 }
 
 
-def _as_list(value) -> list:
-    return value if isinstance(value, list) else [float(value)]
+def _typed(key: str, kind: str, value):
+    """The value of `key` read as `kind`, or a ValueError naming the key.
+
+    word: as written; int; count: a positive int; real; positive: a positive
+    real; reals, ints: lists; pair: two reals; points: a flat list of planar
+    points, returned as a (k, 2) array.
+    """
+    if kind == "word":
+        return value
+    if kind in ("reals", "ints", "pair", "points"):
+        items = value if isinstance(value, list) else [value]
+        if kind == "points" and (len(items) % 2 != 0 or not items):
+            raise ValueError(f"{key}: expected a flat list of planar points "
+                             f"(length a positive multiple of 2), got {len(items)} values")
+        if not items or any(isinstance(v, str) for v in items):
+            raise ValueError(f"{key}: expected a list of numbers, got {value!r}")
+        if kind == "ints" and not all(float(v).is_integer() for v in items):
+            raise ValueError(f"{key}: expected a list of integers, got {value!r}")
+        if kind == "pair" and len(items) != 2:
+            raise ValueError(f"{key}: expected 2 numbers, got {len(items)}")
+        if kind == "points":
+            return np.asarray(items, dtype=float).reshape(-1, 2)
+        return [int(v) if kind == "ints" else float(v) for v in items]
+    if isinstance(value, (list, str)):
+        raise ValueError(f"{key}: expected a number, got {value!r}")
+    integer = kind in ("int", "count")
+    if integer and not isinstance(value, int):
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    value = value if integer else float(value)
+    if kind in ("count", "positive") and not value > 0:
+        raise ValueError(f"{key}: must be positive, got {value}")
+    return value
 
 
 def parse_config(path: str) -> ScenarioConfig:
     """Load and fully validate a scenario file; raises ConfigError with every
     problem found, or returns the config (possibly with non-fatal warnings
-    attached)."""
+    attached) with K set and, for the finite strategy, delta."""
     raw = read_key_values(path)
-    problems: list[str] = []
+    problems = [f"{key}: unknown key" for key in raw if key not in _KEYS]
     warnings: list[str] = []
+    cfg = ScenarioConfig()
+    for key, (attr, kind) in _KEYS.items():
+        if key in raw:
+            try:
+                setattr(cfg, attr, _typed(key, kind, raw[key]))
+            except ValueError as exc:
+                problems.append(str(exc))
 
-    for key in raw:
-        if key not in _KNOWN_KEYS:
-            problems.append(f"{key}: unknown key")
-
-    def take(key, default=None):
-        return raw.get(key, default)
-
-    def take_num(key, default=None, positive=False, integer=False):
-        value = raw.get(key, default)
-        if value is None or value is default and key not in raw:
-            return default
-        if isinstance(value, list) or isinstance(value, str):
-            problems.append(f"{key}: expected a number, got {value!r}")
-            return default
-        if integer and not isinstance(value, int):
-            problems.append(f"{key}: expected an integer, got {value!r}")
-            return default
-        value = int(value) if integer else float(value)
-        if positive and not value > 0:
-            problems.append(f"{key}: must be positive, got {value}")
-            return default
-        return value
-
-    strategy = take("strategy")
+    strategy = cfg.strategy
     if strategy not in ("finite", "spectral"):
         problems.append(f"strategy: must be 'finite' or 'spectral', got {strategy!r}")
-
-    cfg = ScenarioConfig(strategy=strategy if isinstance(strategy, str) else "finite")
-    cfg.raw = raw
-    cfg.seed = take_num("seed", 0, integer=True)
-    for key, attr in (("init.x0", "x0"), ("init.xhat0", "xhat0")):
-        if key in raw:
-            flat = _as_list(raw[key])
-            if len(flat) % 2 != 0 or not flat:
-                problems.append(f"{key}: expected a flat list of planar points "
-                                f"(length a positive multiple of 2), got {len(flat)} values")
-            else:
-                setattr(cfg, attr, np.asarray(flat, dtype=float).reshape(-1, 2))
     if (cfg.x0 is None) != (cfg.xhat0 is None):
         problems.append("init.x0/init.xhat0: give both or neither")
     elif cfg.x0 is not None and cfg.x0.shape != cfg.xhat0.shape:
         problems.append("init.x0/init.xhat0: point counts differ")
-    cfg.init_count = take_num("init.count", 1, positive=True, integer=True)
-    cfg.init_radius_x = take_num("init.radius_x", None, positive=True)
-    cfg.init_radius_xhat = take_num("init.radius_xhat", None, positive=True)
-    cfg.rho = take_num("init.rho", None, positive=True)
     if cfg.x0 is None and cfg.init_radius_x is None and cfg.rho is None:
         problems.append("init.radius_x: required when init.x0 is not given")
-
-    if "params.K" in raw:
-        cfg.K = np.asarray(_as_list(raw["params.K"]), dtype=float)
-    if "params.poles" in raw:
-        cfg.poles = _as_list(raw["params.poles"])
-        if any(p >= 0 for p in cfg.poles):
-            problems.append("params.poles: all poles must have negative real part")
-    cfg.alpha = take_num("params.alpha", 10.0, positive=True)
-    cfg.delta = take_num("params.delta", None)
-    if cfg.delta is not None and cfg.delta <= 0:
-        problems.append(f"params.delta: must be positive, got {cfg.delta}")
-    cfg.delta_frac = take_num("params.delta_frac", None, positive=True)
-    cfg.Delta = take_num("params.Delta", None)
+    if cfg.poles is not None and any(p >= 0 for p in cfg.poles):
+        problems.append("params.poles: all poles must have negative real part")
     if cfg.Delta is not None and not 0.0 < cfg.Delta < math.pi:
         problems.append(f"params.Delta: Delta must lie in (0, pi), got {cfg.Delta}")
-    cfg.mu = take_num("params.mu", None, positive=True)
-    cfg.j_frac = take_num("params.j_frac", 0.9, positive=True)
     if not cfg.j_frac < 1.0:
         problems.append(f"params.j_frac: must lie in (0, 1), got {cfg.j_frac}")
-    cfg.N = take_num("params.N", 24, positive=True, integer=True)
 
-    cfg.output_kind = take("output.kind")
     if strategy == "spectral":
-        from .spectral import BESSEL_SERIES, J0_RADIAL, J2_COS2THETA, NORM, NORM_SQ
         kinds = (NORM_SQ, J0_RADIAL, J2_COS2THETA, NORM, BESSEL_SERIES)
         if cfg.output_kind not in kinds:
             problems.append(f"output.kind: must be one of {kinds}, got {cfg.output_kind!r}")
+        if cfg.output_kind == J2_COS2THETA and cfg.N < 2:
+            problems.append(f"params.N: j2_cos2theta needs N >= 2, got {cfg.N}")
         if cfg.output_kind == BESSEL_SERIES:
-            orders = raw.get("output.orders")
-            re_part = raw.get("output.coeffs_re")
-            im_part = raw.get("output.coeffs_im")
+            orders, re_part, im_part = cfg.output_orders, cfg.output_coeffs_re, cfg.output_coeffs_im
             if orders is None or re_part is None:
                 problems.append("output.orders/output.coeffs_re: required for bessel_series")
+            elif not len(orders) == len(re_part) == len(im_part or re_part):
+                problems.append("output.orders: lengths of orders/coeffs_re/coeffs_im differ")
+            elif (top := max(map(abs, orders))) > cfg.N:
+                problems.append(f"output.orders: largest order {top} exceeds params.N = {cfg.N}")
             else:
-                orders = [int(o) for o in _as_list(orders)]
-                re_part = _as_list(re_part)
-                im_part = _as_list(im_part) if im_part is not None else [0.0] * len(re_part)
-                if not len(orders) == len(re_part) == len(im_part):
-                    problems.append("output.orders: lengths of orders/coeffs_re/coeffs_im differ")
-                else:
-                    cfg.output_coeffs = {k: complex(a, b)
-                                         for k, a, b in zip(orders, re_part, im_part)}
+                cfg.output_coeffs = {k: complex(a, b) for k, a, b in
+                                     zip(orders, re_part, im_part or [0.0] * len(re_part))}
         if cfg.mu is None:
             problems.append("params.mu: required for the spectral strategy")
         if cfg.Delta is None:
             problems.append("params.Delta: required for the spectral strategy")
+        elif 0.0 < cfg.Delta < math.pi:
+            n_sub, n_int = hold_grid(cfg.Delta, cfg.step, cfg.horizon)
+            if n_sub < 1:
+                problems.append(f"integrator.step: {cfg.step:g} must divide "
+                                f"params.Delta = {cfg.Delta:g}")
+            if n_int < 1:
+                problems.append(f"integrator.horizon: {cfg.horizon:g} is shorter than one "
+                                f"sample period params.Delta = {cfg.Delta:g}")
         if cfg.delta is None:
             problems.append("params.delta: required for the spectral strategy")
         # the drawn starts must stay inside the region where the embedding
@@ -233,8 +256,6 @@ def parse_config(path: str) -> ScenarioConfig:
                                          ("init.radius_xhat", cfg.init_radius_xhat))
                  if r is not None]
         if cfg.x0 is None and cfg.mu is not None and balls:
-            from .bessel import MAX_ARG
-            from .spectral import truncation_tail_bound
             radius, key = max(balls)
             arg = cfg.mu * radius
             if arg >= MAX_ARG:
@@ -244,43 +265,40 @@ def parse_config(path: str) -> ScenarioConfig:
                 warnings.append(f"params.N: truncation tail bound {tail:.3g} > 1e-12 at "
                                 f"mu * {key} = {arg:g}; the drawn starts embed inexactly")
 
-    cfg.method = take("integrator.method", "rk4_coupled")
     if cfg.method not in ("rk4_coupled", "exact_linear"):
         problems.append(f"integrator.method: unknown method {cfg.method!r}")
-    if strategy == "finite" and cfg.method == "exact_linear":
-        problems.append("integrator.method: exact_linear applies to the spectral strategy only")
-    cfg.step = take_num("integrator.step", 1e-3, positive=True)
-    cfg.horizon = take_num("integrator.horizon", 10.0, positive=True)
-    cfg.record_every = take_num("integrator.record_every", 1, positive=True, integer=True)
-    cfg.trailing_x_max = take_num("thresholds.trailing_x_max", math.inf, positive=True)
-    cfg.final_c_eps_max = take_num("thresholds.final_c_eps_max", math.inf, positive=True)
-    cfg.analyze_trials = take_num("analyze.trials", 100, positive=True, integer=True)
-    if "analyze.u_grid" in raw:
-        cfg.analyze_u_grid = _as_list(raw["analyze.u_grid"])
-    cfg.analyze_R0 = take_num("analyze.R0", 1.0, positive=True)
-
+    # the ball delta_margin certifies
+    radius = cfg.rho if cfg.rho is not None else cfg.init_radius_x
     if strategy == "finite":
-        if cfg.K is None and cfg.poles is None:
-            cfg.poles = [-1.0, -2.0]
+        if cfg.method == "exact_linear":
+            problems.append("integrator.method: exact_linear applies to the spectral strategy only")
         if cfg.delta is None and cfg.delta_frac is None:
             problems.append("params.delta: give params.delta or params.delta_frac")
+        elif cfg.delta is None and radius is None:
+            problems.append("params.delta_frac: needs init.rho or init.radius_x, the radius "
+                            "delta_margin certifies")
         if cfg.Delta is not None:
             warnings.append("params.Delta: ignored by the finite strategy (continuous feedback)")
-    if strategy == "spectral" and cfg.K is None and cfg.poles is None:
-        cfg.K = np.array([1.0, -2.0])
 
     if problems:
         raise ConfigError(problems)
 
-    # non-fatal checks that need the synthesized gain happen in the driver;
-    # here we only warn about obviously delicate settings
-    if strategy == "finite" and cfg.delta is not None and cfg.rho is not None:
-        from .finite import delta_margin, rotation_plant
-        from .linalg import place_poles
-        plant = rotation_plant()
-        gain = cfg.K if cfg.K is not None else place_poles(plant.A, plant.b, cfg.poles)
-        margin = delta_margin(gain, cfg.rho, plant)
-        if cfg.delta >= margin:
+    if cfg.K is None and cfg.poles is None:  # the strategy's default gain
+        if strategy == "finite":
+            cfg.poles = [-1.0, -2.0]
+        else:
+            cfg.K = [1.0, -2.0]
+    plant = rotation_plant()
+    cfg.K = np.asarray(cfg.K if cfg.K is not None else place_poles(plant.A, plant.b, cfg.poles),
+                       dtype=float)
+    if strategy == "finite" and (cfg.delta is None or cfg.rho is not None):
+        try:
+            margin = delta_margin(cfg.K, radius, plant)
+        except ValueError as exc:
+            raise ConfigError([f"params.K: {exc}"]) from None
+        if cfg.delta is None:
+            cfg.delta = cfg.delta_frac * margin
+        elif cfg.delta >= margin:
             warnings.append(
                 f"params.delta: delta={cfg.delta} >= delta_margin={margin:.6g} for "
                 f"rho={cfg.rho}; the perturbed feedback's basin is no longer guaranteed")

@@ -253,14 +253,12 @@ def rotation_step(x, u, h: float) -> np.ndarray:
                      sh * x[..., 0] + ch * x[..., 1] + u * sh], axis=-1)
 
 
-def _spectral_grid(params: SpectralParams, cfg: IntegratorConfig):
-    n_sub = int(round(params.Delta / cfg.step))
-    if n_sub < 1 or abs(n_sub * cfg.step - params.Delta) > 1e-9 * max(1.0, params.Delta):
-        raise ValueError("run_spectral_batch: step must divide the sample period Delta")
-    n_int = int(round(cfg.horizon / params.Delta))
-    if n_int < 1:
-        raise ValueError("run_spectral_batch: horizon shorter than one sample period")
-    return n_sub, n_int
+def hold_grid(Delta: float, step: float, horizon: float) -> tuple[int, int]:
+    """Steps per sample period (0 unless step divides Delta), sample periods to horizon."""
+    n_sub = round(Delta / step)
+    if abs(n_sub * step - Delta) > 1e-9 * max(1.0, Delta):
+        n_sub = 0
+    return n_sub, round(horizon / Delta)
 
 
 def _valid(x, mu: float) -> np.ndarray:
@@ -298,7 +296,11 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     nb = x0s.shape[0]
     if x0s.shape != (nb, 2) or xhat0s.shape != (nb, 2):
         raise ValueError("run_spectral_batch: x0s and xhat0s must have shape (runs, 2)")
-    n_sub, n_int = _spectral_grid(params, cfg)
+    n_sub, n_int = hold_grid(params.Delta, cfg.step, cfg.horizon)
+    if n_sub < 1:
+        raise ValueError("run_spectral_batch: step must divide the sample period Delta")
+    if n_int < 1:
+        raise ValueError("run_spectral_batch: horizon shorter than one sample period")
     n, mu, alpha = params.N, params.mu, params.alpha
     zeta = output_vector(spec, n)
     zeta_conj = zeta.conj()

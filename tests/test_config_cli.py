@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -7,8 +9,18 @@ import numpy as np
 import pytest
 
 import unobs_stab
-from unobs_stab.cli import analyze, draw_initial_conditions, main, run_scenario
-from unobs_stab.config import ConfigError, parse_config
+from unobs_stab.cli import (
+    analyze,
+    build_finite,
+    build_spectral,
+    draw_initial_conditions,
+    main,
+    run_scenario,
+)
+from unobs_stab.config import _KEYS, ConfigError, ScenarioConfig, parse_config
+from unobs_stab.observability import max_control_bound
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 FINITE_CFG = """
 # embedded-observer benchmark
@@ -48,6 +60,45 @@ def write(tmp_path, text, name="scenario.cfg"):
     return str(path)
 
 
+def read_report(path):
+    return dict(line.split("=", 1) for line in open(path).read().strip().splitlines())
+
+
+def bessel_series(orders, coeffs_re):
+    return SPECTRAL_CFG.replace("output.kind = norm_sq", "output.kind = bessel_series\n"
+                                f"output.orders = {orders}\noutput.coeffs_re = {coeffs_re}")
+
+
+# one bad value each, and the key its problem must start with
+BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
+    ("spectral-K-scalar", SPECTRAL_CFG.replace("params.K = 1.0, -2.0", "params.K = 1.0"),
+     "params.K"),
+    ("finite-K-scalar", FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.K = 1.0"),
+     "params.K"),
+    ("K-word", FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.K = abc"), "params.K"),
+    ("poles-word", FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.poles = zz"),
+     "params.poles"),
+    ("poles-scalar", FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.poles = -1"),
+     "params.poles"),
+    ("u_grid-word", SPECTRAL_CFG + "analyze.u_grid = foo\n", "analyze.u_grid"),
+    ("orders-fraction", bessel_series("1.5", "1.0"), "output.orders"),
+    ("j2-N1", SPECTRAL_CFG.replace("output.kind = norm_sq", "output.kind = j2_cos2theta")
+     .replace("params.N = 12", "params.N = 1"), "params.N"),
+    ("order-above-N", bessel_series("0, 13", "1.0, 0.5"), "output.orders"),
+    ("step-not-dividing-Delta",
+     SPECTRAL_CFG.replace("integrator.step = 0.05", "integrator.step = 0.03"), "integrator.step"),
+    ("horizon-below-Delta",
+     SPECTRAL_CFG.replace("integrator.horizon = 5.0", "integrator.horizon = 0.01"),
+     "integrator.horizon"),
+    ("delta_frac-without-radius",
+     FINITE_CFG.replace("init.rho = 3.0", "init.x0 = 1.0, 0.0\ninit.xhat0 = 0.5, 0.0"),
+     "params.delta_frac"),
+    # A + bK is not Hurwitz, so delta_margin has no value
+    ("K-not-Hurwitz", FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.K = 1.0, 1.0"),
+     "params.K"),
+]]
+
+
 class TestParseConfig:
     def test_valid_finite(self, tmp_path):
         cfg = parse_config(write(tmp_path, FINITE_CFG))
@@ -56,6 +107,9 @@ class TestParseConfig:
         assert cfg.poles == [-1.0, -2.0]
         assert cfg.delta_frac == 0.5
         assert cfg.warnings == []
+        # the gain placed at the poles and delta = delta_frac * delta_margin
+        assert np.allclose(cfg.K, [1.0, -3.0])
+        assert cfg.delta == pytest.approx(0.5 * 2.0 ** 0.5 / 3.0)
 
     def test_valid_spectral(self, tmp_path):
         cfg = parse_config(write(tmp_path, SPECTRAL_CFG))
@@ -63,6 +117,21 @@ class TestParseConfig:
         assert cfg.output_kind == "norm_sq"
         assert cfg.Delta == 0.05
         assert cfg.warnings == []
+        assert np.array_equal(cfg.K, [1.0, -2.0])
+
+    @pytest.mark.parametrize("text,key", BAD_VALUES)
+    def test_bad_value_fails_at_parse_time(self, tmp_path, text, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        assert any(p.startswith(f"{key}:") for p in err.value.problems), err.value.problems
+
+    def test_key_table_matches_fields_and_readme(self):
+        fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        table = [attr for attr, _ in _KEYS.values()]
+        assert len(set(table)) == len(table) and set(table) <= fields
+        assert fields - set(table) == {"warnings", "output_coeffs"}
+        readme = README.read_text(encoding="utf-8")
+        assert [key for key in _KEYS if f"`{key}`" not in readme] == []
 
     @pytest.mark.parametrize("balls,key", [
         ("init.radius_x = 600.0", "init.radius_x"),
@@ -229,9 +298,7 @@ class TestAnalyze:
     def test_report_contents(self, tmp_path):
         text = SPECTRAL_CFG + "analyze.trials = 20\nanalyze.u_grid = 0.0, 0.3\n"
         cfg = parse_config(write(tmp_path, text))
-        path = analyze(cfg, str(tmp_path / "out"))
-        report = dict(line.split("=", 1) for line in
-                      open(path).read().strip().splitlines())
+        report = read_report(analyze(cfg, str(tmp_path / "out")))
         assert float(report["det_check.max_rel_err"]) < 1e-9
         assert report["det_check.singular_when_unperturbed"] == "1"
         assert float(report["gramian.u_0.lambda_min"]) < 1e-14
@@ -247,6 +314,27 @@ class TestAnalyze:
         report = open(path).read()
         assert "certificate.singular=1" in report
         assert "certificate.full_rank=0" in report
+
+    def test_bound_uses_the_placed_gain(self, tmp_path):
+        # params.poles -1, -2 place K = (1, -3), the gain simulate runs
+        text = (SPECTRAL_CFG.replace("params.K = 1.0, -2.0", "params.poles = -1.0, -2.0")
+                + "analyze.trials = 5\nanalyze.u_grid = 0.0\n")
+        cfg = parse_config(write(tmp_path, text))
+        _, params = build_spectral(cfg)
+        assert np.allclose(params.K, [1.0, -3.0])
+        report = read_report(analyze(cfg, str(tmp_path / "out")))
+        umax, _ = max_control_bound(float(np.linalg.norm(params.K)), params.j, params.mu,
+                                    params.delta)
+        assert float(report["umax.value"]) == umax == pytest.approx(52.56, abs=0.01)
+
+    def test_certificate_uses_the_simulated_delta(self, tmp_path):
+        text = FINITE_CFG + "analyze.trials = 5\nanalyze.u_grid = 0.0\n"
+        cfg = parse_config(write(tmp_path, text))
+        _, params = build_finite(cfg)
+        report = read_report(analyze(cfg, str(tmp_path / "out")))
+        assert float(report["certificate.delta"]) == params.delta == pytest.approx(0.2357, abs=1e-4)
+        assert report["certificate.full_rank"] == "1"
+        assert "certificate.singular" not in report
 
 
 class TestMain:
@@ -267,6 +355,12 @@ class TestMain:
     def test_bad_config_exit_code(self, tmp_path):
         path = write(tmp_path, "strategy = nope\n")
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_bad_list_value_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, BAD_VALUES[0].values[0])
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "params.K: expected 2 numbers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestImports:
