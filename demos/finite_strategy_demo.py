@@ -16,7 +16,7 @@ import numpy as np
 from unobs_stab.artifacts import write_trajectory_svg
 from unobs_stab.finite import FinParams, delta_margin, embed, rotation_plant
 from unobs_stab.linalg import place_poles
-from unobs_stab.sim import IntegratorConfig, convergence_metrics, run_finite_loop
+from unobs_stab.sim import IntegratorConfig, convergence_metrics, run_finite_batch
 
 plant = rotation_plant()
 gain = place_poles(plant.A, plant.b, [-1.0, -2.0])
@@ -24,12 +24,12 @@ rho = 3.0
 delta = 0.5 * delta_margin(gain, rho, plant)
 print(f"gain K = {gain}, perturbation delta = {delta:.4f} (half the rho={rho} budget)")
 
-params = FinParams(K=gain, delta=delta, alpha=10.0, rho=rho)
+params = FinParams(K=gain, delta=delta, alpha=10.0)
 x0 = np.array([2.0, -1.0])
 xhat0 = np.array([-1.5, 0.5])
 
-traj = run_finite_loop(plant, params, x0, embed(xhat0),
-                       IntegratorConfig(step=1e-3, horizon=100.0, record_every=20))
+traj = run_finite_batch(plant, params, x0, embed(xhat0),
+                        IntegratorConfig(step=1e-3, horizon=100.0, record_every=20))[0]
 
 for key, value in convergence_metrics(traj).items():
     print(f"{key} = {value}")

@@ -14,7 +14,7 @@ never increases.
 
 import numpy as np
 
-from unobs_stab.sim import IntegratorConfig, run_spectral_loop
+from unobs_stab.sim import IntegratorConfig, run_spectral_batch
 from unobs_stab.spectral import NORM_SQ, OutputSpec, SpectralParams, default_j
 
 MU = 0.1
@@ -27,7 +27,7 @@ xhat0 = np.array([-0.4, 0.6])
 runs = {}
 for method in ("exact_linear", "rk4_coupled"):
     cfg = IntegratorConfig(method=method, step=1e-3, horizon=10.0, record_every=10)
-    runs[method] = run_spectral_loop(spec, params, x0, xhat0, cfg)
+    runs[method] = run_spectral_batch(spec, params, x0, xhat0, cfg)[0]
     traj = runs[method]
     print(f"{method}: |eps(0)|={traj.eps_norm[0]:.5f} -> |eps(T)|={traj.eps_norm[-1]:.5f}, "
           f"dissipativity violations={traj.dissipativity_violations}")

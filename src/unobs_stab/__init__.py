@@ -13,12 +13,14 @@ distinguish states near the target:
   representation plus a weak-norm perturbation (``spectral``,
   ``sim.run_spectral_batch``).
 
-Both loops are vectorized over runs; ``sim.run_finite_loop`` and
-``sim.run_spectral_loop`` are their one-run cases.  Both step with the one
+Both loops are vectorized over runs, and their batch drivers are the only
+drivers: a single run is the one-row case.  Both step with the one
 ``sim.rk4_step`` where they integrate by RK4, and one loop in ``sim`` does
 their shared bookkeeping: it freezes a run that leaves the valid region at
 its last valid step, reporting it as diverged, counts the per-step
-dissipativity violations and keeps the records.
+dissipativity violations and keeps the records.  What a scenario means (the
+gain, the finite perturbation, the admissible starts) is settled once, by
+``config.parse_config``.
 
 Supporting modules: ``bessel`` (series/recurrence Bessel evaluation, zeros,
 local inverse of J1), ``linalg`` (matrix exponential, Lyapunov, Ackermann),

@@ -63,7 +63,7 @@ def draw_initial_conditions(cfg: ScenarioConfig, seed: int):
 
 
 def build_finite(cfg: ScenarioConfig):
-    return rotation_plant(), FinParams(K=cfg.K, delta=cfg.delta, alpha=cfg.alpha, rho=cfg.rho)
+    return rotation_plant(), FinParams(K=cfg.K, delta=cfg.delta, alpha=cfg.alpha)
 
 
 def build_spectral(cfg: ScenarioConfig):
@@ -159,7 +159,8 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
             report["certificate.singular"] = 1
 
     mu = cfg.mu if cfg.mu is not None else 1.0
-    n_tr = min(cfg.N, 12)
+    # a bessel_series output needs every one of its orders in the sweep
+    n_tr = min(cfg.N, max([12, *map(abs, cfg.output_coeffs)]))
     kind = cfg.output_kind if cfg.output_kind is not None else spectral.NORM_SQ
     spec = OutputSpec(kind=kind, mu=mu, coeffs=cfg.output_coeffs)
     zeta = output_vector(spec, n_tr)

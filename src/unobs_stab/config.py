@@ -158,12 +158,14 @@ def _typed(key: str, kind: str, value):
 
     word: as written; int; count: a positive int; real; positive: a positive
     real; reals, ints: lists; pair: two reals; points: a flat list of planar
-    points, returned as a (k, 2) array.
+    points, returned as a (k, 2) array.  Every number must be finite.
     """
     if kind == "word":
         return value
+    items = value if isinstance(value, list) else [value]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ValueError(f"{key}: must be finite, got {value!r}")
     if kind in ("reals", "ints", "pair", "points"):
-        items = value if isinstance(value, list) else [value]
         if kind == "points" and (len(items) % 2 != 0 or not items):
             raise ValueError(f"{key}: expected a flat list of planar points "
                              f"(length a positive multiple of 2), got {len(items)} values")
@@ -227,7 +229,9 @@ def parse_config(path: str) -> ScenarioConfig:
         if cfg.output_kind == BESSEL_SERIES:
             orders, re_part, im_part = cfg.output_orders, cfg.output_coeffs_re, cfg.output_coeffs_im
             if orders is None or re_part is None:
-                problems.append("output.orders/output.coeffs_re: required for bessel_series")
+                # a key given but rejected has its own problem already
+                if "output.orders" not in raw or "output.coeffs_re" not in raw:
+                    problems.append("output.orders/output.coeffs_re: required for bessel_series")
             elif not len(orders) == len(re_part) == len(im_part or re_part):
                 problems.append("output.orders: lengths of orders/coeffs_re/coeffs_im differ")
             elif (top := max(map(abs, orders))) > cfg.N:
@@ -235,6 +239,8 @@ def parse_config(path: str) -> ScenarioConfig:
             else:
                 cfg.output_coeffs = {k: complex(a, b) for k, a, b in
                                      zip(orders, re_part, im_part or [0.0] * len(re_part))}
+                if not any(abs(c) > 0 for c in cfg.output_coeffs.values()):
+                    problems.append("output.coeffs_re: bessel_series needs a nonzero coefficient")
         if cfg.mu is None:
             problems.append("params.mu: required for the spectral strategy")
         if cfg.Delta is None:
@@ -249,8 +255,13 @@ def parse_config(path: str) -> ScenarioConfig:
                                 f"sample period params.Delta = {cfg.Delta:g}")
         if cfg.delta is None:
             problems.append("params.delta: required for the spectral strategy")
-        # the drawn starts must stay inside the region where the embedding
-        # can be evaluated (explicit init.x0 lists are checked per run)
+        # every start must stay inside the region where the embedding can be
+        # evaluated: explicit points one by one, drawn ones by their balls
+        for key, points in (("init.x0", cfg.x0), ("init.xhat0", cfg.xhat0)):
+            if points is not None and cfg.mu is not None \
+                    and (arg := cfg.mu * np.hypot(*points.T).max()) >= MAX_ARG:
+                problems.append(f"{key}: mu |p| = {arg:g} at its farthest point must stay "
+                                f"below the Bessel argument limit {MAX_ARG:g}")
         key_x = "init.radius_x" if cfg.init_radius_x is not None else "init.rho"
         balls = [(r, key) for key, r in ((key_x, cfg.init_radius_x or cfg.rho),
                                          ("init.radius_xhat", cfg.init_radius_xhat))
@@ -296,11 +307,12 @@ def parse_config(path: str) -> ScenarioConfig:
             margin = delta_margin(cfg.K, radius, plant)
         except ValueError as exc:
             raise ConfigError([f"params.K: {exc}"]) from None
+        key = "params.delta" if cfg.delta is not None else "params.delta_frac"
         if cfg.delta is None:
             cfg.delta = cfg.delta_frac * margin
-        elif cfg.delta >= margin:
+        if cfg.delta >= margin:
             warnings.append(
-                f"params.delta: delta={cfg.delta} >= delta_margin={margin:.6g} for "
-                f"rho={cfg.rho}; the perturbed feedback's basin is no longer guaranteed")
+                f"{key}: delta={cfg.delta:.6g} >= delta_margin={margin:.6g} for radius "
+                f"{radius:g}; the perturbed feedback's basin is no longer guaranteed")
     cfg.warnings = warnings
     return cfg

@@ -52,15 +52,13 @@ class FinParams:
     """Gains for the embedded-observer loop.
 
     K is the stabilizing state-feedback row, delta the feedback perturbation,
-    alpha the observer output-injection gain.  rho, when given, records the
-    radius of the ball of admissible initial conditions; the loop driver then
-    checks delta against delta_margin(K, rho, plant).
+    alpha the observer output-injection gain.  Whether delta stays below
+    delta_margin for the ball of starts is settled by the config parser.
     """
 
     K: np.ndarray
     delta: float
     alpha: float
-    rho: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "K", np.asarray(self.K, dtype=float).reshape(-1))

@@ -12,12 +12,15 @@ packed rows (x, zhat) of plant and observer exactly as written, the observer
 fed by the transformed measurement, with the same RK4 step (rk4_step), for
 cross-validation.
 
-Each strategy supplies only its step and what it records; one loop (_drive)
-does the rest for both.  It freezes a run at its last valid step when it
-leaves the region where it can be evaluated (a non-finite state, a norm past
-DIVERGENCE_NORM and, for the spectral loop, mu |x| >= MAX_ARG) and ends its
-records there, the other runs carrying on; it counts the per-step
-dissipativity violations; and it builds the trajectories.
+The batch drivers are the only drivers: a single run is their one-row case,
+run_*_batch(...)[0].  Each strategy supplies only its step and what it
+records; one loop (_drive) does the rest for both.  It freezes a run at its
+last valid step when it leaves the region where it can be evaluated (a
+non-finite state, a norm past DIVERGENCE_NORM and, for the spectral loop,
+mu |x| >= MAX_ARG) and ends its records there, the other runs carrying on;
+it counts the per-step dissipativity violations; and it builds the
+trajectories.  Every run starts inside: the spectral driver rejects a start
+with mu |x| >= MAX_ARG, which the config parser has already ruled out.
 
 Everything is deterministic: fixed steps, no adaptivity, no hidden state.
 The batched loops combine runs only elementwise (no matrix products across
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import spectral
 from .bessel import MAX_ARG, bessel_j
-from .finite import FinParams, Plant, closed_loop_rhs, delta_margin, perturbed_feedback
+from .finite import FinParams, Plant, closed_loop_rhs, perturbed_feedback
 from .spectral import (
     OutputSpec,
     SpectralParams,
@@ -124,28 +127,28 @@ def _row_dot(a, b):
 _RECORDED = ("x", "zhat", "u", "eps_norm", "c_eps_abs", "weak_eps")
 
 
-def _drive(state, eps0, active, diverged_at, advance, sample, steps: int,
-           cfg: IntegratorConfig, h: float, first=None) -> list[Trajectory]:
+def _drive(state, eps0, advance, sample, steps: int, cfg: IntegratorConfig,
+           h: float) -> list[Trajectory]:
     """The loop both strategies share: step, freeze, count, record.
 
     state is a sequence of per-run arrays (runs first) and eps0 the error
-    norms of the runs; active marks the runs still inside the valid region
-    and diverged_at holds the time each frozen run left it (NaN while
-    active).  advance(state, active, i) takes step i and returns the new
-    state, the new error norms and the active rows whose new state is valid;
-    any other row is frozen at its last valid state, its diverged_at set on
-    the step it leaves and its records ended there.  sample(state, eps)
-    returns the recorded fields in _RECORDED order; first, if given, replaces
-    them in the record at t=0.  The error norm is checked every step: a rise
-    past EPS_STEP_TOL counts as a dissipativity violation, and the largest
-    rise is kept.
+    norms of the runs, every run starting inside the valid region.
+    advance(state, active, i) takes step i and returns the new state, the new
+    error norms and the active rows whose new state is valid; any other row
+    is frozen at its last valid state, its diverged_at set on the step it
+    leaves and its records ended there.  sample(state, eps) returns the
+    recorded fields in _RECORDED order.  The error norm is checked every
+    step: a rise past EPS_STEP_TOL counts as a dissipativity violation, and
+    the largest rise is kept.
     """
-    nb = active.shape[0]
+    nb = eps0.shape[0]
+    active = np.ones(nb, dtype=bool)
+    diverged_at = np.full(nb, np.nan)
     stride = cfg.record_every
     # run-major records, so each run's trajectory is a view
     n_rec = steps // stride + 1
     rec_t = np.arange(n_rec) * stride * h
-    fields = sample(state, eps0) if first is None else first
+    fields = sample(state, eps0)
     rec = [np.empty((nb, n_rec) + f.shape[1:], dtype=f.dtype) for f in fields]
     for r, f in zip(rec, fields):
         r[:, 0] = f
@@ -186,7 +189,7 @@ def _drive(state, eps0, active, diverged_at, advance, sample, steps: int,
 def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
                      cfg: IntegratorConfig) -> list[Trajectory]:
     """Integrate the embedded-observer loop for several initial conditions at
-    once (vectorized over runs; each run bitwise equal to run_finite_loop).
+    once (vectorized over runs; each run bitwise equal to its one-row batch).
 
     The state of a run is the packed row (x, zhat), stepped by RK4 on
     finite.closed_loop_rhs.  A run whose state stops being finite or whose
@@ -194,12 +197,6 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     reported as diverged, its records ending there; the other runs carry on
     unaffected.
     """
-    if params.rho is not None:
-        margin = delta_margin(params.K, params.rho, plant)
-        if not params.delta < margin:
-            raise ValueError(
-                f"run_finite_batch: delta={params.delta} must stay below "
-                f"delta_margin={margin} for rho={params.rho}")
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     zhat0s = np.atleast_2d(np.asarray(zhat0s, dtype=float))
     nb, n = x0s.shape
@@ -231,15 +228,7 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
                 eps, np.abs(s[:, 2 * n] - 0.5 * _row_dot(s[:, :n], s[:, :n])))
 
     s = np.concatenate([x0s, zhat0s], axis=1)
-    return _drive((s,), eps_norms(s), np.ones(nb, dtype=bool), np.full(nb, np.nan),
-                  advance, sample, steps, cfg, h)
-
-
-def run_finite_loop(plant: Plant, params: FinParams, x0, zhat0,
-                    cfg: IntegratorConfig) -> Trajectory:
-    """Single run of the embedded-observer loop with continuous feedback."""
-    return run_finite_batch(plant, params, [np.asarray(x0, dtype=float)],
-                            [np.asarray(zhat0, dtype=float)], cfg)[0]
+    return _drive((s,), eps_norms(s), advance, sample, steps, cfg, h)
 
 
 def rotation_step(x, u, h: float) -> np.ndarray:
@@ -283,11 +272,11 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     The control is refreshed at every sample instant from the left limit of
     the observer state and held in between.
 
-    A run whose state stops being finite, exceeds DIVERGENCE_NORM or leaves
-    the region mu |x| < MAX_ARG where the embedding can be evaluated is
-    frozen at its last valid step and reported as diverged (at t=0 if x0 or
-    xhat0 starts outside; its one record then holds x0 and NaN); the other
-    runs carry on unaffected.
+    Every x0 and xhat0 must lie in the region mu |x| < MAX_ARG where the
+    embedding can be evaluated (a ValueError otherwise).  A run whose state
+    stops being finite, exceeds DIVERGENCE_NORM or leaves that region is
+    frozen at its last valid step and reported as diverged; the other runs
+    carry on unaffected.
     """
     if abs(spec.mu - params.mu) > 1e-15:
         raise ValueError("run_spectral_batch: OutputSpec.mu and SpectralParams.mu differ")
@@ -296,6 +285,8 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     nb = x0s.shape[0]
     if x0s.shape != (nb, 2) or xhat0s.shape != (nb, 2):
         raise ValueError("run_spectral_batch: x0s and xhat0s must have shape (runs, 2)")
+    if not np.all(params.mu * np.hypot(*np.concatenate([x0s, xhat0s]).T) < MAX_ARG):
+        raise ValueError(f"run_spectral_batch: every x0 and xhat0 needs mu |x| < {MAX_ARG:g}")
     n_sub, n_int = hold_grid(params.Delta, cfg.step, cfg.horizon)
     if n_sub < 1:
         raise ValueError("run_spectral_batch: step must divide the sample period Delta")
@@ -357,50 +348,16 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
         x, eps_vec, zhat, u = state
         return x, zhat, u, eps, np.abs(_row_dot(zeta_conj, eps_vec)), weak_norm(eps_vec)
 
-    active = _valid(x0s, mu) & _valid(xhat0s, mu)
-    out = ~active
-    x = np.where(out[:, None], 0.0, x0s)
-    z, zhat = embed(x, mu, n), embed(np.where(out[:, None], 0.0, xhat0s), mu, n)
+    z, zhat = embed(x0s, mu, n), embed(xhat0s, mu, n)
     eps = zhat - z
     if step is exact_linear:
         # this method carries eps and rebuilds zhat from it
         zhat = z + eps
-    state = (x, eps, zhat, feedback(zhat, active))
-    eps0 = _row_norm(eps)
-    # a run that starts outside records x0 and NaN at t=0
-    first = [np.where(out[:, None] if f.ndim > 1 else out, np.nan, f)
-             for f in sample(state, eps0)]
-    first[0] = np.where(out[:, None], x0s, x)
-    trajs = _drive(state, eps0, active, np.where(out, 0.0, np.nan), advance, sample,
-                   n_int * n_sub, cfg, h, first)
+    state = (x0s, eps, zhat, feedback(zhat, True))
+    trajs = _drive(state, _row_norm(eps), advance, sample, n_int * n_sub, cfg, h)
     for traj, count in zip(trajs, clamp_count):
         traj.clamp_count = int(count)
     return trajs
-
-
-def run_spectral_loop(spec: OutputSpec, params: SpectralParams, x0, xhat0,
-                      cfg: IntegratorConfig) -> Trajectory:
-    """Single run of the sample-and-hold spectral loop (see run_spectral_batch)."""
-    return run_spectral_batch(spec, params, [np.asarray(x0, dtype=float).reshape(-1)],
-                              [np.asarray(xhat0, dtype=float).reshape(-1)], cfg)[0]
-
-
-def propagate_coefficients(u: float, mu: float, z0, T: float, steps: int):
-    """Evolve a coefficient vector under the constant-input generator alone
-    (no observer): z(t+h) = expm(G(u) h) z(t), applied as an action.
-    Returns (times, norms)."""
-    z = np.asarray(z0, dtype=complex).copy()
-    n = spectral.truncation_order(z)
-    h = T / steps
-    target = spectral.embedded_target(n)
-    times = np.linspace(0.0, T, steps + 1)
-    norms = np.empty(steps + 1)
-    norms[0] = _row_norm(z)
-    for i in range(steps):
-        # alpha = 0 leaves the generator alone; zeta then plays no part
-        z = observer_propagate(z, u, mu, 0.0, target, h)
-        norms[i + 1] = _row_norm(z)
-    return times, norms
 
 
 def convergence_metrics(traj: Trajectory) -> dict:

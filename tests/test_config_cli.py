@@ -69,6 +69,15 @@ def bessel_series(orders, coeffs_re):
                                 f"output.orders = {orders}\noutput.coeffs_re = {coeffs_re}")
 
 
+# finite configs whose delta reaches delta_margin, and the key the warning names
+OVERSIZED_DELTA = [
+    (FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta = 5.0"), "params.delta"),
+    (FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta_frac = 1.5"),
+     "params.delta_frac"),
+    (FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta_frac = 1.5")
+     .replace("init.rho = 3.0", "init.radius_x = 3.0"), "params.delta_frac"),
+]
+
 # one bad value each, and the key its problem must start with
 BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
     ("spectral-K-scalar", SPECTRAL_CFG.replace("params.K = 1.0, -2.0", "params.K = 1.0"),
@@ -96,6 +105,17 @@ BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
     # A + bK is not Hurwitz, so delta_margin has no value
     ("K-not-Hurwitz", FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.K = 1.0, 1.0"),
      "params.K"),
+    # mu |p| = 0.1 * 600 = 60 and 0.1 * 500 = 50: at or past the Bessel argument limit
+    ("spectral-x0-outside", SPECTRAL_CFG + "init.x0 = 0.5, 0.0, 600.0, 0.0\n"
+     "init.xhat0 = 0.0, 0.2, 0.0, 0.0\n", "init.x0"),
+    ("spectral-xhat0-outside", SPECTRAL_CFG + "init.x0 = 0.5, 0.0\ninit.xhat0 = 0.0, 500.0\n",
+     "init.xhat0"),
+    ("zero-coefficients", bessel_series("0, 1", "0.0, 0.0"), "output.coeffs_re"),
+    ("horizon-inf", FINITE_CFG.replace("integrator.horizon = 2.0", "integrator.horizon = inf"),
+     "integrator.horizon"),
+    ("alpha-inf", SPECTRAL_CFG.replace("params.alpha = 1.0", "params.alpha = inf"),
+     "params.alpha"),
+    ("points-nan", FINITE_CFG + "init.x0 = 1.0, nan\ninit.xhat0 = 0.5, 0.0\n", "init.x0"),
 ]]
 
 
@@ -158,9 +178,20 @@ class TestParseConfig:
         assert any("params.Delta" in p and "(0, pi)" in p for p in err.value.problems)
 
     def test_oversized_delta_warns(self, tmp_path):
-        text = FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta = 5.0")
-        cfg = parse_config(write(tmp_path, text))
-        assert any("delta_margin" in w for w in cfg.warnings)
+        for text, key in OVERSIZED_DELTA:
+            cfg = parse_config(write(tmp_path, text))
+            assert len(cfg.warnings) == 1 and cfg.warnings[0].startswith(f"{key}: delta=")
+            assert "delta_margin" in cfg.warnings[0]
+
+    @pytest.mark.parametrize("text,key", [
+        (bessel_series("1.5, 2", "1.0, 0.5"), "output.orders"),
+        (bessel_series("0, 2", "x"), "output.coeffs_re"),
+    ], ids=["orders", "coeffs_re"])
+    def test_rejected_output_key_reported_once(self, tmp_path, text, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        assert len(err.value.problems) == 1, err.value.problems
+        assert err.value.problems[0].startswith(f"{key}:")
 
     def test_all_errors_reported_at_once(self, tmp_path):
         text = "strategy = nope\nbogus.key = 1\ninit.radius_x = -2.0\n"
@@ -263,22 +294,23 @@ class TestRunScenario:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_run_outside_domain_does_not_end_batch(self, tmp_path):
-        # mu |x0| = 60 for the second run: it is reported as diverged at t=0,
-        # and the first run's artifacts are those of its solo run
-        pair = "init.x0 = 0.5, 0.0, 600.0, 0.0\ninit.xhat0 = 0.0, 0.2, 0.0, 0.0\n"
+        # the second run starts at mu |x0| = 49.9 and leaves mu |x| < 50
+        # mid-run: it is reported as diverged there, and the first run's
+        # artifacts are those of its solo run
+        pair = "init.x0 = 0.5, 0.0, 499.0, 0.0\ninit.xhat0 = 0.0, 0.2, 0.0, 5.0\n"
         solo = "init.x0 = 0.5, 0.0\ninit.xhat0 = 0.0, 0.2\n"
+        base = SPECTRAL_CFG.replace("integrator.horizon = 5.0", "integrator.horizon = 8.0")
         out_pair, out_solo = tmp_path / "pair", tmp_path / "solo"
-        code = run_scenario(parse_config(write(tmp_path, SPECTRAL_CFG + pair, "pair.cfg")),
+        code = run_scenario(parse_config(write(tmp_path, base + pair, "pair.cfg")),
                             str(out_pair))
-        run_scenario(parse_config(write(tmp_path, SPECTRAL_CFG + solo, "solo.cfg")),
-                     str(out_solo))
+        run_scenario(parse_config(write(tmp_path, base + solo, "solo.cfg")), str(out_solo))
         assert code == 1
         assert (out_pair / "run_000.csv").read_bytes() == (out_solo / "run_000.csv").read_bytes()
-        summary = (out_pair / "summary.txt").read_text().splitlines()
-        assert "run_000.diverged=0" in summary
-        assert "run_001.diverged=1" in summary
-        assert "run_001.diverged_at=0" in summary
-        assert "run_001.pass=0" in summary
+        summary = read_report(out_pair / "summary.txt")
+        assert summary["run_000.diverged"] == "0" and "run_000.diverged_at" not in summary
+        assert summary["run_001.diverged"] == "1"
+        assert 0.0 < float(summary["run_001.diverged_at"]) < 8.0
+        assert summary["run_001.pass"] == "0"
 
     def test_svg_written(self, tmp_path):
         text = FINITE_CFG + "init.x0 = 1.0, 0.0\ninit.xhat0 = 0.5, 0.0\n"
@@ -327,6 +359,13 @@ class TestAnalyze:
                                     params.delta)
         assert float(report["umax.value"]) == umax == pytest.approx(52.56, abs=0.01)
 
+    def test_sweep_covers_high_bessel_series_orders(self, tmp_path):
+        # an order above 12 must stay in the truncated Gramian sweep
+        text = (bessel_series("0, 14", "1.0, 0.5").replace("params.N = 12", "params.N = 16")
+                + "analyze.trials = 5\nanalyze.u_grid = 0.0\n")
+        report = read_report(analyze(parse_config(write(tmp_path, text)), str(tmp_path / "out")))
+        assert float(report["gramian.u_0.lambda_max"]) > 0.0
+
     def test_certificate_uses_the_simulated_delta(self, tmp_path):
         text = FINITE_CFG + "analyze.trials = 5\nanalyze.u_grid = 0.0\n"
         cfg = parse_config(write(tmp_path, text))
@@ -361,6 +400,14 @@ class TestMain:
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "params.K: expected 2 numbers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text,key", OVERSIZED_DELTA[:2], ids=["delta", "delta_frac"])
+    def test_oversized_delta_warns_then_runs(self, tmp_path, capsys, text, key):
+        # the delta budget is settled at parse time: the runs go ahead
+        path = write(tmp_path, text)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) in (0, 1)
+        assert f"warning: {key}: delta=" in capsys.readouterr().err
+        assert (tmp_path / "o" / "summary.txt").exists()
 
 
 class TestImports:

@@ -10,13 +10,10 @@ from unobs_stab.sim import (
     IntegratorConfig,
     Trajectory,
     convergence_metrics,
-    propagate_coefficients,
     rk4_step,
     rotation_step,
     run_finite_batch,
-    run_finite_loop,
     run_spectral_batch,
-    run_spectral_loop,
 )
 from unobs_stab.spectral import (
     J2_COS2THETA,
@@ -25,6 +22,8 @@ from unobs_stab.spectral import (
     SpectralParams,
     default_j,
     embed,
+    embedded_target,
+    observer_propagate,
 )
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -95,7 +94,7 @@ class TestRk4:
 class TestFiniteLoop:
     def test_equilibrium_stays_put(self, plant, fin_params):
         cfg = IntegratorConfig(step=1e-3, horizon=1.0)
-        traj = run_finite_loop(plant, fin_params, np.zeros(2), np.zeros(3), cfg)
+        traj = run_finite_batch(plant, fin_params, np.zeros(2), np.zeros(3), cfg)[0]
         assert np.allclose(traj.x, 0.0)
         assert np.allclose(traj.zhat, 0.0)
         assert np.allclose(traj.u, 0.0)
@@ -106,7 +105,7 @@ class TestFiniteLoop:
         # and the plant follows the perturbed state-feedback flow
         cfg = IntegratorConfig(step=1e-3, horizon=10.0)
         x0 = np.array([1.2, -0.4])
-        traj = run_finite_loop(plant, fin_params, x0, embed_fin(x0), cfg)
+        traj = run_finite_batch(plant, fin_params, x0, embed_fin(x0), cfg)[0]
         assert np.max(traj.eps_norm) <= 1e-8
 
         def state_feedback(x):
@@ -119,8 +118,8 @@ class TestFiniteLoop:
     def test_error_norm_non_increasing(self, plant, fin_params):
         cfg = IntegratorConfig(step=1e-3, horizon=20.0)
         rng = np.random.default_rng(5)
-        traj = run_finite_loop(plant, fin_params, rng.normal(size=2),
-                               rng.normal(size=3), cfg)
+        traj = run_finite_batch(plant, fin_params, rng.normal(size=2),
+                                rng.normal(size=3), cfg)[0]
         assert traj.dissipativity_violations == 0
         assert np.all(np.diff(traj.eps_norm) <= 1e-8)
 
@@ -130,7 +129,7 @@ class TestFiniteLoop:
         z0s = [np.array([0.1, 0.0, 1.0]), np.array([0.0, 0.3, 0.2])]
         batch = run_finite_batch(plant, fin_params, x0s, z0s, cfg)
         for x0, z0, traj in zip(x0s, z0s, batch):
-            assert_same_run(run_finite_loop(plant, fin_params, x0, z0, cfg), traj)
+            assert_same_run(run_finite_batch(plant, fin_params, x0, z0, cfg)[0], traj)
             assert not traj.diverged
 
     def test_frozen_rows_match_single(self, plant):
@@ -142,16 +141,9 @@ class TestFiniteLoop:
         z0s = [[1.51, -1.59, 1.4], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         batch = run_finite_batch(plant, params, x0s, z0s, cfg)
         for x0, z0, traj in zip(x0s, z0s, batch):
-            assert_same_run(run_finite_loop(plant, params, x0, z0, cfg), traj)
+            assert_same_run(run_finite_batch(plant, params, x0, z0, cfg)[0], traj)
         assert [traj.diverged_at for traj in batch] == [2.7, None, 1.69]
         assert batch[1].times[-1] == 40.0
-
-    def test_delta_budget_enforced_with_rho(self, plant):
-        gain = place_poles(plant.A, plant.b, [-1.0, -2.0])
-        params = FinParams(K=gain, delta=10.0, alpha=5.0, rho=3.0)
-        with pytest.raises(ValueError):
-            run_finite_loop(plant, params, np.zeros(2), np.zeros(3),
-                            IntegratorConfig(step=0.1, horizon=1.0))
 
     def test_divergence_reported_not_raised(self, plant):
         # the second start leaves the valid region at t=2.7, after which RK4
@@ -161,7 +153,7 @@ class TestFiniteLoop:
         cfg = IntegratorConfig(step=1e-2, horizon=40.0)
         for x0, z0 in (([1.0, 0.0], [0.0, 0.0, 0.0]),
                        ([-1.62, -0.27], [1.51, -1.59, 1.4])):
-            traj = run_finite_loop(plant, params, np.array(x0), np.array(z0), cfg)
+            traj = run_finite_batch(plant, params, x0, z0, cfg)[0]
             assert traj.diverged
             assert traj.diverged_at is not None
             assert traj.times[-1] < traj.diverged_at
@@ -187,7 +179,7 @@ class TestSpectralLoop:
     def test_equilibrium(self):
         spec, params = spectral_setup()
         cfg = IntegratorConfig(method="exact_linear", step=0.05, horizon=2.0)
-        traj = run_spectral_loop(spec, params, np.zeros(2), np.zeros(2), cfg)
+        traj = run_spectral_batch(spec, params, np.zeros(2), np.zeros(2), cfg)[0]
         assert np.allclose(traj.u, 0.0)
         assert np.allclose(traj.eps_norm, 0.0)
         assert np.max(np.abs(traj.x)) == 0.0
@@ -196,26 +188,23 @@ class TestSpectralLoop:
         spec, params = spectral_setup(n=20)
         cfg = IntegratorConfig(method="exact_linear", step=0.05, horizon=5.0)
         x0 = np.array([0.8, -0.3])
-        traj = run_spectral_loop(spec, params, x0, x0, cfg)
+        traj = run_spectral_batch(spec, params, x0, x0, cfg)[0]
         assert np.max(traj.eps_norm) < 1e-12
 
     def test_cross_method_consistency_short(self):
         spec, params = spectral_setup(n=12)
         x0, xh0 = np.array([0.6, 0.2]), np.array([0.1, -0.4])
-        exact = run_spectral_loop(spec, params, x0, xh0,
-                                  IntegratorConfig(method="exact_linear",
-                                                   step=1e-3, horizon=2.0))
-        rk4 = run_spectral_loop(spec, params, x0, xh0,
-                                IntegratorConfig(method="rk4_coupled",
-                                                 step=1e-3, horizon=2.0))
+        exact, rk4 = (run_spectral_batch(spec, params, x0, xh0,
+                                         IntegratorConfig(method=method, step=1e-3,
+                                                          horizon=2.0))[0]
+                      for method in ("exact_linear", "rk4_coupled"))
         assert np.max(np.linalg.norm(exact.x - rk4.x, axis=1)) < 1e-7
         assert np.max(np.abs(exact.zhat - rk4.zhat)) < 1e-7
 
     def test_control_held_between_samples(self):
         spec, params = spectral_setup(Delta=0.1, n=10)
         cfg = IntegratorConfig(method="exact_linear", step=0.02, horizon=1.0)
-        traj = run_spectral_loop(spec, params, np.array([0.5, 0.1]),
-                                 np.array([0.2, 0.2]), cfg)
+        traj = run_spectral_batch(spec, params, [0.5, 0.1], [0.2, 0.2], cfg)[0]
         per_interval = int(round(params.Delta / cfg.step))
         for k in range(traj.u.shape[0] - 1):
             if (k + 1) % per_interval != 0:
@@ -224,25 +213,24 @@ class TestSpectralLoop:
     def test_error_norm_non_increasing(self):
         spec, params = spectral_setup()
         cfg = IntegratorConfig(method="exact_linear", step=0.05, horizon=50.0)
-        traj = run_spectral_loop(spec, params, np.array([0.7, -0.2]),
-                                 np.array([-0.3, 0.5]), cfg)
+        traj = run_spectral_batch(spec, params, [0.7, -0.2], [-0.3, 0.5], cfg)[0]
         assert traj.dissipativity_violations == 0
         assert np.all(np.diff(traj.eps_norm) <= 1e-8)
 
     def test_step_must_divide_sample_period(self):
         spec, params = spectral_setup(Delta=0.05)
         with pytest.raises(ValueError, match="^run_spectral_batch: step"):
-            run_spectral_loop(spec, params, np.zeros(2), np.zeros(2),
-                              IntegratorConfig(method="exact_linear",
-                                               step=0.03, horizon=1.0))
+            run_spectral_batch(spec, params, np.zeros(2), np.zeros(2),
+                               IntegratorConfig(method="exact_linear",
+                                                step=0.03, horizon=1.0))
 
     def test_mu_mismatch_rejected(self):
         spec, params = spectral_setup()
         bad = OutputSpec(kind=NORM_SQ, mu=2.0 * params.mu)
         with pytest.raises(ValueError, match="^run_spectral_batch: OutputSpec.mu"):
-            run_spectral_loop(bad, params, np.zeros(2), np.zeros(2),
-                              IntegratorConfig(method="exact_linear",
-                                               step=0.05, horizon=1.0))
+            run_spectral_batch(bad, params, np.zeros(2), np.zeros(2),
+                               IntegratorConfig(method="exact_linear",
+                                                step=0.05, horizon=1.0))
 
 
 class TestSpectralBatch:
@@ -256,23 +244,21 @@ class TestSpectralBatch:
         xh0s = np.array([[0.1, -0.4], [0.3, 0.3], [0.5, -0.2]])
         batch = run_spectral_batch(spec, params, x0s, xh0s, cfg)
         for x0, xh0, traj in zip(x0s, xh0s, batch):
-            assert_same_run(run_spectral_loop(spec, params, x0, xh0, cfg), traj)
+            assert_same_run(run_spectral_batch(spec, params, x0, xh0, cfg)[0], traj)
             assert not traj.diverged
 
-    def test_start_outside_domain_frozen_at_zero(self):
-        # mu |x0| = 60 is past the Bessel argument limit: that run is reported
-        # as diverged at t=0, its neighbour runs exactly as it would alone
+    @pytest.mark.parametrize("x0s,xh0s", [
+        ([[0.5, 0.0], [600.0, 0.0]], [[0.0, 0.2], [0.0, 0.0]]),
+        ([[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.2], [0.0, 500.0]]),
+        ([[0.5, 0.0], [math.nan, 0.0]], [[0.0, 0.2], [0.0, 0.0]]),
+    ], ids=["x0", "xhat0", "nan"])
+    def test_start_outside_domain_rejected(self, x0s, xh0s):
+        # mu |x0| = 60 and mu |xhat0| = 50 are at or past the Bessel argument
+        # limit, and NaN is nowhere: the batch refuses to start
         spec, params = spectral_setup(mu=0.1, n=12)
         cfg = IntegratorConfig(method="exact_linear", step=0.05, horizon=1.0)
-        x0s = [[0.5, 0.0], [600.0, 0.0]]
-        xh0s = [[0.0, 0.2], [0.0, 0.0]]
-        good, bad = run_spectral_batch(spec, params, x0s, xh0s, cfg)
-        alone = run_spectral_loop(spec, params, x0s[0], xh0s[0], cfg)
-        assert np.array_equal(good.x, alone.x) and np.array_equal(good.u, alone.u)
-        assert not good.diverged and good.diverged_at is None
-        assert bad.diverged and bad.diverged_at == 0.0
-        assert bad.times.shape == (1,)
-        assert np.array_equal(bad.x[0], [600.0, 0.0]) and np.isnan(bad.eps_norm[0])
+        with pytest.raises(ValueError, match="^run_spectral_batch: every x0 and xhat0"):
+            run_spectral_batch(spec, params, x0s, xh0s, cfg)
 
     def test_leaving_domain_mid_run_freezes_the_run(self):
         # the held control swings x around a circle through mu |x| = 50; under
@@ -280,7 +266,7 @@ class TestSpectralBatch:
         spec, params = spectral_setup(mu=0.1, n=12)
         for method in ("exact_linear", "rk4_coupled"):
             cfg = IntegratorConfig(method=method, step=0.05, horizon=8.0)
-            traj = run_spectral_loop(spec, params, [499.0, 0.0], [0.0, 5.0], cfg)
+            traj = run_spectral_batch(spec, params, [499.0, 0.0], [0.0, 5.0], cfg)[0]
             assert traj.diverged and 0.0 < traj.diverged_at < 8.0, method
             assert traj.times[-1] < traj.diverged_at, method
             assert np.all(0.1 * np.linalg.norm(traj.x, axis=1) < 50.0), method
@@ -302,9 +288,13 @@ class TestSpectralBatch:
 
 class TestPropagator:
     def test_norm_conserved(self):
-        z0 = embed([1.0, 0.5], mu=0.5, n=16)
-        _, norms = propagate_coefficients(0.4, 0.5, z0, T=20.0, steps=2000)
-        assert np.max(np.abs(norms - norms[0])) < 1e-12
+        # alpha = 0 leaves the constant-input generator alone, a unitary flow
+        z = embed([1.0, 0.5], mu=0.5, n=16)
+        norms = [np.linalg.norm(z)]
+        for _ in range(2000):
+            z = observer_propagate(z, 0.4, 0.5, 0.0, embedded_target(16), 0.01)
+            norms.append(np.linalg.norm(z))
+        assert np.max(np.abs(np.array(norms) - norms[0])) < 1e-12
 
 
 class TestMetrics:
@@ -320,8 +310,7 @@ class TestMetrics:
 
     def test_dissipative_run_fields(self, plant, fin_params):
         cfg = IntegratorConfig(step=1e-3, horizon=5.0)
-        traj = run_finite_loop(plant, fin_params, np.array([1.0, 1.0]),
-                               np.array([0.0, 0.0, 1.0]), cfg)
+        traj = run_finite_batch(plant, fin_params, [1.0, 1.0], [0.0, 0.0, 1.0], cfg)[0]
         metrics = convergence_metrics(traj)
         assert metrics["dissipativity_violations"] == 0
         assert metrics["final_eps_norm"] <= metrics["initial_eps_norm"]
