@@ -15,6 +15,9 @@ import numpy as np
 from .sim import Trajectory
 
 _FMT = "%.17g"
+# SVG canvas in pixels, and the most points a polyline keeps
+_WIDTH, _HEIGHT = 720, 420
+_MAX_POINTS = 1500
 
 
 def write_csv(path: str, traj: Trajectory) -> None:
@@ -43,11 +46,11 @@ def write_summary(path: str, entries: dict) -> None:
                 fh.write(f"{key}={value}\n")
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / (count - 1)
+    raw = span / 4  # about five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mag * mult >= raw:
@@ -62,10 +65,10 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return ticks
 
 
-def _thin(values: np.ndarray, limit: int = 1500) -> np.ndarray:
-    if values.shape[0] <= limit:
+def _thin(values: np.ndarray) -> np.ndarray:
+    if values.shape[0] <= _MAX_POINTS:
         return values
-    stride = int(math.ceil(values.shape[0] / limit))
+    stride = int(math.ceil(values.shape[0] / _MAX_POINTS))
     idx = np.arange(0, values.shape[0], stride)
     if idx[-1] != values.shape[0] - 1:
         idx = np.append(idx, values.shape[0] - 1)
@@ -75,12 +78,11 @@ def _thin(values: np.ndarray, limit: int = 1500) -> np.ndarray:
 _PALETTE = ("#1f6fb2", "#c0392b", "#2e8b57", "#8e44ad")
 
 
-def write_svg(path: str, times: np.ndarray, curves: list, title: str,
-              width: int = 720, height: int = 420) -> None:
+def write_svg(path: str, times: np.ndarray, curves: list, title: str) -> None:
     """Line plot of (label, series) pairs against time as a standalone SVG."""
     left, right, top, bottom = 64.0, 16.0, 28.0, 42.0
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = _WIDTH - left - right
+    plot_h = _HEIGHT - top - bottom
     times = _thin(np.asarray(times, dtype=float))
     series = [(label, _thin(np.asarray(vals, dtype=float))) for label, vals in curves]
     t_lo, t_hi = float(times[0]), float(times[-1])
@@ -99,9 +101,9 @@ def write_svg(path: str, times: np.ndarray, curves: list, title: str,
         return top + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{left}" y="18" font-family="monospace" font-size="13">{title}</text>',
         f'<rect x="{left:.2f}" y="{top:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
         f'fill="none" stroke="black" stroke-width="1"/>',

@@ -149,7 +149,7 @@ class BesselZeros:
     j0: float
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-13) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -158,7 +158,7 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-13) -> float:
         return hi
     if flo * fhi > 0.0:
         raise ValueError("bisection bracket does not change sign")
-    while hi - lo > tol:
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:

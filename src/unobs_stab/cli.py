@@ -180,7 +180,7 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
 
     # the budget's leading term scales with kappa and is (mu, delta, Delta)-
     # independent, so the search only closes for small gains; cap it here
-    bounds = choose_radii(cfg.analyze_R0, kappa=min(kappa, 0.2))
+    bounds = choose_radii(cfg.analyze_R0, kappa=min(kappa, 0.2), j=j)
     res1, res2 = check_bound_inequalities(bounds)
     for key in ("R0", "R1", "R2", "mu", "delta", "Delta", "kappa", "nu", "M",
                 "ell_pi", "ell_tau"):

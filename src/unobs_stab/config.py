@@ -302,7 +302,7 @@ def parse_config(path: str) -> ScenarioConfig:
     plant = rotation_plant()
     cfg.K = np.asarray(cfg.K if cfg.K is not None else place_poles(plant.A, plant.b, cfg.poles),
                        dtype=float)
-    if strategy == "finite" and (cfg.delta is None or cfg.rho is not None):
+    if strategy == "finite" and radius is not None:
         try:
             margin = delta_margin(cfg.K, radius, plant)
         except ValueError as exc:

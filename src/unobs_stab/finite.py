@@ -141,6 +141,13 @@ def observability_certificate(K, A, delta: float, alpha: float) -> np.ndarray:
         raise ValueError("observability_certificate: A must be skew-symmetric")
     if abs(np.linalg.det(A)) < 1e-12:
         raise ValueError("observability_certificate: A must be invertible")
+    return _certificate(K, A, delta, alpha)
+
+
+def _certificate(K: np.ndarray, A: np.ndarray, delta: float, alpha: float) -> np.ndarray:
+    """observability_certificate without its input checks, for a float row K
+    and a skew-symmetric invertible A."""
+    n = A.shape[0]
     q = np.zeros((n + 2, n + 2))
     row = K.copy()
     q[0, :n] = row

@@ -2,9 +2,9 @@
 
 Contents: finite-horizon observability Gramians for the truncated spectral
 system under constant inputs, the determinant identity for the finite
-strategy's certificate matrix, the singular-input obstruction sums, the
-control-magnitude bound, and the parameter-budget inequalities used to pick
-radii/perturbation/sample-period triples.
+strategy's certificate matrix, the control-magnitude bound, and the
+parameter-budget inequalities used to pick radii/perturbation/sample-period
+triples.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_all, bessel_j_prime, find_zeros
-from .finite import observability_certificate
+from .bessel import bessel_j, bessel_j_prime, find_zeros
+from .finite import _certificate
 from .linalg import kalman_matrix
 from .spectral import observer_propagate, truncation_order, weak_norm_bound
 
@@ -24,11 +24,8 @@ from .spectral import observer_propagate, truncation_order, weak_norm_bound
 class GramianReport:
     """Extreme eigenvalues of a finite-horizon observability Gramian."""
 
-    u: float
-    T: float
     lambda_min: float
     lambda_max: float
-    N: int
 
 
 def observability_gramian(u: float, T: float, zeta, mu: float, N: int,
@@ -67,47 +64,7 @@ def observability_gramian(u: float, T: float, zeta, mu: float, N: int,
     w = (samples.T * weights) @ samples.conj()
     w = 0.5 * (w + w.conj().T)
     eig = np.linalg.eigvalsh(w)
-    return GramianReport(u=u, T=T, lambda_min=float(eig[0]),
-                         lambda_max=float(eig[-1]), N=N)
-
-
-def shifted_bessel_sum(ell: int, r: float, coeffs: dict) -> complex:
-    """F_ell(r) = sum_k d_k J_{k+ell}(r) for a finite coefficient map.
-
-    Zeros of these sums are the singular input magnitudes of the spectral
-    system; they stay away from (0, j0) for single-mode functionals.
-    """
-    total = 0.0 + 0.0j
-    for k, d in coeffs.items():
-        total += d * bessel_j(k + ell, r)
-    return total
-
-
-def empirical_obstruction_radius(coeffs: dict, ell_max: int = 12,
-                                 r_max: float | None = None,
-                                 num: int = 600, tol: float = 1e-9) -> float:
-    """Smallest r > 0 on a grid where some F_ell(r) nearly cancels, i.e.
-    |F_ell| < tol * sum_k |d_k J_{k+ell}(r)|.
-
-    Relative normalization matters: high orders underflow any absolute
-    threshold at small r without being zeros.  A single-term functional never
-    cancels, so the scan returns r_max (defaulting to the first zero of J_0,
-    where the single-mode sums genuinely first vanish).  Grid-based, hence
-    conservative.
-    """
-    if r_max is None:
-        r_max = find_zeros().j0
-    rs = np.linspace(r_max / num, r_max, num)
-    ks = np.array(list(coeffs), dtype=int)
-    d = np.array(list(coeffs.values()), dtype=complex)
-    # orders[ell, k] = k + ell; J_{-n} = (-1)^n J_n
-    orders = np.arange(-ell_max, ell_max + 1)[:, None] + ks
-    size = np.abs(orders)
-    j = bessel_j_all(int(size.max()), rs)[:, size] * np.where(orders < 0, (-1.0) ** size, 1.0)
-    total = (d * j).sum(axis=-1)
-    scale = (np.abs(d) * np.abs(j)).sum(axis=-1)
-    cancels = (np.abs(total) < tol * scale).any(axis=-1)
-    return float(rs[cancels.argmax()] if cancels.any() else r_max)
+    return GramianReport(lambda_min=float(eig[0]), lambda_max=float(eig[-1]))
 
 
 @dataclass(frozen=True)
@@ -146,7 +103,8 @@ def determinant_identity_check(trials: int, rng_seed: int) -> DeterminantCheckRe
             continue
         delta = float(rng.uniform(0.05, 1.0))
         alpha = float(rng.uniform(0.1, 3.0))
-        q = observability_certificate(k, a, delta, alpha)
+        # a is skew-symmetric and invertible by construction
+        q = _certificate(k, a, delta, alpha)
         det_direct = np.linalg.det(q)
         obs_tilde, _ = kalman_matrix(k @ a, a, "obs")
         det_obs = np.linalg.det(obs_tilde)
@@ -155,7 +113,7 @@ def determinant_identity_check(trials: int, rng_seed: int) -> DeterminantCheckRe
         det_formula = -delta ** 2 * alpha * det_obs * p_minus_alpha
         rel = abs(det_direct - det_formula) / max(abs(det_formula), 1e-300)
         max_rel = max(max_rel, rel)
-        q0 = observability_certificate(k, a, 0.0, alpha)
+        q0 = _certificate(k, a, 0.0, alpha)
         if np.linalg.matrix_rank(q0, tol=1e-10) >= n + 2:
             singular_ok = False
         done += 1
@@ -227,10 +185,14 @@ def working_disc_inverse_lipschitz(mu: float, r2: float) -> float:
     return max(radial, tangential) / mu
 
 
+# choose_radii's input-to-state gain M and the halvings each of its two
+# searches may take
+_M = 1.0
+_MAX_HALVINGS = 80
+
+
 def choose_radii(r0: float, mu: float | None = None, kappa: float = 0.2,
-                 big_m: float = 1.0, j: float | None = None,
-                 delta_init: float = 0.1, delta_cap_init: float = 0.5,
-                 max_halvings: int = 80) -> BoundParams:
+                 j: float | None = None) -> BoundParams:
     """Pick (mu, delta, Delta) so the budget inequalities close for the radii
     R1 = 2 R0, R2 = (2 sqrt(2) + 3) R0.
 
@@ -240,8 +202,8 @@ def choose_radii(r0: float, mu: float | None = None, kappa: float = 0.2,
 
     Note: the leading term of inequality (1) tends to 2 sqrt(2) kappa M
     (mu ell_pi) R0 as mu, delta, Delta -> 0, so the search can only succeed
-    when kappa * M is small (about <= 0.2 for the defaults); M itself has no
-    closed form and is a configured diagnostic.
+    when kappa * M is small (about <= 0.2 at M = 1); M itself has no closed
+    form and is a fixed diagnostic.
     """
     if r0 <= 0.0:
         raise ValueError("choose_radii: R0 must be positive")
@@ -254,13 +216,13 @@ def choose_radii(r0: float, mu: float | None = None, kappa: float = 0.2,
 
     def params(mu_, d_, dd_):
         return BoundParams(R0=r0, R1=r1, R2=r2, mu=mu_, delta=d_, Delta=dd_,
-                           kappa=kappa, nu=nu, M=big_m,
+                           kappa=kappa, nu=nu, M=_M,
                            ell_pi=working_disc_inverse_lipschitz(mu_, r2),
                            ell_tau=mu_ / math.sqrt(2.0))
 
     if mu is None:
         mu = 0.5 * j / r2
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             if check_bound_inequalities(params(mu, 0.0, 0.0))[1] < 0.0:
                 break
             mu *= 0.5
@@ -272,15 +234,15 @@ def choose_radii(r0: float, mu: float | None = None, kappa: float = 0.2,
         if check_bound_inequalities(params(mu, 0.0, 0.0))[1] >= 0.0:
             raise RuntimeError("choose_radii: inequality (2) fails at the given mu")
 
-    delta, cap = delta_init, delta_cap_init
-    for _ in range(max_halvings):
+    delta, cap = 0.1, 0.5
+    for _ in range(_MAX_HALVINGS):
         p = params(mu, delta, cap)
         res1, res2 = check_bound_inequalities(p)
         if res1 < 0.0 and res2 < 0.0:
             return p
         pert = 16.0 * nu ** 2 * delta
-        delta_part = big_m * pert * (1.0 + kappa * cap)
-        cap_part = big_m * kappa * cap * (r1 + 3.0 * kappa * p.ell_pi)
+        delta_part = _M * pert * (1.0 + kappa * cap)
+        cap_part = _M * kappa * cap * (r1 + 3.0 * kappa * p.ell_pi)
         if delta_part >= cap_part:
             delta *= 0.5
         else:

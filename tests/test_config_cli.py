@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import unobs_stab
+from unobs_stab.bessel import find_zeros
 from unobs_stab.cli import (
     analyze,
     build_finite,
@@ -18,7 +19,7 @@ from unobs_stab.cli import (
     run_scenario,
 )
 from unobs_stab.config import _KEYS, ConfigError, ScenarioConfig, parse_config
-from unobs_stab.observability import max_control_bound
+from unobs_stab.observability import choose_radii, max_control_bound
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -74,6 +75,8 @@ OVERSIZED_DELTA = [
     (FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta = 5.0"), "params.delta"),
     (FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta_frac = 1.5"),
      "params.delta_frac"),
+    (FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta = 5.0")
+     .replace("init.rho = 3.0", "init.radius_x = 3.0"), "params.delta"),
     (FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta_frac = 1.5")
      .replace("init.rho = 3.0", "init.radius_x = 3.0"), "params.delta_frac"),
 ]
@@ -105,6 +108,10 @@ BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
     # A + bK is not Hurwitz, so delta_margin has no value
     ("K-not-Hurwitz", FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.K = 1.0, 1.0"),
      "params.K"),
+    ("K-not-Hurwitz-radius_x",
+     FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.K = 1.0, 1.0")
+     .replace("params.delta_frac = 0.5", "params.delta = 0.3")
+     .replace("init.rho = 3.0", "init.radius_x = 3.0"), "params.K"),
     # mu |p| = 0.1 * 600 = 60 and 0.1 * 500 = 50: at or past the Bessel argument limit
     ("spectral-x0-outside", SPECTRAL_CFG + "init.x0 = 0.5, 0.0, 600.0, 0.0\n"
      "init.xhat0 = 0.0, 0.2, 0.0, 0.0\n", "init.x0"),
@@ -375,6 +382,14 @@ class TestAnalyze:
         assert report["certificate.full_rank"] == "1"
         assert "certificate.singular" not in report
 
+    def test_budget_uses_the_loop_j(self, tmp_path):
+        # params.j_frac sets the j of the control bound and of the budget alike
+        text = SPECTRAL_CFG + "params.j_frac = 0.5\nanalyze.trials = 5\nanalyze.u_grid = 0.0\n"
+        cfg = parse_config(write(tmp_path, text))
+        report = read_report(analyze(cfg, str(tmp_path / "out")))
+        bounds = choose_radii(cfg.analyze_R0, kappa=0.2, j=0.5 * find_zeros().j1)
+        assert float(report["bounds.mu"]) == bounds.mu == pytest.approx(0.07897, abs=1e-5)
+
 
 class TestMain:
     def test_zeros_subcommand(self, capsys):
@@ -383,6 +398,15 @@ class TestMain:
         assert out.startswith("j0=2.40482555769577")
         assert "j1=1.84118378134067" in out
         assert "nu=1.775766" in out
+
+    def test_module_entry(self):
+        # python -m unobs_stab runs the package's __main__
+        src = os.path.dirname(os.path.dirname(os.path.abspath(unobs_stab.__file__)))
+        done = subprocess.run([sys.executable, "-m", "unobs_stab", "zeros"],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("j0=2.40482555769577")
 
     def test_simulate_subcommand(self, tmp_path):
         path = write(tmp_path, FINITE_CFG)
@@ -401,7 +425,8 @@ class TestMain:
         assert "params.K: expected 2 numbers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("text,key", OVERSIZED_DELTA[:2], ids=["delta", "delta_frac"])
+    @pytest.mark.parametrize("text,key", OVERSIZED_DELTA[:3],
+                             ids=["delta", "delta_frac", "delta-radius_x"])
     def test_oversized_delta_warns_then_runs(self, tmp_path, capsys, text, key):
         # the delta budget is settled at parse time: the runs go ahead
         path = write(tmp_path, text)

@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and every public
-function and class of the package has a caller outside the tests."""
+"""Every module of the package uses every name it imports, every public
+function and class of the package has a caller outside the tests, and every
+defaulted parameter of a top-level function is set by such a caller."""
 
 import ast
 import pathlib
@@ -10,13 +11,13 @@ import unobs_stab
 
 MODULES = sorted(pathlib.Path(unobs_stab.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(unobs_stab.__file__).resolve().parents[2]
-# public names whose only callers are tests, on purpose
-TEST_ONLY = {
-    # the direct-summation oracle the Bessel and Gramian tests check against
-    "shifted_bessel_sum",
-    # kept until analyze reports it or it is deleted (ROADMAP item 4)
-    "empirical_obstruction_radius",
-}
+# callers count from the package itself, the demos and the benchmark
+CALLERS = MODULES + sorted((ROOT / "demos").glob("*.py")) \
+    + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -71,15 +72,9 @@ def referenced_names(tree: ast.Module) -> set[str]:
 
 
 def test_no_test_only_library_code():
-    # callers count from the package itself, the demos and the benchmark
-    callers = MODULES + sorted((ROOT / "demos").glob("*.py")) \
-        + sorted((ROOT / "perfbench").glob("*.py"))
-    used = set().union(*(referenced_names(ast.parse(p.read_text(encoding="utf-8")))
-                         for p in callers))
-    public = [name for path in MODULES
-              for name in public_definitions(ast.parse(path.read_text(encoding="utf-8")))]
-    assert sorted(set(public) - used - TEST_ONLY) == []
-    assert sorted(TEST_ONLY - set(public)) == []
+    used = set().union(*(referenced_names(parse(p)) for p in CALLERS))
+    public = [name for path in MODULES for name in public_definitions(parse(path))]
+    assert sorted(set(public) - used) == []
 
 
 def test_caller_check_sees_definitions_and_references():
@@ -88,3 +83,41 @@ def test_caller_check_sees_definitions_and_references():
     assert public_definitions(tree) == ["f", "C"]
     assert referenced_names(tree) >= {"a", "b", "C", "m"}
     assert "f" not in referenced_names(tree)
+
+
+def unset_options(defined: ast.Module, calling: list[ast.Module]) -> list[str]:
+    """function.parameter of each defaulted parameter of a top-level function
+    in `defined` that no call in `calling` passes, by position or by keyword;
+    a call matches by the name it calls, bare or as an attribute."""
+    passed = set()
+    for tree in calling:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                passed.update((name, i) for i in range(len(node.args)))
+                passed.update((name, kw.arg) for kw in node.keywords)
+    unset = []
+    for node in defined.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        options = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        options += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+        unset += [f"{node.name}.{arg}" for i, arg in options
+                  if (node.name, arg) not in passed and (node.name, i) not in passed]
+    return unset
+
+
+def test_no_option_that_no_caller_sets():
+    calling = [parse(p) for p in CALLERS]
+    assert sorted(name for path in MODULES for name in unset_options(parse(path), calling)) == []
+
+
+def test_option_check_sees_positions_and_keywords():
+    tree = ast.parse("def f(a, b=1, c=2, *, d=3, e=4): pass\nclass C:\n"
+                     "    def g(self, h=5): pass\nf(0, 1)\nm.f(0, d=4)\n")
+    assert unset_options(tree, [tree]) == ["f.c", "f.e"]
