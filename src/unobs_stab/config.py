@@ -220,6 +220,7 @@ def parse_config(path: str) -> ScenarioConfig:
     if not cfg.j_frac < 1.0:
         problems.append(f"params.j_frac: must lie in (0, 1), got {cfg.j_frac}")
 
+    steps = 0  # integrator steps to the horizon; 0 while the grid is invalid
     if strategy == "spectral":
         kinds = (NORM_SQ, J0_RADIAL, J2_COS2THETA, NORM, BESSEL_SERIES)
         if cfg.output_kind not in kinds:
@@ -253,6 +254,7 @@ def parse_config(path: str) -> ScenarioConfig:
             if n_int < 1:
                 problems.append(f"integrator.horizon: {cfg.horizon:g} is shorter than one "
                                 f"sample period params.Delta = {cfg.Delta:g}")
+            steps = n_sub * n_int
         if cfg.delta is None:
             problems.append("params.delta: required for the spectral strategy")
         # every start must stay inside the region where the embedding can be
@@ -290,6 +292,11 @@ def parse_config(path: str) -> ScenarioConfig:
                             "delta_margin certifies")
         if cfg.Delta is not None:
             warnings.append("params.Delta: ignored by the finite strategy (continuous feedback)")
+        steps = max(1, round(cfg.horizon / cfg.step))
+    if steps % cfg.record_every:
+        # the records would end steps % record_every steps before the horizon
+        problems.append(f"integrator.record_every: {cfg.record_every} must divide the "
+                        f"{steps} integrator steps to the horizon")
 
     if problems:
         raise ConfigError(problems)

@@ -63,7 +63,8 @@ class IntegratorConfig:
 
     method: "rk4_coupled" or "exact_linear" (spectral loop only);
     step: integration step; horizon: final time; record_every: stride, in
-    steps, between stored samples (per-step dissipativity accounting is done
+    steps, between stored samples, dividing the step count so that the last
+    record is at the horizon (per-step dissipativity accounting is done
     online regardless).
     """
 
@@ -141,10 +142,12 @@ def _drive(state, eps0, advance, sample, steps: int, cfg: IntegratorConfig,
     step: a rise past EPS_STEP_TOL counts as a dissipativity violation, and
     the largest rise is kept.
     """
+    stride = cfg.record_every
+    if steps % stride:
+        raise ValueError(f"record_every={stride} must divide the {steps} steps to the horizon")
     nb = eps0.shape[0]
     active = np.ones(nb, dtype=bool)
     diverged_at = np.full(nb, np.nan)
-    stride = cfg.record_every
     # run-major records, so each run's trajectory is a view
     n_rec = steps // stride + 1
     rec_t = np.arange(n_rec) * stride * h

@@ -4,11 +4,16 @@ These deliberately avoid the package's own evaluation paths: Bessel values
 come from the ascending power series summed in high-precision arithmetic with
 an explicit tail cut, zeros from bisection on those series, Gramian spectra from
 the truncated generator built and propagated in high-precision arithmetic.
+The artifact writers are the per-value loops the package's CSV and SVG
+writers replaced, kept to pin their bytes.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
+
+from unobs_stab.artifacts import _FMT, _HEIGHT, _PALETTE, _WIDTH, _thin, _ticks
 
 
 def bessel_j_series(k: int, r: float, dps: int = 30) -> float:
@@ -110,3 +115,73 @@ def gramian_eigenvalues(u: float, T: float, zeta, mu: float, N: int,
         w = (w + w.transpose_conj()) / 2
         eig = mp.eigh(w, eigvals_only=True)
         return sorted(float(e) for e in eig)
+
+
+def write_csv_per_value(path: str, traj) -> None:
+    """artifacts.write_csv, one `%.17g` per value and one join per row."""
+    n = traj.x.shape[1]
+    cols = ["t"] + [f"x{i + 1}" for i in range(n)] + ["u", "eps_norm", "c_eps_abs"]
+    spectral = traj.weak_eps is not None
+    if spectral:
+        cols.append("weak_eps")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(traj.times.shape[0]):
+            row = [traj.times[i], *traj.x[i], traj.u[i], traj.eps_norm[i], traj.c_eps_abs[i]]
+            if spectral:
+                row.append(traj.weak_eps[i])
+            fh.write(",".join(_FMT % v for v in row) + "\n")
+
+
+def write_svg_per_point(path: str, times: np.ndarray, curves: list, title: str) -> None:
+    """artifacts.write_svg, the polyline pixel coordinates computed and
+    formatted one point at a time."""
+    left, right, top, bottom = 64.0, 16.0, 28.0, 42.0
+    plot_w = _WIDTH - left - right
+    plot_h = _HEIGHT - top - bottom
+    times = _thin(np.asarray(times, dtype=float))
+    series = [(label, _thin(np.asarray(vals, dtype=float))) for label, vals in curves]
+    t_lo, t_hi = float(times[0]), float(times[-1])
+    y_lo = min(float(np.min(v)) for _, v in series)
+    y_hi = max(float(np.max(v)) for _, v in series)
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo -= pad
+    y_hi += pad
+
+    def sx(t):
+        return left + (t - t_lo) / (t_hi - t_lo or 1.0) * plot_w
+
+    def sy(y):
+        return top + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{left}" y="18" font-family="monospace" font-size="13">{title}</text>',
+        f'<rect x="{left:.2f}" y="{top:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
+        f'fill="none" stroke="black" stroke-width="1"/>',
+    ]
+    for t in _ticks(t_lo, t_hi):
+        x = sx(t)
+        parts.append(f'<line x1="{x:.2f}" y1="{top + plot_h:.2f}" x2="{x:.2f}" '
+                     f'y2="{top + plot_h + 5:.2f}" stroke="black"/>')
+        parts.append(f'<text x="{x:.2f}" y="{top + plot_h + 18:.2f}" font-family="monospace" '
+                     f'font-size="11" text-anchor="middle">{t:.4g}</text>')
+    for y in _ticks(y_lo, y_hi):
+        yy = sy(y)
+        parts.append(f'<line x1="{left - 5:.2f}" y1="{yy:.2f}" x2="{left:.2f}" '
+                     f'y2="{yy:.2f}" stroke="black"/>')
+        parts.append(f'<text x="{left - 8:.2f}" y="{yy + 4:.2f}" font-family="monospace" '
+                     f'font-size="11" text-anchor="end">{y:.4g}</text>')
+    for idx, (label, vals) in enumerate(series):
+        color = _PALETTE[idx % len(_PALETTE)]
+        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(times, vals))
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
+        parts.append(f'<text x="{left + 10 + 130 * idx:.2f}" y="{top + 14:.2f}" '
+                     f'font-family="monospace" font-size="11" fill="{color}">{label}</text>')
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(parts) + "\n")

@@ -123,6 +123,15 @@ BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
     ("alpha-inf", SPECTRAL_CFG.replace("params.alpha = 1.0", "params.alpha = inf"),
      "params.alpha"),
     ("points-nan", FINITE_CFG + "init.x0 = 1.0, nan\ninit.xhat0 = 0.5, 0.0\n", "init.x0"),
+    # 2000 steps, and 100 spectral steps (10 substeps x 10 periods): a stride
+    # of 3 would end the records before the horizon
+    ("finite-stride-not-dividing",
+     FINITE_CFG.replace("integrator.record_every = 10", "integrator.record_every = 3"),
+     "integrator.record_every"),
+    ("spectral-stride-not-dividing",
+     SPECTRAL_CFG.replace("integrator.step = 0.05", "integrator.step = 0.005")
+     .replace("integrator.horizon = 5.0", "integrator.horizon = 0.5")
+     + "integrator.record_every = 3\n", "integrator.record_every"),
 ]]
 
 

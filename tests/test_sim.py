@@ -160,6 +160,17 @@ class TestFiniteLoop:
             assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.zhat))
             assert np.isfinite(traj.max_eps_increase)
 
+    def test_stride_must_divide_steps(self, plant, fin_params):
+        # 500 steps with a stride of 32 would end the records at t=0.96
+        def last_time(stride):
+            cfg = IntegratorConfig(step=0.002, horizon=1.0, record_every=stride)
+            traj = run_finite_batch(plant, fin_params, [1.0, 0.5], [0.1, 0.0, 1.0], cfg)[0]
+            return traj.times[-1]
+
+        assert last_time(25) == 1.0
+        with pytest.raises(ValueError, match="record_every=32 must divide the 500"):
+            last_time(32)
+
 
 class TestRotationStep:
     def test_matches_rk4(self):
