@@ -39,8 +39,7 @@ print("\n== gramian sweep (zeta = constant mode, mu = 1, T = 2 pi) ==")
 for n in (2, 4, 6):
     line = f"N={n}: "
     for u in (0.0, 0.1, 0.3):
-        g = observability_gramian(u, 2.0 * math.pi, embedded_target(n), 1.0, n,
-                                  steps=400)
+        g = observability_gramian(u, 2.0 * math.pi, embedded_target(n), 1.0, n)
         line += f"lambda_min(u={u})={g.lambda_min:.2e}  "
     print(line)
 print("analytic smallest eigenvalue ~ 2 pi J_N(mu u)^2:",

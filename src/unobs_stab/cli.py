@@ -5,9 +5,9 @@ Subcommands:
   analyze  --config <path> --out <dir>
   zeros
 
-The environment variable UNOBS_STAB_SEED overrides the config seed.  Exit
-code 0 from simulate means every run met its thresholds with no
-dissipativity violations.
+The environment variable UNOBS_STAB_SEED, a non-negative integer, overrides
+the config seed.  Exit code 0 from simulate means every run met its
+thresholds with no dissipativity violations.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ SEED_ENV = "UNOBS_STAB_SEED"
 
 def _effective_seed(cfg: ScenarioConfig) -> int:
     env = os.environ.get(SEED_ENV)
+    if env and not env.strip().isdecimal():
+        raise ConfigError([f"{SEED_ENV}: expected a non-negative integer, got {env!r}"])
     return int(env) if env else cfg.seed
 
 
@@ -49,17 +51,15 @@ def _ball_points(rng, count: int, radius: float) -> np.ndarray:
 
 
 def draw_initial_conditions(cfg: ScenarioConfig, seed: int):
-    """Initial (x0, xhat0) pairs: the explicit list if given, otherwise
-    seeded uniform draws in the configured balls."""
+    """The starts (x0s, xhat0s), two (runs, 2) arrays: the explicit lists if
+    given, otherwise seeded uniform draws in the configured balls."""
     if cfg.x0 is not None:
-        return [(cfg.x0[i].copy(), cfg.xhat0[i].copy())
-                for i in range(cfg.x0.shape[0])]
+        return cfg.x0, cfg.xhat0
     rng = np.random.default_rng(seed)
     radius_x = cfg.init_radius_x if cfg.init_radius_x is not None else cfg.rho
     radius_xh = cfg.init_radius_xhat if cfg.init_radius_xhat is not None else radius_x
-    xs = _ball_points(rng, cfg.init_count, radius_x)
-    xhs = _ball_points(rng, cfg.init_count, radius_xh)
-    return [(xs[i], xhs[i]) for i in range(cfg.init_count)]
+    return (_ball_points(rng, cfg.init_count, radius_x),
+            _ball_points(rng, cfg.init_count, radius_xh))
 
 
 def build_finite(cfg: ScenarioConfig):
@@ -74,17 +74,15 @@ def build_spectral(cfg: ScenarioConfig):
     return spec, params
 
 
-def _run_batch(cfg: ScenarioConfig, pairs) -> list:
-    """Run the (x0, xhat0) pairs of a scenario as one batch."""
+def _run_batch(cfg: ScenarioConfig, x0s, xhat0s) -> list:
+    """Run the starts (x0s[i], xhat0s[i]) of a scenario as one batch."""
     icfg = IntegratorConfig(method=cfg.method, step=cfg.step, horizon=cfg.horizon,
                             record_every=cfg.record_every)
-    x0s = [x0 for x0, _ in pairs]
     if cfg.strategy == "finite":
         plant, params = build_finite(cfg)
-        return run_finite_batch(plant, params, x0s,
-                                [embed_fin(xhat0) for _, xhat0 in pairs], icfg)
+        return run_finite_batch(plant, params, x0s, [embed_fin(x) for x in xhat0s], icfg)
     spec, params = build_spectral(cfg)
-    return run_spectral_batch(spec, params, x0s, [xhat0 for _, xhat0 in pairs], icfg)
+    return run_spectral_batch(spec, params, x0s, xhat0s, icfg)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
@@ -93,20 +91,20 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
     (0 iff every run passed its thresholds with no dissipativity violations)."""
     os.makedirs(out_dir, exist_ok=True)
     seed = _effective_seed(cfg)
-    pairs = draw_initial_conditions(cfg, seed)
-    shards = min(jobs, len(pairs))
+    x0s, xhat0s = draw_initial_conditions(cfg, seed)
+    shards = min(jobs, len(x0s))
     if shards > 1:
         # contiguous shards, one batch each; rows never mix inside a batch,
         # so the artifacts do not depend on the shard count
-        bounds = [len(pairs) * s // shards for s in range(shards + 1)]
-        parts = [pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=shards) as pool:
-            results = [traj for part in pool.map(_run_batch, [cfg] * shards, parts)
+            results = [traj for part in pool.map(_run_batch, [cfg] * shards,
+                                                 np.array_split(x0s, shards),
+                                                 np.array_split(xhat0s, shards))
                        for traj in part]
     else:
-        results = _run_batch(cfg, pairs)
+        results = _run_batch(cfg, x0s, xhat0s)
 
     summary: dict = {"strategy": cfg.strategy, "seed": seed, "runs": len(results)}
     all_pass = True
@@ -121,13 +119,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
                   and metrics["trailing_max_x"] <= cfg.trailing_x_max
                   and metrics["final_c_eps_abs"] <= cfg.final_c_eps_max)
         all_pass = all_pass and passed
-        for key in ("trailing_max_x", "final_eps_norm", "final_c_eps_abs",
-                    "final_weak_eps", "dissipativity_violations", "max_eps_increase",
-                    "clamp_count", "diverged"):
-            value = metrics[key]
-            if isinstance(value, bool):
-                value = int(value)
-            summary[f"{name}.{key}"] = value
+        summary.update((f"{name}.{key}", value) for key, value in metrics.items())
         if traj.diverged_at is not None:
             summary[f"{name}.diverged_at"] = traj.diverged_at
         summary[f"{name}.pass"] = int(passed)
@@ -144,7 +136,7 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
     report: dict = {"seed": seed}
 
     det = determinant_identity_check(cfg.analyze_trials, seed)
-    report["det_check.trials"] = det.trials
+    report["det_check.trials"] = cfg.analyze_trials
     report["det_check.max_rel_err"] = det.max_rel_err
     report["det_check.singular_when_unperturbed"] = int(det.singular_when_unperturbed)
 
@@ -165,7 +157,7 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
     spec = OutputSpec(kind=kind, mu=mu, coeffs=cfg.output_coeffs)
     zeta = output_vector(spec, n_tr)
     for u in cfg.analyze_u_grid:
-        rep = observability_gramian(float(u), 2.0 * math.pi, zeta, mu, n_tr, steps=400)
+        rep = observability_gramian(float(u), 2.0 * math.pi, zeta, mu, n_tr)
         report[f"gramian.u_{u:g}.lambda_min"] = rep.lambda_min
         report[f"gramian.u_{u:g}.lambda_max"] = rep.lambda_max
 
@@ -221,6 +213,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
+        _effective_seed(cfg)  # a bad UNOBS_STAB_SEED fails with the config
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import MAX_ARG
 from .finite import delta_margin, rotation_plant
 from .linalg import place_poles
-from .sim import hold_grid
-from .spectral import BESSEL_SERIES, J0_RADIAL, J2_COS2THETA, NORM, NORM_SQ, truncation_tail_bound
+from .sim import METHODS, VALID_MU_R, hold_grid
+from .spectral import BESSEL_SERIES, J2_COS2THETA, KINDS, truncation_tail_bound
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -121,7 +120,7 @@ class ScenarioConfig:
 # every key: the ScenarioConfig field it sets and the kind `_typed` reads it as
 _KEYS = {
     "strategy": ("strategy", "word"),
-    "seed": ("seed", "int"),
+    "seed": ("seed", "natural"),
     "init.x0": ("x0", "points"),
     "init.xhat0": ("xhat0", "points"),
     "init.count": ("init_count", "count"),
@@ -156,9 +155,9 @@ _KEYS = {
 def _typed(key: str, kind: str, value):
     """The value of `key` read as `kind`, or a ValueError naming the key.
 
-    word: as written; int; count: a positive int; real; positive: a positive
-    real; reals, ints: lists; pair: two reals; points: a flat list of planar
-    points, returned as a (k, 2) array.  Every number must be finite.
+    word: as written; natural: a non-negative int; count: a positive int; real;
+    positive: a positive real; reals, ints: lists; pair: two reals; points: a flat list of
+    planar points, returned as a (k, 2) array.  Every number must be finite.
     """
     if kind == "word":
         return value
@@ -180,12 +179,14 @@ def _typed(key: str, kind: str, value):
         return [int(v) if kind == "ints" else float(v) for v in items]
     if isinstance(value, (list, str)):
         raise ValueError(f"{key}: expected a number, got {value!r}")
-    integer = kind in ("int", "count")
+    integer = kind in ("natural", "count")
     if integer and not isinstance(value, int):
         raise ValueError(f"{key}: expected an integer, got {value!r}")
     value = value if integer else float(value)
     if kind in ("count", "positive") and not value > 0:
         raise ValueError(f"{key}: must be positive, got {value}")
+    if kind == "natural" and value < 0:
+        raise ValueError(f"{key}: must be non-negative, got {value}")
     return value
 
 
@@ -220,11 +221,10 @@ def parse_config(path: str) -> ScenarioConfig:
     if not cfg.j_frac < 1.0:
         problems.append(f"params.j_frac: must lie in (0, 1), got {cfg.j_frac}")
 
-    steps = 0  # integrator steps to the horizon; 0 while the grid is invalid
+    grid = None  # the time grid's period and its key, once both are known valid
     if strategy == "spectral":
-        kinds = (NORM_SQ, J0_RADIAL, J2_COS2THETA, NORM, BESSEL_SERIES)
-        if cfg.output_kind not in kinds:
-            problems.append(f"output.kind: must be one of {kinds}, got {cfg.output_kind!r}")
+        if cfg.output_kind not in KINDS:
+            problems.append(f"output.kind: must be one of {KINDS}, got {cfg.output_kind!r}")
         if cfg.output_kind == J2_COS2THETA and cfg.N < 2:
             problems.append(f"params.N: j2_cos2theta needs N >= 2, got {cfg.N}")
         if cfg.output_kind == BESSEL_SERIES:
@@ -247,23 +247,16 @@ def parse_config(path: str) -> ScenarioConfig:
         if cfg.Delta is None:
             problems.append("params.Delta: required for the spectral strategy")
         elif 0.0 < cfg.Delta < math.pi:
-            n_sub, n_int = hold_grid(cfg.Delta, cfg.step, cfg.horizon)
-            if n_sub < 1:
-                problems.append(f"integrator.step: {cfg.step:g} must divide "
-                                f"params.Delta = {cfg.Delta:g}")
-            if n_int < 1:
-                problems.append(f"integrator.horizon: {cfg.horizon:g} is shorter than one "
-                                f"sample period params.Delta = {cfg.Delta:g}")
-            steps = n_sub * n_int
+            grid = (cfg.Delta, "params.Delta")
         if cfg.delta is None:
             problems.append("params.delta: required for the spectral strategy")
         # every start must stay inside the region where the embedding can be
         # evaluated: explicit points one by one, drawn ones by their balls
         for key, points in (("init.x0", cfg.x0), ("init.xhat0", cfg.xhat0)):
             if points is not None and cfg.mu is not None \
-                    and (arg := cfg.mu * np.hypot(*points.T).max()) >= MAX_ARG:
-                problems.append(f"{key}: mu |p| = {arg:g} at its farthest point must stay "
-                                f"below the Bessel argument limit {MAX_ARG:g}")
+                    and (arg := cfg.mu * np.hypot(*points.T).max()) >= VALID_MU_R:
+                problems.append(f"{key}: mu |p| = {arg!r} at its farthest point must stay "
+                                f"below the valid-region limit {VALID_MU_R!r}")
         key_x = "init.radius_x" if cfg.init_radius_x is not None else "init.rho"
         balls = [(r, key) for key, r in ((key_x, cfg.init_radius_x or cfg.rho),
                                          ("init.radius_xhat", cfg.init_radius_xhat))
@@ -271,14 +264,14 @@ def parse_config(path: str) -> ScenarioConfig:
         if cfg.x0 is None and cfg.mu is not None and balls:
             radius, key = max(balls)
             arg = cfg.mu * radius
-            if arg >= MAX_ARG:
-                problems.append(f"params.mu/{key}: mu * {key} = {arg:g} must stay below "
-                                f"the Bessel argument limit {MAX_ARG:g}")
+            if arg >= VALID_MU_R:
+                problems.append(f"params.mu/{key}: mu * {key} = {arg!r} must stay below "
+                                f"the valid-region limit {VALID_MU_R!r}")
             elif (tail := truncation_tail_bound(arg, cfg.N)) > 1e-12:
                 warnings.append(f"params.N: truncation tail bound {tail:.3g} > 1e-12 at "
                                 f"mu * {key} = {arg:g}; the drawn starts embed inexactly")
 
-    if cfg.method not in ("rk4_coupled", "exact_linear"):
+    if cfg.method not in METHODS:
         problems.append(f"integrator.method: unknown method {cfg.method!r}")
     # the ball delta_margin certifies
     radius = cfg.rho if cfg.rho is not None else cfg.init_radius_x
@@ -292,11 +285,19 @@ def parse_config(path: str) -> ScenarioConfig:
                             "delta_margin certifies")
         if cfg.Delta is not None:
             warnings.append("params.Delta: ignored by the finite strategy (continuous feedback)")
-        steps = max(1, round(cfg.horizon / cfg.step))
-    if steps % cfg.record_every:
-        # the records would end steps % record_every steps before the horizon
-        problems.append(f"integrator.record_every: {cfg.record_every} must divide the "
-                        f"{steps} integrator steps to the horizon")
+        grid = (cfg.step, "integrator.step")
+    if grid is not None:
+        period, unit = grid
+        n_sub, n_per = hold_grid(period, cfg.step, cfg.horizon)
+        if n_sub < 1:
+            problems.append(f"integrator.step: {cfg.step:g} must divide {unit} = {period:g}")
+        if n_per < 1:
+            problems.append(f"integrator.horizon: {cfg.horizon:g} must be a whole multiple "
+                            f"of {unit} = {period:g}")
+        elif n_sub * n_per % cfg.record_every:
+            # the records would end short of the horizon
+            problems.append(f"integrator.record_every: {cfg.record_every} must divide the "
+                            f"{n_sub * n_per} integrator steps to the horizon")
 
     if problems:
         raise ConfigError(problems)

@@ -17,10 +17,11 @@ run_*_batch(...)[0].  Each strategy supplies only its step and what it
 records; one loop (_drive) does the rest for both.  It freezes a run at its
 last valid step when it leaves the region where it can be evaluated (a
 non-finite state, a norm past DIVERGENCE_NORM and, for the spectral loop,
-mu |x| >= MAX_ARG) and ends its records there, the other runs carrying on;
-it counts the per-step dissipativity violations; and it builds the
-trajectories.  Every run starts inside: the spectral driver rejects a start
-with mu |x| >= MAX_ARG, which the config parser has already ruled out.
+mu |x| >= VALID_MU_R) and ends its records there, the other runs carrying
+on; it counts the per-step dissipativity violations; and it builds the
+trajectories.  run_*_batch and the config parser share one time grid,
+hold_grid, which refuses a horizon off the grid instead of rounding it, and
+one threshold, VALID_MU_R, inside which every run starts.
 
 Everything is deterministic: fixed steps, no adaptivity, no hidden state.
 The batched loops combine runs only elementwise (no matrix products across
@@ -51,10 +52,11 @@ from .spectral import (
 
 DIVERGENCE_NORM = 1e6
 EPS_STEP_TOL = 1e-8
+METHODS = ("rk4_coupled", "exact_linear")
 # A spectral run stays in the numerically valid region while mu |x| is below
-# the Bessel argument limit; the margin covers outputs that square the radius
-# and take the root again.
-_VALID_MU_R = MAX_ARG * (1.0 - 1e-12)
+# the Bessel argument limit less a margin, which covers outputs that square
+# the radius and take the root again.
+VALID_MU_R = MAX_ARG * (1.0 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.method not in ("rk4_coupled", "exact_linear"):
+        if self.method not in METHODS:
             raise ValueError(f"IntegratorConfig: unknown method {self.method!r}")
         if self.step <= 0.0 or self.horizon <= 0.0:
             raise ValueError("IntegratorConfig: step and horizon must be positive")
@@ -102,7 +104,6 @@ class Trajectory:
     dissipativity_violations: int = 0
     max_eps_increase: float = 0.0
     clamp_count: int = 0
-    diverged: bool = False
     diverged_at: float | None = None
 
 
@@ -184,7 +185,6 @@ def _drive(state, eps0, advance, sample, steps: int, cfg: IntegratorConfig,
         **{name: r[run, :m] for name, r in zip(_RECORDED, rec)},
         dissipativity_violations=int(violations[run]),
         max_eps_increase=float(max_inc[run]),
-        diverged=not active[run],
         diverged_at=None if np.isnan(diverged_at[run]) else float(diverged_at[run]),
     ) for run, m in enumerate(lengths)]
 
@@ -206,7 +206,9 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     if zhat0s.shape != (nb, n + 1):
         raise ValueError("run_finite_batch: zhat0s must have shape (runs, n+1)")
 
-    steps = max(1, int(round(cfg.horizon / cfg.step)))
+    steps = hold_grid(cfg.step, cfg.step, cfg.horizon)[1]
+    if steps < 1:
+        raise ValueError("run_finite_batch: horizon must be a whole number of steps")
     h = cfg.horizon / steps
 
     def rhs(s):
@@ -245,17 +247,20 @@ def rotation_step(x, u, h: float) -> np.ndarray:
                      sh * x[..., 0] + ch * x[..., 1] + u * sh], axis=-1)
 
 
-def hold_grid(Delta: float, step: float, horizon: float) -> tuple[int, int]:
-    """Steps per sample period (0 unless step divides Delta), sample periods to horizon."""
-    n_sub = round(Delta / step)
-    if abs(n_sub * step - Delta) > 1e-9 * max(1.0, Delta):
-        n_sub = 0
-    return n_sub, round(horizon / Delta)
+def hold_grid(period: float, step: float, horizon: float) -> tuple[int, int]:
+    """The time grid: steps per period and periods to the horizon, each 0
+    unless it is a whole number (to 1e-9 relative).  The spectral period is
+    the sample period Delta, the finite loop's is one step."""
+    def whole(span, unit):
+        n = round(span / unit)
+        return n if abs(n * unit - span) <= 1e-9 * max(1.0, span) else 0
+
+    return whole(period, step), whole(horizon, period)
 
 
 def _valid(x, mu: float) -> np.ndarray:
     """Per point: inside the numerically valid region (NaN and inf are not)."""
-    return mu * np.hypot(x[..., 0], x[..., 1]) < _VALID_MU_R
+    return mu * np.hypot(x[..., 0], x[..., 1]) < VALID_MU_R
 
 
 def _row_norm(z) -> np.ndarray:
@@ -275,7 +280,7 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     The control is refreshed at every sample instant from the left limit of
     the observer state and held in between.
 
-    Every x0 and xhat0 must lie in the region mu |x| < MAX_ARG where the
+    Every x0 and xhat0 must lie in the region mu |x| < VALID_MU_R where the
     embedding can be evaluated (a ValueError otherwise).  A run whose state
     stops being finite, exceeds DIVERGENCE_NORM or leaves that region is
     frozen at its last valid step and reported as diverged; the other runs
@@ -288,13 +293,13 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     nb = x0s.shape[0]
     if x0s.shape != (nb, 2) or xhat0s.shape != (nb, 2):
         raise ValueError("run_spectral_batch: x0s and xhat0s must have shape (runs, 2)")
-    if not np.all(params.mu * np.hypot(*np.concatenate([x0s, xhat0s]).T) < MAX_ARG):
-        raise ValueError(f"run_spectral_batch: every x0 and xhat0 needs mu |x| < {MAX_ARG:g}")
+    if not _valid(np.concatenate([x0s, xhat0s]), params.mu).all():
+        raise ValueError(f"run_spectral_batch: every x0 and xhat0 needs mu |x| < {VALID_MU_R!r}")
     n_sub, n_int = hold_grid(params.Delta, cfg.step, cfg.horizon)
     if n_sub < 1:
         raise ValueError("run_spectral_batch: step must divide the sample period Delta")
     if n_int < 1:
-        raise ValueError("run_spectral_batch: horizon shorter than one sample period")
+        raise ValueError("run_spectral_batch: horizon must be a whole number of sample periods")
     n, mu, alpha = params.N, params.mu, params.alpha
     zeta = output_vector(spec, n)
     zeta_conj = zeta.conj()
@@ -315,7 +320,7 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
 
     def rk4_coupled(x, eps, zhat, u, active):
         # steps the packed complex rows (x, zhat); rhs collects the
-        # mu |x| < MAX_ARG flags of every stage of the step
+        # mu |x| < VALID_MU_R flags of every stage of the step
         stages_inside = []
 
         def rhs(s):
@@ -364,8 +369,8 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
 
 
 def convergence_metrics(traj: Trajectory) -> dict:
-    """Summary statistics of a run: trailing-window peak of |x|, final error
-    norms, dissipativity violation count, clamp count."""
+    """A run's summary.txt entries in that file's order: trailing peak of |x|,
+    final error norms, dissipativity counters, clamp count, diverged (0/1)."""
     if traj.times.shape[0] == 0:
         raise ValueError("convergence_metrics: empty trajectory")
     t_end = traj.times[-1]
@@ -375,11 +380,10 @@ def convergence_metrics(traj: Trajectory) -> dict:
     return {
         "trailing_max_x": float(np.max(xnorm[window])),
         "final_eps_norm": float(traj.eps_norm[-1]),
-        "initial_eps_norm": float(traj.eps_norm[0]),
         "final_c_eps_abs": float(traj.c_eps_abs[-1]),
         "final_weak_eps": float(traj.weak_eps[-1]) if traj.weak_eps is not None else float("nan"),
         "dissipativity_violations": int(traj.dissipativity_violations),
         "max_eps_increase": float(traj.max_eps_increase),
         "clamp_count": int(traj.clamp_count),
-        "diverged": bool(traj.diverged),
+        "diverged": int(traj.diverged_at is not None),
     }

@@ -36,7 +36,7 @@ J2_COS2THETA = "j2_cos2theta"
 NORM = "norm"
 BESSEL_SERIES = "bessel_series"
 
-_KINDS = (NORM_SQ, J0_RADIAL, J2_COS2THETA, NORM, BESSEL_SERIES)
+KINDS = (NORM_SQ, J0_RADIAL, J2_COS2THETA, NORM, BESSEL_SERIES)
 
 
 def truncation_order(z) -> int:
@@ -192,7 +192,7 @@ class OutputSpec:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"OutputSpec: unknown kind {self.kind!r}")
         if self.mu <= 0.0:
             raise ValueError("OutputSpec: mu must be positive")

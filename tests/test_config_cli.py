@@ -117,6 +117,10 @@ BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
      "init.xhat0 = 0.0, 0.2, 0.0, 0.0\n", "init.x0"),
     ("spectral-xhat0-outside", SPECTRAL_CFG + "init.x0 = 0.5, 0.0\ninit.xhat0 = 0.0, 500.0\n",
      "init.xhat0"),
+    # mu |x0| = 50 (1 - 5e-13): below the Bessel argument limit, past the
+    # valid-region limit the loop tests at every step
+    ("spectral-x0-at-valid-limit", SPECTRAL_CFG + f"init.x0 = {500.0 * (1.0 - 5e-13)!r}, 0.0\n"
+     "init.xhat0 = 0.0, 0.2\n", "init.x0"),
     ("zero-coefficients", bessel_series("0, 1", "0.0, 0.0"), "output.coeffs_re"),
     ("horizon-inf", FINITE_CFG.replace("integrator.horizon = 2.0", "integrator.horizon = inf"),
      "integrator.horizon"),
@@ -128,6 +132,19 @@ BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
     ("finite-stride-not-dividing",
      FINITE_CFG.replace("integrator.record_every = 10", "integrator.record_every = 3"),
      "integrator.record_every"),
+    # 0.26 is 8.32 sample periods of 1/32, 1.0 is 333.33 steps of 0.003 and
+    # 5e-4 half a step: none is rounded to the grid
+    ("spectral-horizon-not-whole",
+     SPECTRAL_CFG.replace("params.Delta = 0.05", "params.Delta = 0.03125")
+     .replace("integrator.step = 0.05", "integrator.step = 0.03125")
+     .replace("integrator.horizon = 5.0", "integrator.horizon = 0.26"), "integrator.horizon"),
+    ("finite-horizon-not-whole",
+     FINITE_CFG.replace("integrator.step = 1e-3", "integrator.step = 0.003")
+     .replace("integrator.horizon = 2.0", "integrator.horizon = 1.0"), "integrator.horizon"),
+    ("finite-horizon-below-step",
+     FINITE_CFG.replace("integrator.horizon = 2.0", "integrator.horizon = 5e-4"),
+     "integrator.horizon"),
+    ("seed-negative", FINITE_CFG.replace("seed = 42", "seed = -1"), "seed"),
     ("spectral-stride-not-dividing",
      SPECTRAL_CFG.replace("integrator.step = 0.05", "integrator.step = 0.005")
      .replace("integrator.horizon = 5.0", "integrator.horizon = 0.5")
@@ -235,10 +252,10 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, text))
         assert cfg.x0.shape == (2, 2)
         from unobs_stab.cli import draw_initial_conditions
-        pairs = draw_initial_conditions(cfg, 0)
-        assert len(pairs) == 2
-        assert np.allclose(pairs[1][0], [-0.5, 0.25])
-        assert np.allclose(pairs[1][1], [0.1, -0.1])
+        x0s, xhat0s = draw_initial_conditions(cfg, 0)
+        assert len(x0s) == len(xhat0s) == 2
+        assert np.allclose(x0s[1], [-0.5, 0.25])
+        assert np.allclose(xhat0s[1], [0.1, -0.1])
 
     def test_odd_length_point_list_rejected(self, tmp_path):
         text = (FINITE_CFG + "init.x0 = 1.0, 0.0, 2.0\n"
@@ -251,11 +268,10 @@ class TestParseConfig:
 class TestDraws:
     def test_seeded_draws_are_reproducible(self, tmp_path):
         cfg = parse_config(write(tmp_path, FINITE_CFG))
-        a = draw_initial_conditions(cfg, 42)
-        b = draw_initial_conditions(cfg, 42)
-        for (xa, ha), (xb, hb) in zip(a, b):
-            assert np.array_equal(xa, xb) and np.array_equal(ha, hb)
-        assert all(np.linalg.norm(x) <= 3.0 for x, _ in a)
+        xa, ha = draw_initial_conditions(cfg, 42)
+        xb, hb = draw_initial_conditions(cfg, 42)
+        assert np.array_equal(xa, xb) and np.array_equal(ha, hb)
+        assert all(np.linalg.norm(x) <= 3.0 for x in xa)
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = parse_config(write(tmp_path, FINITE_CFG))
@@ -432,6 +448,14 @@ class TestMain:
         path = write(tmp_path, BAD_VALUES[0].values[0])
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "params.K: expected 2 numbers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_env_seed_exit_code(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("UNOBS_STAB_SEED", value)
+        path = write(tmp_path, FINITE_CFG)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "UNOBS_STAB_SEED: expected a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text,key", OVERSIZED_DELTA[:3],

@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports, every public
 function and class of the package has a caller outside the tests, and every
-defaulted parameter of a top-level function is set by such a caller."""
+defaulted parameter of a top-level function is set by such a caller to
+something other than its default."""
 
 import ast
 import pathlib
@@ -85,31 +86,56 @@ def test_caller_check_sees_definitions_and_references():
     assert "f" not in referenced_names(tree)
 
 
-def unset_options(defined: ast.Module, calling: list[ast.Module]) -> list[str]:
-    """function.parameter of each defaulted parameter of a top-level function
-    in `defined` that no call in `calling` passes, by position or by keyword;
-    a call matches by the name it calls, bare or as an attribute."""
-    passed = set()
+def call_arguments(calling: list[ast.Module]) -> dict:
+    """(called name, position or keyword) -> the argument nodes passed there,
+    over every call in `calling`; a call counts by the name it calls, bare or
+    as an attribute."""
+    passed: dict = {}
     for tree in calling:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                passed.update((name, i) for i in range(len(node.args)))
-                passed.update((name, kw.arg) for kw in node.keywords)
-    unset = []
+                for slot, value in [*enumerate(node.args),
+                                    *((kw.arg, kw.value) for kw in node.keywords)]:
+                    passed.setdefault((name, slot), []).append(value)
+    return passed
+
+
+def options(defined: ast.Module):
+    """(function, position or None, parameter, default node) of each
+    defaulted parameter of a top-level function in `defined`."""
     for node in defined.body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        args = node.args
-        positional = args.posonlyargs + args.args
-        first = len(positional) - len(args.defaults)
-        options = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
-        options += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                    if d is not None]
-        unset += [f"{node.name}.{arg}" for i, arg in options
-                  if (node.name, arg) not in passed and (node.name, i) not in passed]
-    return unset
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, a in enumerate(positional[first:], start=first):
+                yield node.name, i, a.arg, args.defaults[i - first]
+            for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                if d is not None:
+                    yield node.name, None, a.arg, d
+
+
+def unset_options(defined: ast.Module, calling: list[ast.Module]) -> list[str]:
+    """function.parameter of each option in `defined` that no call in
+    `calling` passes, by position or by keyword."""
+    passed = call_arguments(calling)
+    return [f"{name}.{arg}" for name, i, arg, _ in options(defined)
+            if (name, arg) not in passed and (name, i) not in passed]
+
+
+def default_only_options(defined: ast.Module, calling: list[ast.Module]) -> list[str]:
+    """function.parameter of each option in `defined` with a literal default
+    that every call in `calling` passing it sets to that same literal."""
+    passed = call_arguments(calling)
+    flagged = []
+    for name, i, arg, default in options(defined):
+        values = passed.get((name, arg), []) + passed.get((name, i), [])
+        if values and isinstance(default, ast.Constant) and all(
+                isinstance(v, ast.Constant) and v.value == default.value for v in values):
+            flagged.append(f"{name}.{arg}")
+    return flagged
 
 
 def test_no_option_that_no_caller_sets():
@@ -121,3 +147,16 @@ def test_option_check_sees_positions_and_keywords():
     tree = ast.parse("def f(a, b=1, c=2, *, d=3, e=4): pass\nclass C:\n"
                      "    def g(self, h=5): pass\nf(0, 1)\nm.f(0, d=4)\n")
     assert unset_options(tree, [tree]) == ["f.c", "f.e"]
+
+
+def test_no_option_set_only_to_its_default():
+    calling = [parse(p) for p in CALLERS]
+    assert sorted(name for path in MODULES
+                  for name in default_only_options(parse(path), calling)) == []
+
+
+def test_default_check_sees_positions_and_keywords():
+    # c and g are set to other values somewhere, h is never passed
+    tree = ast.parse("def f(a, b=1, c=2, d=3, *, e=4, g=5, h=6): pass\n"
+                     "f(0, 1, c=2, d=3, e=4)\nm.f(0, 1, 7, e=4.0, g=x)\n")
+    assert default_only_options(tree, [tree]) == ["f.b", "f.d", "f.e"]

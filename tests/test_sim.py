@@ -130,7 +130,7 @@ class TestFiniteLoop:
         batch = run_finite_batch(plant, fin_params, x0s, z0s, cfg)
         for x0, z0, traj in zip(x0s, z0s, batch):
             assert_same_run(run_finite_batch(plant, fin_params, x0, z0, cfg)[0], traj)
-            assert not traj.diverged
+            assert traj.diverged_at is None
 
     def test_frozen_rows_match_single(self, plant):
         # under these params only the equilibrium start stays bounded; the
@@ -154,7 +154,6 @@ class TestFiniteLoop:
         for x0, z0 in (([1.0, 0.0], [0.0, 0.0, 0.0]),
                        ([-1.62, -0.27], [1.51, -1.59, 1.4])):
             traj = run_finite_batch(plant, params, x0, z0, cfg)[0]
-            assert traj.diverged
             assert traj.diverged_at is not None
             assert traj.times[-1] < traj.diverged_at
             assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.zhat))
@@ -170,6 +169,14 @@ class TestFiniteLoop:
         assert last_time(25) == 1.0
         with pytest.raises(ValueError, match="record_every=32 must divide the 500"):
             last_time(32)
+
+    @pytest.mark.parametrize("step,horizon", [(0.003, 1.0), (1e-3, 5e-4)],
+                             ids=["not-whole", "below-step"])
+    def test_horizon_must_be_whole_steps(self, plant, fin_params, step, horizon):
+        # 333.33 steps and half a step: neither is rounded to the grid
+        cfg = IntegratorConfig(step=step, horizon=horizon)
+        with pytest.raises(ValueError, match="^run_finite_batch: horizon"):
+            run_finite_batch(plant, fin_params, [1.0, 0.5], [0.1, 0.0, 1.0], cfg)
 
 
 class TestRotationStep:
@@ -235,6 +242,14 @@ class TestSpectralLoop:
                                IntegratorConfig(method="exact_linear",
                                                 step=0.03, horizon=1.0))
 
+    def test_horizon_must_be_whole_periods(self):
+        # 0.26 is 8.32 sample periods of 1/32: not rounded to t = 0.25
+        spec, params = spectral_setup(Delta=0.03125)
+        with pytest.raises(ValueError, match="^run_spectral_batch: horizon"):
+            run_spectral_batch(spec, params, np.zeros(2), np.zeros(2),
+                               IntegratorConfig(method="exact_linear",
+                                                step=0.03125, horizon=0.26))
+
     def test_mu_mismatch_rejected(self):
         spec, params = spectral_setup()
         bad = OutputSpec(kind=NORM_SQ, mu=2.0 * params.mu)
@@ -256,16 +271,18 @@ class TestSpectralBatch:
         batch = run_spectral_batch(spec, params, x0s, xh0s, cfg)
         for x0, xh0, traj in zip(x0s, xh0s, batch):
             assert_same_run(run_spectral_batch(spec, params, x0, xh0, cfg)[0], traj)
-            assert not traj.diverged
+            assert traj.diverged_at is None
 
     @pytest.mark.parametrize("x0s,xh0s", [
         ([[0.5, 0.0], [600.0, 0.0]], [[0.0, 0.2], [0.0, 0.0]]),
         ([[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.2], [0.0, 500.0]]),
         ([[0.5, 0.0], [math.nan, 0.0]], [[0.0, 0.2], [0.0, 0.0]]),
-    ], ids=["x0", "xhat0", "nan"])
+        ([[0.5, 0.0], [500.0 * (1.0 - 5e-13), 0.0]], [[0.0, 0.2], [0.0, 0.0]]),
+    ], ids=["x0", "xhat0", "nan", "valid-limit"])
     def test_start_outside_domain_rejected(self, x0s, xh0s):
         # mu |x0| = 60 and mu |xhat0| = 50 are at or past the Bessel argument
-        # limit, and NaN is nowhere: the batch refuses to start
+        # limit, mu |x0| = 50 (1 - 5e-13) is past the valid-region limit the
+        # loop tests at every step, and NaN is nowhere: the batch refuses to start
         spec, params = spectral_setup(mu=0.1, n=12)
         cfg = IntegratorConfig(method="exact_linear", step=0.05, horizon=1.0)
         with pytest.raises(ValueError, match="^run_spectral_batch: every x0 and xhat0"):
@@ -278,7 +295,7 @@ class TestSpectralBatch:
         for method in ("exact_linear", "rk4_coupled"):
             cfg = IntegratorConfig(method=method, step=0.05, horizon=8.0)
             traj = run_spectral_batch(spec, params, [499.0, 0.0], [0.0, 5.0], cfg)[0]
-            assert traj.diverged and 0.0 < traj.diverged_at < 8.0, method
+            assert traj.diverged_at is not None and 0.0 < traj.diverged_at < 8.0, method
             assert traj.times[-1] < traj.diverged_at, method
             assert np.all(0.1 * np.linalg.norm(traj.x, axis=1) < 50.0), method
             assert np.all(np.isfinite(traj.zhat)), method
@@ -324,5 +341,5 @@ class TestMetrics:
         traj = run_finite_batch(plant, fin_params, [1.0, 1.0], [0.0, 0.0, 1.0], cfg)[0]
         metrics = convergence_metrics(traj)
         assert metrics["dissipativity_violations"] == 0
-        assert metrics["final_eps_norm"] <= metrics["initial_eps_norm"]
+        assert metrics["final_eps_norm"] <= traj.eps_norm[0]
         assert not metrics["diverged"]
