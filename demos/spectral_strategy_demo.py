@@ -18,7 +18,7 @@ from unobs_stab.sim import IntegratorConfig, run_spectral_batch
 from unobs_stab.spectral import NORM_SQ, OutputSpec, SpectralParams, default_j
 
 MU = 0.1
-spec = OutputSpec(kind=NORM_SQ, mu=MU)
+spec = OutputSpec(kind=NORM_SQ)
 params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003, alpha=1.0,
                         Delta=0.05, mu=MU, j=default_j(), N=24)
 x0 = np.array([0.8, -0.3])

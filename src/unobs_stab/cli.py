@@ -5,9 +5,9 @@ Subcommands:
   analyze  --config <path> --out <dir>
   zeros
 
-The environment variable UNOBS_STAB_SEED, a non-negative integer, overrides
-the config seed.  Exit code 0 from simulate means every run met its
-thresholds with no dissipativity violations.
+Every scenario input arrives settled by config.parse_config, the
+UNOBS_STAB_SEED override of the seed included.  Exit code 0 from simulate
+means every run met its thresholds with no dissipativity violations.
 """
 
 from __future__ import annotations
@@ -34,28 +34,18 @@ from .observability import (
 from .sim import IntegratorConfig, convergence_metrics, run_finite_batch, run_spectral_batch
 from .spectral import OutputSpec, SpectralParams, output_vector, weak_norm_bound
 
-SEED_ENV = "UNOBS_STAB_SEED"
-
-
-def _effective_seed(cfg: ScenarioConfig) -> int:
-    env = os.environ.get(SEED_ENV)
-    if env and not env.strip().isdecimal():
-        raise ConfigError([f"{SEED_ENV}: expected a non-negative integer, got {env!r}"])
-    return int(env) if env else cfg.seed
-
-
 def _ball_points(rng, count: int, radius: float) -> np.ndarray:
     r = radius * np.sqrt(rng.uniform(size=count))
     th = rng.uniform(0.0, 2.0 * math.pi, size=count)
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
 
 
-def draw_initial_conditions(cfg: ScenarioConfig, seed: int):
+def draw_initial_conditions(cfg: ScenarioConfig):
     """The starts (x0s, xhat0s), two (runs, 2) arrays: the explicit lists if
-    given, otherwise seeded uniform draws in the configured balls."""
+    given, otherwise uniform draws in the configured balls, seeded by cfg.seed."""
     if cfg.x0 is not None:
         return cfg.x0, cfg.xhat0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     radius_x = cfg.init_radius_x if cfg.init_radius_x is not None else cfg.rho
     radius_xh = cfg.init_radius_xhat if cfg.init_radius_xhat is not None else radius_x
     return (_ball_points(rng, cfg.init_count, radius_x),
@@ -70,8 +60,7 @@ def build_spectral(cfg: ScenarioConfig):
     j = cfg.j_frac * find_zeros().j1
     params = SpectralParams(K=cfg.K, delta=cfg.delta, alpha=cfg.alpha,
                             Delta=cfg.Delta, mu=cfg.mu, j=j, N=cfg.N)
-    spec = OutputSpec(kind=cfg.output_kind, mu=cfg.mu, coeffs=cfg.output_coeffs)
-    return spec, params
+    return cfg.output, params
 
 
 def _run_batch(cfg: ScenarioConfig, x0s, xhat0s) -> list:
@@ -90,8 +79,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
     """Execute all runs of a scenario, write artifacts, return the exit code
     (0 iff every run passed its thresholds with no dissipativity violations)."""
     os.makedirs(out_dir, exist_ok=True)
-    seed = _effective_seed(cfg)
-    x0s, xhat0s = draw_initial_conditions(cfg, seed)
+    x0s, xhat0s = draw_initial_conditions(cfg)
     shards = min(jobs, len(x0s))
     if shards > 1:
         # contiguous shards, one batch each; rows never mix inside a batch,
@@ -106,7 +94,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
     else:
         results = _run_batch(cfg, x0s, xhat0s)
 
-    summary: dict = {"strategy": cfg.strategy, "seed": seed, "runs": len(results)}
+    summary: dict = {"strategy": cfg.strategy, "seed": cfg.seed, "runs": len(results)}
     all_pass = True
     for index, traj in enumerate(results):
         name = f"run_{index:03d}"
@@ -132,10 +120,9 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
     """Observability analysis report: determinant identity, Gramian sweep,
     control bound applicability, parameter-budget inequalities."""
     os.makedirs(out_dir, exist_ok=True)
-    seed = _effective_seed(cfg)
-    report: dict = {"seed": seed}
+    report: dict = {"seed": cfg.seed}
 
-    det = determinant_identity_check(cfg.analyze_trials, seed)
+    det = determinant_identity_check(cfg.analyze_trials, cfg.seed)
     report["det_check.trials"] = cfg.analyze_trials
     report["det_check.max_rel_err"] = det.max_rel_err
     report["det_check.singular_when_unperturbed"] = int(det.singular_when_unperturbed)
@@ -151,10 +138,9 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
             report["certificate.singular"] = 1
 
     mu = cfg.mu if cfg.mu is not None else 1.0
-    # a bessel_series output needs every one of its orders in the sweep
-    n_tr = min(cfg.N, max([12, *map(abs, cfg.output_coeffs)]))
-    kind = cfg.output_kind if cfg.output_kind is not None else spectral.NORM_SQ
-    spec = OutputSpec(kind=kind, mu=mu, coeffs=cfg.output_coeffs)
+    spec = cfg.output or OutputSpec(cfg.output_kind or spectral.NORM_SQ)
+    # the sweep keeps every order of the output
+    n_tr = min(cfg.N, max(12, spec.top))
     zeta = output_vector(spec, n_tr)
     for u in cfg.analyze_u_grid:
         rep = observability_gramian(float(u), 2.0 * math.pi, zeta, mu, n_tr)
@@ -213,7 +199,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        _effective_seed(cfg)  # a bad UNOBS_STAB_SEED fails with the config
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -4,14 +4,16 @@ One `key = value` pair per line, `#` starts a comment, sections are expressed
 by key prefixes (params., init., integrator., ...).  `_KEYS` names every key
 with the `ScenarioConfig` field it sets and its kind; a key's default is its
 field's default.  Parsing validates everything it can and reports every
-violation at once, each named by the offending key.  It also settles the gain
-K and, for the finite strategy, the perturbation delta, so that every command
-describes the same loop.
+violation at once, each named by the offending key.  It also settles what
+every command then reads as given: the seed, with the UNOBS_STAB_SEED
+override applied; the gain K; for the finite strategy the perturbation
+delta; and for the spectral strategy the output as a spectral.OutputSpec.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -20,9 +22,10 @@ import numpy as np
 from .finite import delta_margin, rotation_plant
 from .linalg import place_poles
 from .sim import METHODS, VALID_MU_R, hold_grid
-from .spectral import BESSEL_SERIES, J2_COS2THETA, KINDS, truncation_tail_bound
+from .spectral import BESSEL_SERIES, KINDS, OutputSpec, truncation_tail_bound
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
+SEED_ENV = "UNOBS_STAB_SEED"  # a non-negative integer here overrides the seed
 
 
 class ConfigError(ValueError):
@@ -73,9 +76,8 @@ def read_key_values(path: str) -> dict:
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario description for the CLI drivers.  After parsing, K
-    is the gain every command uses and, for the finite strategy, delta is the
-    perturbation every command uses."""
+    """Validated scenario description for the CLI drivers.  After parsing,
+    seed, K, delta (finite) and output (spectral) are what every command uses."""
 
     strategy: str | None = None
     seed: int = 0
@@ -96,12 +98,12 @@ class ScenarioConfig:
     mu: float | None = None
     j_frac: float = 0.9
     N: int = 24
-    # output map (spectral); output_coeffs maps order k to c_k for bessel_series
+    # output map (spectral); output is set by parsing from the output keys
     output_kind: str | None = None
     output_orders: list | None = None
     output_coeffs_re: list | None = None
     output_coeffs_im: list | None = None
-    output_coeffs: dict = field(default_factory=dict)
+    output: OutputSpec | None = None
     # integrator
     method: str = "rk4_coupled"
     step: float = 1e-3
@@ -193,7 +195,7 @@ def _typed(key: str, kind: str, value):
 def parse_config(path: str) -> ScenarioConfig:
     """Load and fully validate a scenario file; raises ConfigError with every
     problem found, or returns the config (possibly with non-fatal warnings
-    attached) with K set and, for the finite strategy, delta."""
+    attached) with seed, K, delta (finite) and output (spectral) settled."""
     raw = read_key_values(path)
     problems = [f"{key}: unknown key" for key in raw if key not in _KEYS]
     warnings: list[str] = []
@@ -204,6 +206,11 @@ def parse_config(path: str) -> ScenarioConfig:
                 setattr(cfg, attr, _typed(key, kind, raw[key]))
             except ValueError as exc:
                 problems.append(str(exc))
+    if env := os.environ.get(SEED_ENV):
+        if env.strip().isdecimal():
+            cfg.seed = int(env)
+        else:
+            problems.append(f"{SEED_ENV}: expected a non-negative integer, got {env!r}")
 
     strategy = cfg.strategy
     if strategy not in ("finite", "spectral"):
@@ -223,25 +230,29 @@ def parse_config(path: str) -> ScenarioConfig:
 
     grid = None  # the time grid's period and its key, once both are known valid
     if strategy == "spectral":
+        orders, re_part, im_part = cfg.output_orders, cfg.output_coeffs_re, cfg.output_coeffs_im
+        coeffs = None
         if cfg.output_kind not in KINDS:
             problems.append(f"output.kind: must be one of {KINDS}, got {cfg.output_kind!r}")
-        if cfg.output_kind == J2_COS2THETA and cfg.N < 2:
-            problems.append(f"params.N: j2_cos2theta needs N >= 2, got {cfg.N}")
-        if cfg.output_kind == BESSEL_SERIES:
-            orders, re_part, im_part = cfg.output_orders, cfg.output_coeffs_re, cfg.output_coeffs_im
-            if orders is None or re_part is None:
-                # a key given but rejected has its own problem already
-                if "output.orders" not in raw or "output.coeffs_re" not in raw:
-                    problems.append("output.orders/output.coeffs_re: required for bessel_series")
-            elif not len(orders) == len(re_part) == len(im_part or re_part):
-                problems.append("output.orders: lengths of orders/coeffs_re/coeffs_im differ")
-            elif (top := max(map(abs, orders))) > cfg.N:
-                problems.append(f"output.orders: largest order {top} exceeds params.N = {cfg.N}")
-            else:
-                cfg.output_coeffs = {k: complex(a, b) for k, a, b in
-                                     zip(orders, re_part, im_part or [0.0] * len(re_part))}
-                if not any(abs(c) > 0 for c in cfg.output_coeffs.values()):
-                    problems.append("output.coeffs_re: bessel_series needs a nonzero coefficient")
+        elif cfg.output_kind != BESSEL_SERIES:
+            coeffs = {}
+        elif orders is None or re_part is None:
+            # a key given but rejected has its own problem already
+            if "output.orders" not in raw or "output.coeffs_re" not in raw:
+                problems.append("output.orders/output.coeffs_re: required for bessel_series")
+        elif not len(orders) == len(re_part) == len(im_part or re_part):
+            problems.append("output.orders: lengths of orders/coeffs_re/coeffs_im differ")
+        else:
+            coeffs = {k: complex(a, b) for k, a, b in
+                      zip(orders, re_part, im_part or [0.0] * len(re_part))}
+        if coeffs is not None:
+            try:
+                cfg.output = OutputSpec(cfg.output_kind, coeffs)
+            except ValueError as exc:  # a bessel_series with no nonzero coefficient
+                problems.append(f"output.coeffs_re: {exc}")
+        if cfg.output is not None and cfg.output.top > cfg.N:
+            problems.append(f"{'output.orders' if coeffs else 'params.N'}: {cfg.output_kind} "
+                            f"has largest order {cfg.output.top}, above params.N = {cfg.N}")
         if cfg.mu is None:
             problems.append("params.mu: required for the spectral strategy")
         if cfg.Delta is None:

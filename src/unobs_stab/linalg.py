@@ -70,31 +70,20 @@ def solve_lyapunov(f, qr) -> np.ndarray:
     return p
 
 
-def kalman_matrix(c_or_b, a, mode: str) -> tuple[np.ndarray, int]:
-    """Observability or controllability matrix of a pair, plus numerical rank.
-
-    mode="obs":  stack [C; CA; ...; CA^{n-1}] for a row vector C.
-    mode="ctrb": stack [b, Ab, ..., A^{n-1} b] for a column vector b.
-    """
+def kalman_matrix(c, a) -> tuple[np.ndarray, int]:
+    """Observability matrix [C; CA; ...; CA^{n-1}] of a pair, for a row
+    vector C, plus its numerical rank.  The controllability matrix of (A, b)
+    is the transpose of the observability matrix of (A', b')."""
     a = _square(a)
     n = a.shape[0]
-    v = np.asarray(c_or_b, dtype=float).reshape(-1)
+    v = np.asarray(c, dtype=float).reshape(-1)
     if v.shape[0] != n:
         raise ValueError(f"kalman_matrix: vector length {v.shape[0]} != n={n}")
-    if mode == "obs":
-        rows = [v]
-        for _ in range(n - 1):
-            rows.append(rows[-1] @ a)
-        m = np.vstack(rows)
-    elif mode == "ctrb":
-        cols = [v]
-        for _ in range(n - 1):
-            cols.append(a @ cols[-1])
-        m = np.column_stack(cols)
-    else:
-        raise ValueError(f"kalman_matrix: mode must be 'obs' or 'ctrb', got {mode!r}")
-    rank = int(np.linalg.matrix_rank(m, tol=1e-10))
-    return m, rank
+    rows = [v]
+    for _ in range(n - 1):
+        rows.append(rows[-1] @ a)
+    m = np.vstack(rows)
+    return m, int(np.linalg.matrix_rank(m, tol=1e-10))
 
 
 def place_poles(a, b, poles) -> np.ndarray:
@@ -112,14 +101,14 @@ def place_poles(a, b, poles) -> np.ndarray:
         raise ValueError(f"place_poles: need {n} poles, got {poles.shape[0]}")
     if not np.allclose(np.sort_complex(poles), np.sort_complex(np.conj(poles)), atol=1e-12):
         raise ValueError("place_poles: pole set must be closed under conjugation")
-    ctrb, rank = kalman_matrix(b, a, "ctrb")
+    ctrb_t, rank = kalman_matrix(b, a.T)  # the controllability matrix, transposed
     if rank < n:
         raise ValueError("place_poles: (A, b) is not controllable")
     chi = np.eye(n, dtype=complex)
     for p in poles:
         chi = chi @ (a - p * np.eye(n))
     chi = chi.real
-    k_acker = np.linalg.solve(ctrb.T, np.eye(n)[:, -1]) @ chi
+    k_acker = np.linalg.solve(ctrb_t, np.eye(n)[:, -1]) @ chi
     k = -k_acker
     achieved = np.sort_complex(np.linalg.eigvals(a + np.outer(b, k)))
     if np.max(np.abs(achieved - np.sort_complex(poles))) > 1e-8:

@@ -98,7 +98,7 @@ def determinant_identity_check(trials: int, rng_seed: int) -> DeterminantCheckRe
         if abs(np.linalg.det(a)) < 1e-3:
             continue
         k = rng.normal(size=n)
-        _, rank = kalman_matrix(k, a, "obs")
+        _, rank = kalman_matrix(k, a)
         if rank < n:
             continue
         delta = float(rng.uniform(0.05, 1.0))
@@ -106,7 +106,7 @@ def determinant_identity_check(trials: int, rng_seed: int) -> DeterminantCheckRe
         # a is skew-symmetric and invertible by construction
         q = _certificate(k, a, delta, alpha)
         det_direct = np.linalg.det(q)
-        obs_tilde, _ = kalman_matrix(k @ a, a, "obs")
+        obs_tilde, _ = kalman_matrix(k @ a, a)
         det_obs = np.linalg.det(obs_tilde)
         # P(-alpha) = det(-alpha I - A) for the monic characteristic polynomial
         p_minus_alpha = np.linalg.det(-alpha * np.eye(n) - a)

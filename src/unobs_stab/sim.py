@@ -21,7 +21,8 @@ mu |x| >= VALID_MU_R) and ends its records there, the other runs carrying
 on; it counts the per-step dissipativity violations; and it builds the
 trajectories.  run_*_batch and the config parser share one time grid,
 hold_grid, which refuses a horizon off the grid instead of rounding it, and
-one threshold, VALID_MU_R, inside which every run starts.
+one threshold, VALID_MU_R, inside which every run starts.  Both loops step
+the configured step itself, so records fall at k * record_every * step.
 
 Everything is deterministic: fixed steps, no adaptivity, no hidden state.
 The batched loops combine runs only elementwise (no matrix products across
@@ -129,8 +130,7 @@ def _row_dot(a, b):
 _RECORDED = ("x", "zhat", "u", "eps_norm", "c_eps_abs", "weak_eps")
 
 
-def _drive(state, eps0, advance, sample, steps: int, cfg: IntegratorConfig,
-           h: float) -> list[Trajectory]:
+def _drive(state, eps0, advance, sample, steps: int, cfg: IntegratorConfig) -> list[Trajectory]:
     """The loop both strategies share: step, freeze, count, record.
 
     state is a sequence of per-run arrays (runs first) and eps0 the error
@@ -143,7 +143,7 @@ def _drive(state, eps0, advance, sample, steps: int, cfg: IntegratorConfig,
     step: a rise past EPS_STEP_TOL counts as a dissipativity violation, and
     the largest rise is kept.
     """
-    stride = cfg.record_every
+    stride, h = cfg.record_every, cfg.step
     if steps % stride:
         raise ValueError(f"record_every={stride} must divide the {steps} steps to the horizon")
     nb = eps0.shape[0]
@@ -209,7 +209,6 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     steps = hold_grid(cfg.step, cfg.step, cfg.horizon)[1]
     if steps < 1:
         raise ValueError("run_finite_batch: horizon must be a whole number of steps")
-    h = cfg.horizon / steps
 
     def rhs(s):
         return closed_loop_rhs(s, params, plant)
@@ -220,7 +219,7 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
         return np.sqrt(_row_dot(d, d) + (zl - 0.5 * _row_dot(xs, xs)) ** 2)
 
     def advance(state, active, i):
-        s = rk4_step(rhs, state[0], h)
+        s = rk4_step(rhs, state[0], cfg.step)
         eps = eps_norms(s)
         ok = active & np.isfinite(eps) \
             & (_row_dot(s[:, :n], s[:, :n]) <= DIVERGENCE_NORM ** 2) \
@@ -233,7 +232,7 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
                 eps, np.abs(s[:, 2 * n] - 0.5 * _row_dot(s[:, :n], s[:, :n])))
 
     s = np.concatenate([x0s, zhat0s], axis=1)
-    return _drive((s,), eps_norms(s), advance, sample, steps, cfg, h)
+    return _drive((s,), eps_norms(s), advance, sample, steps, cfg)
 
 
 def rotation_step(x, u, h: float) -> np.ndarray:
@@ -250,9 +249,13 @@ def rotation_step(x, u, h: float) -> np.ndarray:
 def hold_grid(period: float, step: float, horizon: float) -> tuple[int, int]:
     """The time grid: steps per period and periods to the horizon, each 0
     unless it is a whole number (to 1e-9 relative).  The spectral period is
-    the sample period Delta, the finite loop's is one step."""
+    the sample period Delta, the finite loop's is one step.  A ratio past
+    2**53 (or not finite) counts as not whole: floats cannot tell there."""
     def whole(span, unit):
-        n = round(span / unit)
+        ratio = span / unit
+        if not ratio <= 2.0 ** 53:
+            return 0
+        n = round(ratio)
         return n if abs(n * unit - span) <= 1e-9 * max(1.0, span) else 0
 
     return whole(period, step), whole(horizon, period)
@@ -286,8 +289,6 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     frozen at its last valid step and reported as diverged; the other runs
     carry on unaffected.
     """
-    if abs(spec.mu - params.mu) > 1e-15:
-        raise ValueError("run_spectral_batch: OutputSpec.mu and SpectralParams.mu differ")
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     xhat0s = np.atleast_2d(np.asarray(xhat0s, dtype=float))
     nb = x0s.shape[0]
@@ -327,7 +328,8 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
             xs, eta = s[:, :2].real, s[:, 2:]
             inside = _valid(xs, mu)
             stages_inside.append(inside)
-            fy = linearized_output(spec, output_value(spec, np.where(inside[:, None], xs, 0.0)))
+            fy = linearized_output(spec, mu, output_value(spec, mu,
+                                                          np.where(inside[:, None], xs, 0.0)))
             xd = np.stack([-xs[:, 1], xs[:, 0] + u], axis=-1)
             etad = spectral.apply_generator(u, mu, eta) \
                 - alpha * (_row_dot(zeta_conj, eta) - fy)[:, None] * zeta
@@ -362,7 +364,7 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
         # this method carries eps and rebuilds zhat from it
         zhat = z + eps
     state = (x0s, eps, zhat, feedback(zhat, True))
-    trajs = _drive(state, _row_norm(eps), advance, sample, n_int * n_sub, cfg, h)
+    trajs = _drive(state, _row_norm(eps), advance, sample, n_int * n_sub, cfg)
     for traj, count in zip(trajs, clamp_count):
         traj.clamp_count = int(count)
     return trajs

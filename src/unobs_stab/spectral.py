@@ -14,6 +14,10 @@ Conventions used throughout:
 * The inner product is (1/2pi) * integral of xi * conj(zeta); the modes are
   orthonormal, hence ||z||^2 = sum |z_k|^2.
 * The embedded coefficient of order k is i^k J_k(mu r) exp(-i k theta).
+* An output is a coefficient map c_k (OutputSpec): its transformed
+  measurement sum_k c_k J_k(mu r) exp(-i k theta) is the functional
+  <z, zeta> with zeta_k = i^k conj(c_k).  mu belongs to the loop
+  (SpectralParams), not to the output.
 * The kernels work on the last axis: a point may be an array of shape
   (..., 2) and a coefficient vector one of shape (..., 2N+1), one row per
   run.  Rows never mix (no matrix products across them), so a row's result
@@ -36,7 +40,12 @@ J2_COS2THETA = "j2_cos2theta"
 NORM = "norm"
 BESSEL_SERIES = "bessel_series"
 
-KINDS = (NORM_SQ, J0_RADIAL, J2_COS2THETA, NORM, BESSEL_SERIES)
+# Each output kind as its coefficient map k -> c_k: once linearized_output has
+# transformed it, the measurement is sum_k c_k J_k(mu r) e^{-ik theta}.  A
+# bessel_series brings its own map.
+_COEFFS = {NORM_SQ: {0: 1.0}, J0_RADIAL: {0: 1.0}, J2_COS2THETA: {2: 0.5, -2: 0.5},
+           NORM: {0: 1.0}, BESSEL_SERIES: None}
+KINDS = tuple(_COEFFS)
 
 
 def truncation_order(z) -> int:
@@ -180,56 +189,65 @@ def observer_propagate(z, u, mu: float, alpha: float, zeta, h: float) -> np.ndar
 
 @dataclass(frozen=True)
 class OutputSpec:
-    """Which nonlinear output the plant measures.
+    """Which nonlinear output the plant measures, as its coefficient map.
 
-    kind is one of norm_sq, j0_radial, j2_cos2theta, norm, bessel_series;
-    mu is the representation frequency; coeffs maps order k to the series
-    coefficient c_k (bessel_series only).
+    kind is one of KINDS; coeffs maps order k to c_k.  A named kind takes its
+    map from the kind table; a bessel_series brings its own, with a nonzero
+    coefficient.  The frequency mu is the loop's, passed to the functions
+    below.  Worked out once for output_value: per term the Bessel order |k|,
+    the weight c_k (times (-1)^k for k < 0, as J_{-k} = (-1)^k J_k) and the
+    phase -ik; top is the largest |k|.
     """
 
     kind: str
-    mu: float
     coeffs: dict = field(default_factory=dict)
+    index: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    phases: np.ndarray = field(init=False, repr=False, compare=False)
+    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _COEFFS:
             raise ValueError(f"OutputSpec: unknown kind {self.kind!r}")
-        if self.mu <= 0.0:
-            raise ValueError("OutputSpec: mu must be positive")
-        if self.kind == BESSEL_SERIES:
-            if not self.coeffs or not any(abs(c) > 0 for c in self.coeffs.values()):
-                raise ValueError("OutputSpec: bessel_series needs a nonzero coefficient")
+        if self.kind != BESSEL_SERIES:
+            if self.coeffs:
+                raise ValueError(f"OutputSpec: {self.kind} takes no coefficients")
+            object.__setattr__(self, "coeffs", dict(_COEFFS[self.kind]))
+        elif not any(abs(c) > 0 for c in self.coeffs.values()):
+            raise ValueError("OutputSpec: bessel_series needs a nonzero coefficient")
+        k = np.array(list(self.coeffs), dtype=int)
+        c = np.array(list(self.coeffs.values()), dtype=complex)
+        object.__setattr__(self, "index", np.abs(k))
+        object.__setattr__(self, "weights", c * np.where((k < 0) & (k % 2 == 1), -1.0, 1.0))
+        object.__setattr__(self, "phases", -1j * k)
+        object.__setattr__(self, "top", int(self.index.max()))
 
 
-def output_value(spec: OutputSpec, x):
-    """The raw measurement y = h(x), for points of shape (..., 2)."""
+def output_value(spec: OutputSpec, mu: float, x):
+    """The raw measurement y = h(x), for points of shape (..., 2), at the
+    loop's frequency mu: the radial kinds in closed form, every other kind
+    as its series sum_k c_k J_k(mu r) e^{-ik theta}."""
     r, theta = _polar(x)
     if spec.kind == NORM_SQ:
         return 0.5 * r * r
     if spec.kind == NORM:
         return r
     if spec.kind == J0_RADIAL:
-        return bessel_j_all(0, spec.mu * r)[..., 0] - 1.0
-    if spec.kind == J2_COS2THETA:
-        return bessel_j_all(2, spec.mu * r)[..., 2] * np.cos(2.0 * theta)
-    j = bessel_j_all(max(abs(k) for k in spec.coeffs), spec.mu * r)
-    total = 0.0 + 0.0j
-    for k, c in spec.coeffs.items():
-        jk = j[..., abs(k)] * (-1.0) ** (k % 2) if k < 0 else j[..., k]
-        total = total + c * jk * np.exp(-1j * k * theta)
-    return total
+        return bessel_j_all(0, mu * r)[..., 0] - 1.0
+    j = bessel_j_all(spec.top, mu * r)[..., spec.index]
+    return (j * spec.weights * np.exp(spec.phases * theta[..., None])).sum(axis=-1)
 
 
-def linearized_output(spec: OutputSpec, y):
+def linearized_output(spec: OutputSpec, mu: float, y):
     """Transform the measurement into the value of the linear functional,
-    i.e. the map sending h(x) to <embed(x), output_vector>."""
+    i.e. the map sending h(x) to <embed(x, mu, N), output_vector>."""
     y = np.asarray(y)
     if spec.kind in (NORM_SQ, NORM) and np.any(y < 0.0):
         raise ValueError(f"linearized_output: {spec.kind} output cannot be negative")
     if spec.kind == NORM_SQ:
-        value = bessel_j_all(0, spec.mu * np.sqrt(2.0 * y))[..., 0]
+        value = bessel_j_all(0, mu * np.sqrt(2.0 * y))[..., 0]
     elif spec.kind == NORM:
-        value = bessel_j_all(0, spec.mu * y)[..., 0]
+        value = bessel_j_all(0, mu * y)[..., 0]
     elif spec.kind == J0_RADIAL:
         value = y + 1.0
     else:
@@ -238,24 +256,11 @@ def linearized_output(spec: OutputSpec, y):
 
 
 def output_vector(spec: OutputSpec, n: int) -> np.ndarray:
-    """Coefficient vector zeta with <embed(x), zeta> = linearized_output(h(x)).
-
-    The radial outputs all reduce to the k = 0 mode; the cos(2 theta) output
-    lives on k = +-2 with weight -1/2; a general finite Bessel series with
-    coefficients c_k gives zeta_k = i^k conj(c_k).
-    """
-    if spec.kind in (NORM_SQ, NORM, J0_RADIAL):
-        return embedded_target(n)
+    """Coefficient vector zeta with <embed(x), zeta> = linearized_output(h(x)):
+    zeta_k = i^k conj(c_k) for the output's coefficient map."""
+    if n < spec.top:
+        raise ValueError(f"output_vector: N={n} < largest order {spec.top}")
     zeta = np.zeros(2 * n + 1, dtype=complex)
-    if spec.kind == J2_COS2THETA:
-        if n < 2:
-            raise ValueError("output_vector: j2_cos2theta needs N >= 2")
-        zeta[n + 2] = -0.5
-        zeta[n - 2] = -0.5
-        return zeta
-    kmax = max(abs(k) for k in spec.coeffs)
-    if n < kmax:
-        raise ValueError(f"output_vector: N={n} < largest order {kmax}")
     for k, c in spec.coeffs.items():
         zeta[n + k] = (1j) ** k * np.conj(c)
     return zeta

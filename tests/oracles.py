@@ -5,7 +5,8 @@ come from the ascending power series summed in high-precision arithmetic with
 an explicit tail cut, zeros from bisection on those series, Gramian spectra from
 the truncated generator built and propagated in high-precision arithmetic.
 The artifact writers are the per-value loops the package's CSV and SVG
-writers replaced, kept to pin their bytes.
+writers replaced, kept to pin their bytes, and the Bessel-series measurement
+is the per-order loop that spectral.output_value's series arm replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import mpmath as mp
 import numpy as np
 
 from unobs_stab.artifacts import _FMT, _HEIGHT, _PALETTE, _WIDTH, _thin, _ticks
+from unobs_stab.bessel import bessel_j_all
 
 
 def bessel_j_series(k: int, r: float, dps: int = 30) -> float:
@@ -185,3 +187,17 @@ def write_svg_per_point(path: str, times: np.ndarray, curves: list, title: str) 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+def bessel_series_per_order(coeffs: dict, mu: float, x) -> np.ndarray:
+    """sum_k c_k J_k(mu r) e^{-ik theta} at points x of shape (..., 2), one
+    order at a time, with J_{-k} = (-1)^k J_k."""
+    x = np.asarray(x, dtype=float)
+    r = np.hypot(x[..., 0], x[..., 1])
+    theta = np.where(r > 0.0, np.arctan2(x[..., 1], x[..., 0]), 0.0)
+    j = bessel_j_all(max(abs(k) for k in coeffs), mu * r)
+    total = 0.0 + 0.0j
+    for k, c in coeffs.items():
+        jk = j[..., abs(k)] * (-1.0) ** (k % 2) if k < 0 else j[..., k]
+        total = total + c * jk * np.exp(-1j * k * theta)
+    return total

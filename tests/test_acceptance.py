@@ -156,7 +156,7 @@ def test_criterion_05_unitarity_and_exactness():
         norms.append(np.sqrt((z.real ** 2 + z.imag ** 2).sum()))
     drift = float(np.max(np.abs(np.array(norms) - norms[0])))
 
-    spec = OutputSpec(kind=NORM_SQ, mu=0.1)
+    spec = OutputSpec(kind=NORM_SQ)
     params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003, alpha=1.0,
                             Delta=0.05, mu=0.1, j=default_j(), N=24)
     x0, xh0 = np.array([0.7, -0.2]), np.array([-0.5, 0.6])
@@ -243,7 +243,7 @@ def budget_at_gain_norm(gain_norm):
 
 def spectral_closed_loop(kind, c_eps_threshold):
     bounds = choose_radii(1.0, mu=0.1)
-    spec = OutputSpec(kind=kind, mu=0.1)
+    spec = OutputSpec(kind=kind)
     gain = np.array([1.0, -2.0])
     params = SpectralParams(K=gain, delta=bounds.delta, alpha=1.0,
                             Delta=bounds.Delta, mu=0.1, j=default_j(), N=24)

@@ -67,7 +67,7 @@ def test_simulated_trajectories_match(tmp_path):
     finite = run_finite_batch(plant, params, [[1.0, 0.5]], [embed_fin(np.array([0.2, 0.0]))],
                               IntegratorConfig(step=0.01, horizon=1.0))[0]
     sp = SpectralParams(K=[1.0, -2.0], delta=0.003, alpha=1.0, Delta=0.05, mu=0.1, j=1.6, N=8)
-    spectral = run_spectral_batch(OutputSpec(kind="norm_sq", mu=0.1), sp, [[0.5, 0.0]],
+    spectral = run_spectral_batch(OutputSpec(kind="norm_sq"), sp, [[0.5, 0.0]],
                                   [[0.0, 0.2]], IntegratorConfig(method="exact_linear",
                                                                  step=0.05, horizon=1.0))[0]
     for traj in (finite, spectral):

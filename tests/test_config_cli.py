@@ -145,6 +145,10 @@ BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
      FINITE_CFG.replace("integrator.horizon = 2.0", "integrator.horizon = 5e-4"),
      "integrator.horizon"),
     ("seed-negative", FINITE_CFG.replace("seed = 42", "seed = -1"), "seed"),
+    # 1e600 steps: the count overflows a float and cannot be checked whole
+    ("finite-step-count-overflows",
+     FINITE_CFG.replace("integrator.step = 1e-3", "integrator.step = 1e-300")
+     .replace("integrator.horizon = 2.0", "integrator.horizon = 1e300"), "integrator.horizon"),
     ("spectral-stride-not-dividing",
      SPECTRAL_CFG.replace("integrator.step = 0.05", "integrator.step = 0.005")
      .replace("integrator.horizon = 5.0", "integrator.horizon = 0.5")
@@ -182,7 +186,7 @@ class TestParseConfig:
         fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
         table = [attr for attr, _ in _KEYS.values()]
         assert len(set(table)) == len(table) and set(table) <= fields
-        assert fields - set(table) == {"warnings", "output_coeffs"}
+        assert fields - set(table) == {"warnings", "output"}
         readme = README.read_text(encoding="utf-8")
         assert [key for key in _KEYS if f"`{key}`" not in readme] == []
 
@@ -252,7 +256,7 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, text))
         assert cfg.x0.shape == (2, 2)
         from unobs_stab.cli import draw_initial_conditions
-        x0s, xhat0s = draw_initial_conditions(cfg, 0)
+        x0s, xhat0s = draw_initial_conditions(cfg)
         assert len(x0s) == len(xhat0s) == 2
         assert np.allclose(x0s[1], [-0.5, 0.25])
         assert np.allclose(xhat0s[1], [0.1, -0.1])
@@ -268,14 +272,18 @@ class TestParseConfig:
 class TestDraws:
     def test_seeded_draws_are_reproducible(self, tmp_path):
         cfg = parse_config(write(tmp_path, FINITE_CFG))
-        xa, ha = draw_initial_conditions(cfg, 42)
-        xb, hb = draw_initial_conditions(cfg, 42)
+        xa, ha = draw_initial_conditions(cfg)
+        xb, hb = draw_initial_conditions(cfg)
         assert np.array_equal(xa, xb) and np.array_equal(ha, hb)
         assert all(np.linalg.norm(x) <= 3.0 for x in xa)
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        cfg = parse_config(write(tmp_path, FINITE_CFG))
+    def test_parser_applies_env_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNOBS_STAB_SEED", "99")
+        assert parse_config(write(tmp_path, FINITE_CFG)).seed == 99
+
+    def test_env_seed_override(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("UNOBS_STAB_SEED", "99")
+        cfg = parse_config(write(tmp_path, FINITE_CFG))
         out = tmp_path / "out"
         run_scenario(cfg, str(out))
         text = (out / "summary.txt").read_text()

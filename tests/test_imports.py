@@ -1,14 +1,17 @@
 """Every module of the package uses every name it imports, every public
-function and class of the package has a caller outside the tests, and every
+function and class of the package has a caller outside the tests, every
 defaulted parameter of a top-level function is set by such a caller to
-something other than its default."""
+something other than its default, and no driver takes one input twice."""
 
 import ast
+import dataclasses
 import pathlib
+import typing
 
 import pytest
 
 import unobs_stab
+from unobs_stab import sim
 
 MODULES = sorted(pathlib.Path(unobs_stab.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(unobs_stab.__file__).resolve().parents[2]
@@ -160,3 +163,16 @@ def test_default_check_sees_positions_and_keywords():
     tree = ast.parse("def f(a, b=1, c=2, d=3, *, e=4, g=5, h=6): pass\n"
                      "f(0, 1, c=2, d=3, e=4)\nm.f(0, 1, 7, e=4.0, g=x)\n")
     assert default_only_options(tree, [tree]) == ["f.b", "f.d", "f.e"]
+
+
+@pytest.mark.parametrize("driver", [sim.run_finite_batch, sim.run_spectral_batch],
+                         ids=lambda f: f.__name__)
+def test_driver_inputs_stated_once(driver):
+    # the dataclasses a driver takes share no field name, so no input (such
+    # as mu) can be given twice and disagree
+    seen: dict = {}
+    for param, hint in typing.get_type_hints(driver).items():
+        if dataclasses.is_dataclass(hint):
+            for f in dataclasses.fields(hint):
+                assert f.name not in seen, f"{f.name} in {seen.get(f.name)} and {param}"
+                seen[f.name] = param

@@ -105,22 +105,19 @@ class TestPlacePoles:
 
 class TestKalman:
     def test_observability_stack(self):
-        m, rank = kalman_matrix([1.0, 0.0], ROT, "obs")
+        m, rank = kalman_matrix([1.0, 0.0], ROT)
         assert np.allclose(m, [[1.0, 0.0], [0.0, -1.0]])
         assert rank == 2
 
     def test_controllability_stack(self):
-        m, rank = kalman_matrix([0.0, 1.0], ROT, "ctrb")
-        assert np.allclose(m, [[0.0, -1.0], [1.0, 0.0]])
+        # [b, Ab] is the transpose of the observability matrix of (A', b')
+        m, rank = kalman_matrix([0.0, 1.0], ROT.T)
+        assert np.allclose(m.T, [[0.0, -1.0], [1.0, 0.0]])
         assert rank == 2
 
     def test_rank_deficiency(self):
-        _, rank = kalman_matrix([1.0, 0.0], np.eye(2), "obs")
+        _, rank = kalman_matrix([1.0, 0.0], np.eye(2))
         assert rank == 1
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            kalman_matrix([1.0, 0.0], ROT, "grams")
 
 
 class TestIsHurwitz:

@@ -33,7 +33,7 @@ from unobs_stab.spectral import (
     weak_norm_bound,
 )
 
-from oracles import bessel_tail_energy
+from oracles import bessel_series_per_order, bessel_tail_energy
 
 
 def polar(r, theta):
@@ -158,7 +158,7 @@ class TestPropagation:
     @pytest.mark.parametrize("h", [1e-3, 1.0 / 32.0, 0.5])
     @pytest.mark.parametrize("u", [0.0, 0.3, 5.0, 40.0])
     def test_matches_dense_expm(self, kind, h, u):
-        zeta = output_vector(OutputSpec(kind=kind, mu=self.MU), self.N)
+        zeta = output_vector(OutputSpec(kind=kind), self.N)
         dense = scipy.linalg.expm(h * observer_matrix(u, self.MU, self.ALPHA, zeta))
         for eps in self.vectors(zeta):
             got = observer_propagate(eps, u, self.MU, self.ALPHA, zeta, h)
@@ -169,7 +169,7 @@ class TestPropagation:
     def test_rows_take_their_own_input(self):
         # rows with different u need different degrees and sub-step counts;
         # each row comes out bitwise as it does alone
-        zeta = output_vector(OutputSpec(kind=J2_COS2THETA, mu=self.MU), self.N)
+        zeta = output_vector(OutputSpec(kind=J2_COS2THETA), self.N)
         us = np.array([0.0, 0.3, 5.0, 40.0, 400.0])
         eps = np.array([self.vectors(zeta)[0]] * len(us))
         batch = observer_propagate(eps, us, self.MU, self.ALPHA, zeta, 0.5)
@@ -180,64 +180,95 @@ class TestPropagation:
 class TestOutputs:
     def test_linearized_output_examples(self):
         mu = 0.8
-        spec = OutputSpec(kind=NORM_SQ, mu=mu)
-        assert linearized_output(spec, 0.0) == pytest.approx(1.0)
+        spec = OutputSpec(kind=NORM_SQ)
+        assert linearized_output(spec, mu, 0.0) == pytest.approx(1.0)
         r = 1.2
-        assert linearized_output(spec, 0.5 * r * r) == pytest.approx(bessel_j(0, mu * r))
-        spec = OutputSpec(kind=J0_RADIAL, mu=mu)
-        assert linearized_output(spec, bessel_j(0, mu * r) - 1.0) == pytest.approx(
+        assert linearized_output(spec, mu, 0.5 * r * r) == pytest.approx(bessel_j(0, mu * r))
+        spec = OutputSpec(kind=J0_RADIAL)
+        assert linearized_output(spec, mu, bessel_j(0, mu * r) - 1.0) == pytest.approx(
             bessel_j(0, mu * r))
-        spec = OutputSpec(kind=NORM, mu=mu)
-        assert linearized_output(spec, r) == pytest.approx(bessel_j(0, mu * r))
-        spec = OutputSpec(kind=J2_COS2THETA, mu=mu)
-        assert linearized_output(spec, 0.123) == pytest.approx(0.123)
+        spec = OutputSpec(kind=NORM)
+        assert linearized_output(spec, mu, r) == pytest.approx(bessel_j(0, mu * r))
+        spec = OutputSpec(kind=J2_COS2THETA)
+        assert linearized_output(spec, mu, 0.123) == pytest.approx(0.123)
 
     def test_negative_measurements_rejected(self):
-        spec = OutputSpec(kind=NORM_SQ, mu=1.0)
+        spec = OutputSpec(kind=NORM_SQ)
         with pytest.raises(ValueError):
-            linearized_output(spec, -1e-3)
-        spec = OutputSpec(kind=NORM, mu=1.0)
+            linearized_output(spec, 1.0, -1e-3)
+        spec = OutputSpec(kind=NORM)
         with pytest.raises(ValueError):
-            linearized_output(spec, -0.2)
+            linearized_output(spec, 1.0, -0.2)
 
     def test_radial_kinds_measure_constant_mode(self):
         for kind in (NORM_SQ, J0_RADIAL, NORM):
-            zeta = output_vector(OutputSpec(kind=kind, mu=0.5), 6)
+            zeta = output_vector(OutputSpec(kind=kind), 6)
             assert np.allclose(zeta, embedded_target(6))
 
     def test_j2_functional_support(self):
-        zeta = output_vector(OutputSpec(kind=J2_COS2THETA, mu=0.5), 6)
+        zeta = output_vector(OutputSpec(kind=J2_COS2THETA), 6)
         assert zeta[6 + 2] == pytest.approx(-0.5)
         assert zeta[6 - 2] == pytest.approx(-0.5)
         assert np.count_nonzero(zeta) == 2
         with pytest.raises(ValueError):
-            output_vector(OutputSpec(kind=J2_COS2THETA, mu=0.5), 1)
+            output_vector(OutputSpec(kind=J2_COS2THETA), 1)
 
     def test_functional_matches_transformed_measurement_on_grid(self):
         # <embed(x), zeta> = linearized_output(h(x)) on a polar grid
         n = 20
         specs = [
-            OutputSpec(kind=NORM_SQ, mu=1.0),
-            OutputSpec(kind=J0_RADIAL, mu=0.7),
-            OutputSpec(kind=NORM, mu=1.3),
-            OutputSpec(kind=J2_COS2THETA, mu=1.0),
-            OutputSpec(kind=BESSEL_SERIES, mu=0.9,
-                       coeffs={-1: 0.4 - 0.2j, 0: 1.0, 3: 0.25j}),
+            (OutputSpec(kind=NORM_SQ), 1.0),
+            (OutputSpec(kind=J0_RADIAL), 0.7),
+            (OutputSpec(kind=NORM), 1.3),
+            (OutputSpec(kind=J2_COS2THETA), 1.0),
+            (OutputSpec(kind=BESSEL_SERIES,
+                        coeffs={-1: 0.4 - 0.2j, 0: 1.0, 3: 0.25j}), 0.9),
         ]
-        for spec in specs:
+        for spec, mu in specs:
             zeta = output_vector(spec, n)
-            for r in (0.0, 0.4, 1.1, 2.0 / spec.mu):
+            for r in (0.0, 0.4, 1.1, 2.0 / mu):
                 for theta in (0.0, 0.9, 2.4, 4.4):
                     x = polar(r, theta)
-                    lhs = np.vdot(zeta, embed(x, spec.mu, n))
-                    rhs = linearized_output(spec, output_value(spec, x))
+                    lhs = np.vdot(zeta, embed(x, mu, n))
+                    rhs = linearized_output(spec, mu, output_value(spec, mu, x))
                     assert abs(lhs - rhs) < 1e-10, (spec.kind, r, theta)
+
+    def test_j2_is_its_bessel_series(self):
+        # j2_cos2theta is the coefficient map {2: 1/2, -2: 1/2}: the same
+        # measurement, bit for bit, as that bessel_series
+        j2 = OutputSpec(kind=J2_COS2THETA)
+        series = OutputSpec(kind=BESSEL_SERIES, coeffs={2: 0.5, -2: 0.5})
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-20.0, 20.0, size=(400, 2))
+        for mu in (0.1, 1.0):
+            got = linearized_output(j2, mu, output_value(j2, mu, x))
+            want = linearized_output(series, mu, output_value(series, mu, x))
+            assert np.array_equal(got, want)
+        assert np.array_equal(output_vector(j2, 6), output_vector(series, 6))
+
+    @pytest.mark.parametrize("coeffs", [
+        {-1: 0.4 - 0.2j, 0: 1.0, 3: 0.25j},
+        {-3: 1.0, -1: 2.0, 1: -0.5, 2: 0.3j, 5: 1e-3, 7: 2.0},
+    ], ids=["3-orders", "6-orders"])
+    def test_series_matches_per_order_loop(self, coeffs):
+        # the series arm sums all orders at once; a sum in another order may
+        # move the last bits, at most a few ulp of sum |c_k| (|J_k| <= 1)
+        spec = OutputSpec(kind=BESSEL_SERIES, coeffs=coeffs)
+        x = np.random.default_rng(7).uniform(-20.0, 20.0, size=(500, 2))
+        tol = 8.0 * np.finfo(float).eps * sum(abs(c) for c in coeffs.values())
+        for mu in (0.1, 1.0):
+            got = output_value(spec, mu, x)
+            assert np.max(np.abs(got - bessel_series_per_order(coeffs, mu, x))) <= tol
+
+    def test_named_kind_takes_no_coefficients(self):
+        with pytest.raises(ValueError, match="norm_sq takes no coefficients"):
+            OutputSpec(kind=NORM_SQ, coeffs={3: 1.0})
 
     def test_bessel_series_requires_coeff(self):
         with pytest.raises(ValueError):
-            OutputSpec(kind=BESSEL_SERIES, mu=1.0, coeffs={})
+            OutputSpec(kind=BESSEL_SERIES, coeffs={})
         with pytest.raises(ValueError):
-            output_vector(OutputSpec(kind=BESSEL_SERIES, mu=1.0, coeffs={5: 1.0}), 3)
+            output_vector(OutputSpec(kind=BESSEL_SERIES, coeffs={5: 1.0}), 3)
 
 
 class TestWeakNorm:
