@@ -19,7 +19,6 @@ import sys
 
 import numpy as np
 
-from . import spectral
 from .artifacts import write_csv, write_summary, write_trajectory_svg
 from .bessel import find_zeros
 from .config import ConfigError, ScenarioConfig, parse_config
@@ -32,7 +31,7 @@ from .observability import (
     observability_gramian,
 )
 from .sim import IntegratorConfig, convergence_metrics, run_finite_batch, run_spectral_batch
-from .spectral import OutputSpec, SpectralParams, output_vector, weak_norm_bound
+from .spectral import SpectralParams, output_vector, weak_norm_bound
 
 def _ball_points(rng, count: int, radius: float) -> np.ndarray:
     r = radius * np.sqrt(rng.uniform(size=count))
@@ -42,13 +41,13 @@ def _ball_points(rng, count: int, radius: float) -> np.ndarray:
 
 def draw_initial_conditions(cfg: ScenarioConfig):
     """The starts (x0s, xhat0s), two (runs, 2) arrays: the explicit lists if
-    given, otherwise uniform draws in the configured balls, seeded by cfg.seed."""
+    given, otherwise uniform draws in the configured balls (the plant's is
+    init.rho), seeded by cfg.seed."""
     if cfg.x0 is not None:
         return cfg.x0, cfg.xhat0
     rng = np.random.default_rng(cfg.seed)
-    radius_x = cfg.init_radius_x if cfg.init_radius_x is not None else cfg.rho
-    radius_xh = cfg.init_radius_xhat if cfg.init_radius_xhat is not None else radius_x
-    return (_ball_points(rng, cfg.init_count, radius_x),
+    radius_xh = cfg.init_radius_xhat if cfg.init_radius_xhat is not None else cfg.rho
+    return (_ball_points(rng, cfg.init_count, cfg.rho),
             _ball_points(rng, cfg.init_count, radius_xh))
 
 
@@ -117,8 +116,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
 
 
 def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
-    """Observability analysis report: determinant identity, Gramian sweep,
-    control bound applicability, parameter-budget inequalities."""
+    """Observability analysis report of the loop `simulate` runs: the
+    determinant identity check, then for the finite strategy the certificate,
+    for the spectral one the Gramian sweep, control bound applicability and
+    parameter-budget inequalities."""
     os.makedirs(out_dir, exist_ok=True)
     report: dict = {"seed": cfg.seed}
 
@@ -136,36 +137,33 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
         report["certificate.full_rank"] = int(rank == plant.n + 2)
         if cfg.delta == 0.0:
             report["certificate.singular"] = 1
+    else:
+        spec, params = build_spectral(cfg)
+        # the sweep keeps every order of the output
+        n_tr = min(params.N, max(12, spec.top))
+        zeta = output_vector(spec, n_tr)
+        for u in cfg.analyze_u_grid:
+            rep = observability_gramian(float(u), 2.0 * math.pi, zeta, params.mu, n_tr)
+            report[f"gramian.u_{u:g}.lambda_min"] = rep.lambda_min
+            report[f"gramian.u_{u:g}.lambda_max"] = rep.lambda_max
 
-    mu = cfg.mu if cfg.mu is not None else 1.0
-    spec = cfg.output or OutputSpec(cfg.output_kind or spectral.NORM_SQ)
-    # the sweep keeps every order of the output
-    n_tr = min(cfg.N, max(12, spec.top))
-    zeta = output_vector(spec, n_tr)
-    for u in cfg.analyze_u_grid:
-        rep = observability_gramian(float(u), 2.0 * math.pi, zeta, mu, n_tr)
-        report[f"gramian.u_{u:g}.lambda_min"] = rep.lambda_min
-        report[f"gramian.u_{u:g}.lambda_max"] = rep.lambda_max
+        kappa = float(np.linalg.norm(params.K))
+        umax, applicable = max_control_bound(kappa, params.j, params.mu, params.delta)
+        report["umax.value"] = umax
+        report["umax.mu_umax"] = params.mu * umax
+        report["umax.j0"] = find_zeros().j0
+        report["umax.applicable"] = int(applicable)
 
-    zeros = find_zeros()
-    j = cfg.j_frac * zeros.j1
-    kappa = float(np.linalg.norm(cfg.K))
-    umax, applicable = max_control_bound(kappa, j, mu, cfg.delta)
-    report["umax.value"] = umax
-    report["umax.mu_umax"] = mu * umax
-    report["umax.j0"] = zeros.j0
-    report["umax.applicable"] = int(applicable)
-
-    # the budget's leading term scales with kappa and is (mu, delta, Delta)-
-    # independent, so the search only closes for small gains; cap it here
-    bounds = choose_radii(cfg.analyze_R0, kappa=min(kappa, 0.2), j=j)
-    res1, res2 = check_bound_inequalities(bounds)
-    for key in ("R0", "R1", "R2", "mu", "delta", "Delta", "kappa", "nu", "M",
-                "ell_pi", "ell_tau"):
-        report[f"bounds.{key}"] = getattr(bounds, key)
-    report["bounds.ineq1_residual"] = res1
-    report["bounds.ineq2_residual"] = res2
-    report["bounds.satisfied"] = int(res1 < 0.0 and res2 < 0.0)
+        # the budget's leading term scales with kappa and is (mu, delta, Delta)-
+        # independent, so the search only closes for small gains; cap it here
+        bounds = choose_radii(cfg.analyze_R0, kappa=min(kappa, 0.2), j=params.j)
+        res1, res2 = check_bound_inequalities(bounds)
+        for key in ("R0", "R1", "R2", "mu", "delta", "Delta", "kappa", "nu", "M",
+                    "ell_pi", "ell_tau"):
+            report[f"bounds.{key}"] = getattr(bounds, key)
+        report["bounds.ineq1_residual"] = res1
+        report["bounds.ineq2_residual"] = res2
+        report["bounds.satisfied"] = int(res1 < 0.0 and res2 < 0.0)
 
     path = os.path.join(out_dir, "analysis.txt")
     write_summary(path, report)

@@ -2,19 +2,20 @@
 
 One `key = value` pair per line, `#` starts a comment, sections are expressed
 by key prefixes (params., init., integrator., ...).  `_KEYS` names every key
-with the `ScenarioConfig` field it sets and its kind; a key's default is its
-field's default.  Parsing validates everything it can and reports every
-violation at once, each named by the offending key.  It also settles what
-every command then reads as given: the seed, with the UNOBS_STAB_SEED
-override applied; the gain K; for the finite strategy the perturbation
-delta; and for the spectral strategy the output as a spectral.OutputSpec.
+with the `ScenarioConfig` field it sets, the kind its text is read as and the
+strategy that reads it; a key's default is its field's default.  Parsing
+validates everything it can and reports every violation at once, each named by
+the offending key; a key the scenario's strategy does not read is one.  It also
+settles what every command then reads as given: the seed, with the
+UNOBS_STAB_SEED override applied; the gain K; for the finite strategy the
+perturbation delta; and for the spectral strategy the output as a
+spectral.OutputSpec.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from .linalg import place_poles
 from .sim import METHODS, VALID_MU_R, hold_grid
 from .spectral import BESSEL_SERIES, KINDS, OutputSpec, truncation_tail_bound
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
+STRATEGIES = ("finite", "spectral")
 SEED_ENV = "UNOBS_STAB_SEED"  # a non-negative integer here overrides the seed
 
 
@@ -36,20 +37,8 @@ class ConfigError(ValueError):
         self.problems = problems
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    if "," in text:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
-    if _INT_RE.match(text):
-        return int(text)
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def read_key_values(path: str) -> dict:
-    """Raw key -> typed value mapping; duplicate keys are an error."""
+    """Raw key -> value text mapping; duplicate keys are an error."""
     problems = []
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -65,10 +54,7 @@ def read_key_values(path: str) -> dict:
             if key in out:
                 problems.append(f"{key}: duplicated key (line {lineno})")
                 continue
-            try:
-                out[key] = _parse_value(value)
-            except ValueError:
-                problems.append(f"{key}: cannot parse value {value.strip()!r}")
+            out[key] = value.strip()
     if problems:
         raise ConfigError(problems)
     return out
@@ -85,7 +71,6 @@ class ScenarioConfig:
     x0: np.ndarray | None = None
     xhat0: np.ndarray | None = None
     init_count: int = 1
-    init_radius_x: float | None = None
     init_radius_xhat: float | None = None
     rho: float | None = None
     # gains: K as given, placed at the poles, or the strategy's default
@@ -119,77 +104,81 @@ class ScenarioConfig:
     warnings: list = field(default_factory=list)
 
 
-# every key: the ScenarioConfig field it sets and the kind `_typed` reads it as
+# every key: the ScenarioConfig field it sets, the kind `_typed` reads its text
+# as, and the one strategy that reads it (None: both); the other strategy
+# rejects it
 _KEYS = {
-    "strategy": ("strategy", "word"),
-    "seed": ("seed", "natural"),
-    "init.x0": ("x0", "points"),
-    "init.xhat0": ("xhat0", "points"),
-    "init.count": ("init_count", "count"),
-    "init.radius_x": ("init_radius_x", "positive"),
-    "init.radius_xhat": ("init_radius_xhat", "positive"),
-    "init.rho": ("rho", "positive"),
-    "params.K": ("K", "pair"),
-    "params.poles": ("poles", "pair"),
-    "params.alpha": ("alpha", "positive"),
-    "params.delta": ("delta", "positive"),
-    "params.delta_frac": ("delta_frac", "positive"),
-    "params.Delta": ("Delta", "real"),
-    "params.mu": ("mu", "positive"),
-    "params.j_frac": ("j_frac", "positive"),
-    "params.N": ("N", "count"),
-    "output.kind": ("output_kind", "word"),
-    "output.orders": ("output_orders", "ints"),
-    "output.coeffs_re": ("output_coeffs_re", "reals"),
-    "output.coeffs_im": ("output_coeffs_im", "reals"),
-    "integrator.method": ("method", "word"),
-    "integrator.step": ("step", "positive"),
-    "integrator.horizon": ("horizon", "positive"),
-    "integrator.record_every": ("record_every", "count"),
-    "thresholds.trailing_x_max": ("trailing_x_max", "positive"),
-    "thresholds.final_c_eps_max": ("final_c_eps_max", "positive"),
-    "analyze.trials": ("analyze_trials", "count"),
-    "analyze.u_grid": ("analyze_u_grid", "reals"),
-    "analyze.R0": ("analyze_R0", "positive"),
+    "strategy": ("strategy", "word", None),
+    "seed": ("seed", "natural", None),
+    "init.x0": ("x0", "points", None),
+    "init.xhat0": ("xhat0", "points", None),
+    "init.count": ("init_count", "count", None),
+    "init.radius_xhat": ("init_radius_xhat", "positive", None),
+    "init.rho": ("rho", "positive", None),
+    "params.K": ("K", "pair", None),
+    "params.poles": ("poles", "pair", None),
+    "params.alpha": ("alpha", "positive", None),
+    "params.delta": ("delta", "positive", None),
+    "params.delta_frac": ("delta_frac", "positive", "finite"),
+    "params.Delta": ("Delta", "real", "spectral"),
+    "params.mu": ("mu", "positive", "spectral"),
+    "params.j_frac": ("j_frac", "positive", "spectral"),
+    "params.N": ("N", "count", "spectral"),
+    "output.kind": ("output_kind", "word", "spectral"),
+    "output.orders": ("output_orders", "ints", "spectral"),
+    "output.coeffs_re": ("output_coeffs_re", "reals", "spectral"),
+    "output.coeffs_im": ("output_coeffs_im", "reals", "spectral"),
+    "integrator.method": ("method", "word", None),
+    "integrator.step": ("step", "positive", None),
+    "integrator.horizon": ("horizon", "positive", None),
+    "integrator.record_every": ("record_every", "count", None),
+    "thresholds.trailing_x_max": ("trailing_x_max", "positive", None),
+    "thresholds.final_c_eps_max": ("final_c_eps_max", "positive", None),
+    "analyze.trials": ("analyze_trials", "count", None),
+    "analyze.u_grid": ("analyze_u_grid", "reals", "spectral"),
+    "analyze.R0": ("analyze_R0", "positive", "spectral"),
 }
 
 
-def _typed(key: str, kind: str, value):
-    """The value of `key` read as `kind`, or a ValueError naming the key.
+def _typed(key: str, kind: str, text: str):
+    """The value of `key` read from its text as `kind`, or a ValueError naming the key.
 
-    word: as written; natural: a non-negative int; count: a positive int; real;
-    positive: a positive real; reals, ints: lists; pair: two reals; points: a flat list of
-    planar points, returned as a (k, 2) array.  Every number must be finite.
+    word: the text; natural: a non-negative int; count: a positive int; real;
+    positive: a positive real; reals, ints: comma-separated lists, a single number
+    being a one-element list; pair: two reals; points: a flat list of planar points,
+    returned as a (k, 2) array.  Every number must be finite.
     """
     if kind == "word":
-        return value
-    items = value if isinstance(value, list) else [value]
-    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-        raise ValueError(f"{key}: must be finite, got {value!r}")
-    if kind in ("reals", "ints", "pair", "points"):
-        if kind == "points" and (len(items) % 2 != 0 or not items):
-            raise ValueError(f"{key}: expected a flat list of planar points "
-                             f"(length a positive multiple of 2), got {len(items)} values")
-        if not items or any(isinstance(v, str) for v in items):
-            raise ValueError(f"{key}: expected a list of numbers, got {value!r}")
-        if kind == "ints" and not all(float(v).is_integer() for v in items):
-            raise ValueError(f"{key}: expected a list of integers, got {value!r}")
-        if kind == "pair" and len(items) != 2:
-            raise ValueError(f"{key}: expected 2 numbers, got {len(items)}")
-        if kind == "points":
-            return np.asarray(items, dtype=float).reshape(-1, 2)
-        return [int(v) if kind == "ints" else float(v) for v in items]
-    if isinstance(value, (list, str)):
-        raise ValueError(f"{key}: expected a number, got {value!r}")
+        return text
     integer = kind in ("natural", "count")
-    if integer and not isinstance(value, int):
-        raise ValueError(f"{key}: expected an integer, got {value!r}")
-    value = value if integer else float(value)
-    if kind in ("count", "positive") and not value > 0:
-        raise ValueError(f"{key}: must be positive, got {value}")
-    if kind == "natural" and value < 0:
-        raise ValueError(f"{key}: must be non-negative, got {value}")
-    return value
+    scalar = integer or kind in ("real", "positive")
+    try:
+        items = ([int(text) if integer else float(text)] if scalar
+                 else [float(p) for p in text.split(",") if p.strip()])
+    except ValueError:
+        what = "an integer" if integer else "a number" if scalar else "a list of numbers"
+        raise ValueError(f"{key}: expected {what}, got {text!r}") from None
+    if not all(map(math.isfinite, items)):
+        raise ValueError(f"{key}: must be finite, got {text!r}")
+    if scalar:
+        value = items[0]
+        if kind in ("count", "positive") and not value > 0:
+            raise ValueError(f"{key}: must be positive, got {value}")
+        if kind == "natural" and value < 0:
+            raise ValueError(f"{key}: must be non-negative, got {value}")
+        return value
+    if kind == "points" and (len(items) % 2 != 0 or not items):
+        raise ValueError(f"{key}: expected a flat list of planar points "
+                         f"(length a positive multiple of 2), got {len(items)} values")
+    if not items:
+        raise ValueError(f"{key}: expected a list of numbers, got {text!r}")
+    if kind == "ints" and not all(v.is_integer() for v in items):
+        raise ValueError(f"{key}: expected a list of integers, got {text!r}")
+    if kind == "pair" and len(items) != 2:
+        raise ValueError(f"{key}: expected 2 numbers, got {len(items)}")
+    if kind == "points":
+        return np.asarray(items).reshape(-1, 2)
+    return [int(v) for v in items] if kind == "ints" else items
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -197,34 +186,38 @@ def parse_config(path: str) -> ScenarioConfig:
     problem found, or returns the config (possibly with non-fatal warnings
     attached) with seed, K, delta (finite) and output (spectral) settled."""
     raw = read_key_values(path)
+    strategy = raw.get("strategy")
     problems = [f"{key}: unknown key" for key in raw if key not in _KEYS]
     warnings: list[str] = []
     cfg = ScenarioConfig()
-    for key, (attr, kind) in _KEYS.items():
-        if key in raw:
-            try:
-                setattr(cfg, attr, _typed(key, kind, raw[key]))
-            except ValueError as exc:
-                problems.append(str(exc))
+    for key, (attr, kind, reader) in _KEYS.items():
+        if key not in raw:
+            continue
+        if strategy in STRATEGIES and reader not in (None, strategy):
+            problems.append(f"{key}: read only by the {reader} strategy, not by {strategy}")
+            continue
+        try:
+            setattr(cfg, attr, _typed(key, kind, raw[key]))
+        except ValueError as exc:
+            problems.append(str(exc))
     if env := os.environ.get(SEED_ENV):
         if env.strip().isdecimal():
             cfg.seed = int(env)
         else:
             problems.append(f"{SEED_ENV}: expected a non-negative integer, got {env!r}")
 
-    strategy = cfg.strategy
-    if strategy not in ("finite", "spectral"):
+    if strategy not in STRATEGIES:
         problems.append(f"strategy: must be 'finite' or 'spectral', got {strategy!r}")
-    if (cfg.x0 is None) != (cfg.xhat0 is None):
+    # a key given but rejected has its own problem already: a follow-on
+    # problem names a key only when the file does not give it
+    if ("init.x0" in raw) != ("init.xhat0" in raw):
         problems.append("init.x0/init.xhat0: give both or neither")
-    elif cfg.x0 is not None and cfg.x0.shape != cfg.xhat0.shape:
+    elif cfg.x0 is not None and cfg.xhat0 is not None and cfg.x0.shape != cfg.xhat0.shape:
         problems.append("init.x0/init.xhat0: point counts differ")
-    if cfg.x0 is None and cfg.init_radius_x is None and cfg.rho is None:
-        problems.append("init.radius_x: required when init.x0 is not given")
+    if "init.x0" not in raw and "init.rho" not in raw:
+        problems.append("init.rho: required when init.x0 is not given")
     if cfg.poles is not None and any(p >= 0 for p in cfg.poles):
         problems.append("params.poles: all poles must have negative real part")
-    if cfg.Delta is not None and not 0.0 < cfg.Delta < math.pi:
-        problems.append(f"params.Delta: Delta must lie in (0, pi), got {cfg.Delta}")
     if not cfg.j_frac < 1.0:
         problems.append(f"params.j_frac: must lie in (0, 1), got {cfg.j_frac}")
 
@@ -237,7 +230,6 @@ def parse_config(path: str) -> ScenarioConfig:
         elif cfg.output_kind != BESSEL_SERIES:
             coeffs = {}
         elif orders is None or re_part is None:
-            # a key given but rejected has its own problem already
             if "output.orders" not in raw or "output.coeffs_re" not in raw:
                 problems.append("output.orders/output.coeffs_re: required for bessel_series")
         elif not len(orders) == len(re_part) == len(im_part or re_part):
@@ -253,13 +245,15 @@ def parse_config(path: str) -> ScenarioConfig:
         if cfg.output is not None and cfg.output.top > cfg.N:
             problems.append(f"{'output.orders' if coeffs else 'params.N'}: {cfg.output_kind} "
                             f"has largest order {cfg.output.top}, above params.N = {cfg.N}")
-        if cfg.mu is None:
+        if "params.mu" not in raw:
             problems.append("params.mu: required for the spectral strategy")
-        if cfg.Delta is None:
+        if "params.Delta" not in raw:
             problems.append("params.Delta: required for the spectral strategy")
-        elif 0.0 < cfg.Delta < math.pi:
+        elif cfg.Delta is not None and not 0.0 < cfg.Delta < math.pi:
+            problems.append(f"params.Delta: Delta must lie in (0, pi), got {cfg.Delta}")
+        elif cfg.Delta is not None:
             grid = (cfg.Delta, "params.Delta")
-        if cfg.delta is None:
+        if "params.delta" not in raw:
             problems.append("params.delta: required for the spectral strategy")
         # every start must stay inside the region where the embedding can be
         # evaluated: explicit points one by one, drawn ones by their balls
@@ -268,8 +262,7 @@ def parse_config(path: str) -> ScenarioConfig:
                     and (arg := cfg.mu * np.hypot(*points.T).max()) >= VALID_MU_R:
                 problems.append(f"{key}: mu |p| = {arg!r} at its farthest point must stay "
                                 f"below the valid-region limit {VALID_MU_R!r}")
-        key_x = "init.radius_x" if cfg.init_radius_x is not None else "init.rho"
-        balls = [(r, key) for key, r in ((key_x, cfg.init_radius_x or cfg.rho),
+        balls = [(r, key) for key, r in (("init.rho", cfg.rho),
                                          ("init.radius_xhat", cfg.init_radius_xhat))
                  if r is not None]
         if cfg.x0 is None and cfg.mu is not None and balls:
@@ -284,18 +277,13 @@ def parse_config(path: str) -> ScenarioConfig:
 
     if cfg.method not in METHODS:
         problems.append(f"integrator.method: unknown method {cfg.method!r}")
-    # the ball delta_margin certifies
-    radius = cfg.rho if cfg.rho is not None else cfg.init_radius_x
     if strategy == "finite":
         if cfg.method == "exact_linear":
             problems.append("integrator.method: exact_linear applies to the spectral strategy only")
-        if cfg.delta is None and cfg.delta_frac is None:
+        if "params.delta" not in raw and "params.delta_frac" not in raw:
             problems.append("params.delta: give params.delta or params.delta_frac")
-        elif cfg.delta is None and radius is None:
-            problems.append("params.delta_frac: needs init.rho or init.radius_x, the radius "
-                            "delta_margin certifies")
-        if cfg.Delta is not None:
-            warnings.append("params.Delta: ignored by the finite strategy (continuous feedback)")
+        elif "params.delta" not in raw and "init.rho" not in raw:
+            problems.append("params.delta_frac: needs init.rho, the ball delta_margin certifies")
         grid = (cfg.step, "integrator.step")
     if grid is not None:
         period, unit = grid
@@ -321,9 +309,9 @@ def parse_config(path: str) -> ScenarioConfig:
     plant = rotation_plant()
     cfg.K = np.asarray(cfg.K if cfg.K is not None else place_poles(plant.A, plant.b, cfg.poles),
                        dtype=float)
-    if strategy == "finite" and radius is not None:
+    if strategy == "finite" and cfg.rho is not None:
         try:
-            margin = delta_margin(cfg.K, radius, plant)
+            margin = delta_margin(cfg.K, cfg.rho, plant)
         except ValueError as exc:
             raise ConfigError([f"params.K: {exc}"]) from None
         key = "params.delta" if cfg.delta is not None else "params.delta_frac"
@@ -332,6 +320,6 @@ def parse_config(path: str) -> ScenarioConfig:
         if cfg.delta >= margin:
             warnings.append(
                 f"{key}: delta={cfg.delta:.6g} >= delta_margin={margin:.6g} for radius "
-                f"{radius:g}; the perturbed feedback's basin is no longer guaranteed")
+                f"{cfg.rho:g}; the perturbed feedback's basin is no longer guaranteed")
     cfg.warnings = warnings
     return cfg

@@ -303,7 +303,7 @@ integrator.record_every = 10
 SPECTRAL_SCENARIO = """
 strategy = spectral
 seed = 13
-init.radius_x = 1.0
+init.rho = 1.0
 init.count = 2
 params.K = 1.0, -2.0
 params.alpha = 1.0

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -40,7 +41,7 @@ integrator.record_every = 10
 SPECTRAL_CFG = """
 strategy = spectral
 seed = 7
-init.radius_x = 1.0
+init.rho = 1.0
 init.count = 2
 params.K = 1.0, -2.0
 params.alpha = 1.0
@@ -75,10 +76,6 @@ OVERSIZED_DELTA = [
     (FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta = 5.0"), "params.delta"),
     (FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta_frac = 1.5"),
      "params.delta_frac"),
-    (FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta = 5.0")
-     .replace("init.rho = 3.0", "init.radius_x = 3.0"), "params.delta"),
-    (FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta_frac = 1.5")
-     .replace("init.rho = 3.0", "init.radius_x = 3.0"), "params.delta_frac"),
 ]
 
 # one bad value each, and the key its problem must start with
@@ -108,10 +105,6 @@ BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
     # A + bK is not Hurwitz, so delta_margin has no value
     ("K-not-Hurwitz", FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.K = 1.0, 1.0"),
      "params.K"),
-    ("K-not-Hurwitz-radius_x",
-     FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.K = 1.0, 1.0")
-     .replace("params.delta_frac = 0.5", "params.delta = 0.3")
-     .replace("init.rho = 3.0", "init.radius_x = 3.0"), "params.K"),
     # mu |p| = 0.1 * 600 = 60 and 0.1 * 500 = 50: at or past the Bessel argument limit
     ("spectral-x0-outside", SPECTRAL_CFG + "init.x0 = 0.5, 0.0, 600.0, 0.0\n"
      "init.xhat0 = 0.0, 0.2, 0.0, 0.0\n", "init.x0"),
@@ -153,7 +146,15 @@ BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
      SPECTRAL_CFG.replace("integrator.step = 0.05", "integrator.step = 0.005")
      .replace("integrator.horizon = 5.0", "integrator.horizon = 0.5")
      + "integrator.record_every = 3\n", "integrator.record_every"),
+    # a key the other strategy reads
+    ("finite-output-kind", FINITE_CFG + "output.kind = bogus\n", "output.kind"),
+    ("finite-Delta", FINITE_CFG + "params.Delta = 0.05\n", "params.Delta"),
+    ("spectral-delta_frac", SPECTRAL_CFG + "params.delta_frac = 0.5\n", "params.delta_frac"),
 ]]
+
+# a valid text of each kind a strategy-scoped key has
+VALID_TEXT = {"positive": "0.5", "real": "0.5", "count": "3", "word": "norm_sq",
+              "ints": "0, 2", "reals": "1.0, 0.5"}
 
 
 class TestParseConfig:
@@ -184,27 +185,43 @@ class TestParseConfig:
 
     def test_key_table_matches_fields_and_readme(self):
         fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
-        table = [attr for attr, _ in _KEYS.values()]
+        table = [attr for attr, _, _ in _KEYS.values()]
         assert len(set(table)) == len(table) and set(table) <= fields
         assert fields - set(table) == {"warnings", "output"}
-        readme = README.read_text(encoding="utf-8")
-        assert [key for key in _KEYS if f"`{key}`" not in readme] == []
+        assert {reader for _, _, reader in _KEYS.values()} == {None, "finite", "spectral"}
+        # README's key table: each key's row states the strategy that reads it
+        read_by = {}
+        for line in README.read_text(encoding="utf-8").splitlines():
+            cells = line.split("|")
+            if line.startswith("| `") and len(cells) > 5:
+                read_by.update((key, cells[4].strip()) for key in re.findall(r"`([^`]+)`",
+                                                                            cells[1]))
+        assert {key: read_by.get(key) for key in _KEYS} == \
+            {key: reader or "both" for key, (_, _, reader) in _KEYS.items()}
+
+    @pytest.mark.parametrize("key", [key for key, (_, _, reader) in _KEYS.items() if reader])
+    def test_key_of_the_other_strategy_rejected(self, tmp_path, key):
+        _, kind, reader = _KEYS[key]
+        other = FINITE_CFG if reader == "spectral" else SPECTRAL_CFG
+        assert f"{key} =" not in other
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, other + f"{key} = {VALID_TEXT[kind]}\n"))
+        assert [p for p in err.value.problems if p.startswith(f"{key}:")], err.value.problems
 
     @pytest.mark.parametrize("balls,key", [
-        ("init.radius_x = 600.0", "init.radius_x"),
         ("init.rho = 600.0", "init.rho"),
-        ("init.radius_x = 1.0\ninit.radius_xhat = 600.0", "init.radius_xhat"),
+        ("init.rho = 1.0\ninit.radius_xhat = 600.0", "init.radius_xhat"),
     ])
     def test_ball_outside_bessel_domain(self, tmp_path, balls, key):
         # mu R = 0.1 * 600 = 60 is past the Bessel argument limit 50
-        text = SPECTRAL_CFG.replace("init.radius_x = 1.0", balls)
+        text = SPECTRAL_CFG.replace("init.rho = 1.0", balls)
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, text))
         assert any(p.startswith(f"params.mu/{key}:") for p in err.value.problems)
 
     def test_truncation_tail_warns(self, tmp_path):
         # mu R = 4 at N = 12: tail bound 2 * 2^26 / (13!)^2 = 3.5e-12
-        text = SPECTRAL_CFG.replace("init.radius_x = 1.0", "init.radius_x = 40.0")
+        text = SPECTRAL_CFG.replace("init.rho = 1.0", "init.rho = 40.0")
         cfg = parse_config(write(tmp_path, text))
         assert len(cfg.warnings) == 1 and cfg.warnings[0].startswith("params.N:")
 
@@ -223,7 +240,10 @@ class TestParseConfig:
     @pytest.mark.parametrize("text,key", [
         (bessel_series("1.5, 2", "1.0, 0.5"), "output.orders"),
         (bessel_series("0, 2", "x"), "output.coeffs_re"),
-    ], ids=["orders", "coeffs_re"])
+        (FINITE_CFG.replace("init.rho = 3.0", "init.rho = -2.0"), "init.rho"),
+        (SPECTRAL_CFG.replace("params.mu = 0.1", "params.mu = -0.1"), "params.mu"),
+        (FINITE_CFG + "init.x0 = 1.0, nan\ninit.xhat0 = 0.5, 0.0\n", "init.x0"),
+    ], ids=["orders", "coeffs_re", "rho", "mu", "x0"])
     def test_rejected_output_key_reported_once(self, tmp_path, text, key):
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, text))
@@ -231,13 +251,21 @@ class TestParseConfig:
         assert err.value.problems[0].startswith(f"{key}:")
 
     def test_all_errors_reported_at_once(self, tmp_path):
-        text = "strategy = nope\nbogus.key = 1\ninit.radius_x = -2.0\n"
+        text = "strategy = nope\nbogus.key = 1\ninit.rho = -2.0\n"
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, text))
         joined = "\n".join(err.value.problems)
         assert "strategy" in joined
         assert "bogus.key" in joined
-        assert "init.radius_x" in joined
+        assert "init.rho" in joined
+
+    @pytest.mark.parametrize("value", ["abc", "1.0, abc"])
+    def test_list_read_by_one_rule(self, tmp_path, value):
+        # a word alone and a word in a list are one problem, stated once
+        text = FINITE_CFG.replace("params.poles = -1.0, -2.0", f"params.K = {value}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        assert err.value.problems == [f"params.K: expected a list of numbers, got {value!r}"]
 
     def test_duplicate_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -407,13 +435,23 @@ class TestAnalyze:
         assert float(report["gramian.u_0.lambda_max"]) > 0.0
 
     def test_certificate_uses_the_simulated_delta(self, tmp_path):
-        text = FINITE_CFG + "analyze.trials = 5\nanalyze.u_grid = 0.0\n"
+        text = FINITE_CFG + "analyze.trials = 5\n"
         cfg = parse_config(write(tmp_path, text))
         _, params = build_finite(cfg)
         report = read_report(analyze(cfg, str(tmp_path / "out")))
         assert float(report["certificate.delta"]) == params.delta == pytest.approx(0.2357, abs=1e-4)
         assert report["certificate.full_rank"] == "1"
         assert "certificate.singular" not in report
+
+    def test_report_sections_per_strategy(self, tmp_path):
+        # each strategy's report covers the loop it runs and nothing else
+        sections = {}
+        for name, text in (("finite", FINITE_CFG), ("spectral", SPECTRAL_CFG)):
+            cfg = parse_config(write(tmp_path, text + "analyze.trials = 5\n", name + ".cfg"))
+            report = read_report(analyze(cfg, str(tmp_path / name)))
+            sections[name] = {key.split(".")[0] for key in report}
+        assert sections == {"finite": {"seed", "det_check", "certificate"},
+                            "spectral": {"seed", "det_check", "gramian", "umax", "bounds"}}
 
     def test_budget_uses_the_loop_j(self, tmp_path):
         # params.j_frac sets the j of the control bound and of the budget alike
@@ -466,8 +504,7 @@ class TestMain:
         assert "UNOBS_STAB_SEED: expected a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("text,key", OVERSIZED_DELTA[:3],
-                             ids=["delta", "delta_frac", "delta-radius_x"])
+    @pytest.mark.parametrize("text,key", OVERSIZED_DELTA, ids=["delta", "delta_frac"])
     def test_oversized_delta_warns_then_runs(self, tmp_path, capsys, text, key):
         # the delta budget is settled at parse time: the runs go ahead
         path = write(tmp_path, text)
