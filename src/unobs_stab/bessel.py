@@ -25,40 +25,41 @@ _SERIES_MAX_R = 8.0
 MAX_ARG = 50.0
 
 
-def _series_rows(r: np.ndarray, kmax: int) -> np.ndarray:
-    """Rows [J_0(r_i)..J_kmax(r_i)] by the ascending series, 0 <= r_i <= _SERIES_MAX_R.
+def _series_rows(r: np.ndarray, kmax: int, largest: float) -> np.ndarray:
+    """Rows [J_0(r_i)..J_kmax(r_i)] by the ascending series, 0 <= r_i <= largest <= 8.
 
     Row i sums the terms up to and including its first one below 1e-20 (in
     every order), in sequence, so a row's value does not depend on the
-    other rows it is evaluated with.  The term count is bounded above from
-    the largest radius: |term_{m,k}| <= e^{r/2} (r/2)^{2m} / (m!)^2.
+    other rows it is evaluated with.
     """
     half = 0.5 * r
-    h2_max = float(half.max(initial=0.0)) ** 2
-    bound, terms = math.exp(math.sqrt(h2_max)), 0
-    while bound >= 1e-20 and terms < 119:
-        terms += 1
-        bound *= h2_max / (terms * terms)
-    orders, denominators = _series_tables(kmax, terms)
+    orders, neg_denominators = _series_tables(kmax, math.frexp((0.5 * largest) ** 2)[1])
     # seq[:, 0] is the leading term (r/2)^k / k!, seq[:, m] the m-th term
-    seq = np.empty((r.shape[0], terms + 1, kmax + 1))
+    seq = np.empty((r.shape[0], neg_denominators.shape[0] + 1, kmax + 1))
     seq[:, 0, 0] = 1.0
-    seq[:, 0, 1:] = half[:, None] / orders
-    seq[:, 1:] = -(half * half)[:, None, None] / denominators
-    seq[:, 0].cumprod(axis=1, out=seq[:, 0])
-    seq.cumprod(axis=1, out=seq)
-    small = np.abs(seq[:, 1:]).max(axis=2) < 1e-20
-    last = np.where(small.any(axis=1), small.argmax(axis=1) + 1, terms)
-    seq.cumsum(axis=1, out=seq)
+    np.divide(half[:, None], orders, out=seq[:, 0, 1:])
+    np.divide((half * half)[:, None, None], neg_denominators, out=seq[:, 1:])
+    np.multiply.accumulate(seq[:, 0], axis=1, out=seq[:, 0])
+    np.multiply.accumulate(seq, axis=1, out=seq)
+    # the leading term of order 0 is 1, so the first small term has m >= 1
+    last = (np.abs(seq).max(axis=2) < 1e-20).argmax(axis=1)
+    np.add.accumulate(seq, axis=1, out=seq)
     return seq[np.arange(r.shape[0]), last]
 
 
-@lru_cache(maxsize=32)
-def _series_tables(kmax: int, terms: int):
-    """Orders 1..kmax and the denominators m (m + k) for m = 1..terms (read-only)."""
+@lru_cache(maxsize=64)
+def _series_tables(kmax: int, exponent: int):
+    """Orders 1..kmax and the denominators -m (m + k) for m = 1..terms (read-only),
+    terms enough to reach one below 1e-20 in every row with (r/2)^2 < 2**exponent:
+    |term_{m,k}| <= e^{r/2} (r/2)^{2m} / (m!)^2, a bound that grows with r."""
+    h2, terms = 2.0 ** exponent, 0
+    bound = math.exp(math.sqrt(h2))
+    while bound >= 1e-20:
+        terms += 1
+        bound *= h2 / (terms * terms)
     k = np.arange(kmax + 1, dtype=float)
     m = np.arange(1, terms + 1, dtype=float)[:, None]
-    tables = (k[1:], m * (m + k))
+    tables = (k[1:], -(m * (m + k)))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -106,10 +107,11 @@ def bessel_j_all(kmax: int, r):
     if not (rows.min(initial=0.0) >= 0.0 and largest < MAX_ARG):  # NaN fails too
         bad = rows[~((rows >= 0.0) & (rows < MAX_ARG))][0]
         raise ValueError(f"bessel_j_all: need 0 <= r < {MAX_ARG}, got r={bad}")
+    if largest <= _SERIES_MAX_R:
+        return _series_rows(rows, kmax, float(largest)).reshape(radii.shape + (kmax + 1,))
     far = rows > _SERIES_MAX_R
     out = np.empty((rows.shape[0], kmax + 1))
-    if not far.all():
-        out[~far] = _series_rows(rows[~far], kmax)
+    out[~far] = _series_rows(rows[~far], kmax, _SERIES_MAX_R)
     for i in np.flatnonzero(far):
         out[i] = _miller_orders(float(rows[i]), kmax)
     return out.reshape(radii.shape + (kmax + 1,))
@@ -124,15 +126,8 @@ def bessel_j(k: int, r: float) -> float:
     if not math.isfinite(r) or abs(r) >= MAX_ARG:
         raise ValueError(f"bessel_j: argument out of range |r| < {MAX_ARG}: r={r}")
     k = int(k)
-    sign = 1.0
-    if k < 0:
-        k = -k
-        if k % 2:
-            sign = -sign
-    if r < 0.0:
-        r = -r
-        if k % 2:
-            sign = -sign
+    sign = -1.0 if k % 2 and (k < 0) != (r < 0.0) else 1.0
+    k, r = abs(k), -r if r < 0.0 else r
     return sign * float(bessel_j_all(k, r)[k])
 
 

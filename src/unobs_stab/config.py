@@ -22,11 +22,15 @@ import numpy as np
 
 from .finite import delta_margin, rotation_plant
 from .linalg import place_poles
+from .observability import GRAMIAN_STEPS
 from .sim import METHODS, VALID_MU_R, hold_grid
-from .spectral import BESSEL_SERIES, KINDS, OutputSpec, truncation_tail_bound
+from .spectral import (BESSEL_SERIES, KINDS, OutputSpec, output_vector, taylor_plan,
+                       truncation_tail_bound)
 
 STRATEGIES = ("finite", "spectral")
 SEED_ENV = "UNOBS_STAB_SEED"  # a non-negative integer here overrides the seed
+# work caps: steps of all runs, floats their records hold (1 GiB), Taylor sub-steps
+MAX_RUN_STEPS, MAX_RECORDED, MAX_SUBSTEPS = 10 ** 8, 2 ** 27, 1000
 
 
 class ConfigError(ValueError):
@@ -274,6 +278,18 @@ def parse_config(path: str) -> ScenarioConfig:
             elif (tail := truncation_tail_bound(arg, cfg.N)) > 1e-12:
                 warnings.append(f"params.N: truncation tail bound {tail:.3g} > 1e-12 at "
                                 f"mu * {key} = {arg:g}; the drawn starts embed inexactly")
+        if cfg.mu is not None and cfg.output is not None and cfg.output.top <= cfg.N:
+            # the propagator's sub-steps in analyze's Gramian steps (one period 2 pi)
+            # at the sweep's largest |u|, and in exact_linear's steps at u = 0 and up
+            loads = [("analyze.u_grid", 2.0 * math.pi / GRAMIAN_STEPS,
+                      max(map(abs, cfg.analyze_u_grid)), 0.0)]
+            if cfg.method == "exact_linear":
+                loads.append(("params.alpha", cfg.step, 0.0, cfg.alpha))
+            for key, h, u, alpha in loads:
+                if (subs := taylor_plan(h, cfg.N, u, cfg.mu, alpha,
+                                        output_vector(cfg.output, cfg.N))[0]) > MAX_SUBSTEPS:
+                    problems.append(f"{key}: {subs:.3g} Taylor sub-steps per step of {h:g}, "
+                                    f"above the cap {MAX_SUBSTEPS}")
 
     if cfg.method not in METHODS:
         problems.append(f"integrator.method: unknown method {cfg.method!r}")
@@ -297,6 +313,13 @@ def parse_config(path: str) -> ScenarioConfig:
             # the records would end short of the horizon
             problems.append(f"integrator.record_every: {cfg.record_every} must divide the "
                             f"{n_sub * n_per} integrator steps to the horizon")
+        else:  # a record holds x, zhat (2N+1 complex or n+1 real) and the scalars
+            runs = len(cfg.x0) if cfg.x0 is not None else cfg.init_count
+            width = 4 * cfg.N + 8 if strategy == "spectral" else 8
+            steps, records = runs * n_sub * n_per, runs * (n_sub * n_per // cfg.record_every + 1)
+            if steps > MAX_RUN_STEPS or records * width > MAX_RECORDED:
+                problems.append(f"integrator.horizon: {steps} steps and {records * width} "
+                                f"recorded floats, caps {MAX_RUN_STEPS} and {MAX_RECORDED}")
 
     if problems:
         raise ConfigError(problems)

@@ -29,12 +29,12 @@ class GramianReport:
 
 
 # trapezoid intervals of observability_gramian's quadrature
-_STEPS = 400
+GRAMIAN_STEPS = 400
 
 
 def observability_gramian(u: float, T: float, zeta, mu: float, N: int) -> GramianReport:
     """Trapezoidal Gramian W = int_0^T U(t)* zeta zeta* U(t) dt for the
-    truncated spectral system under the constant input u, on _STEPS intervals.
+    truncated spectral system under the constant input u, on GRAMIAN_STEPS intervals.
 
     Each quadrature sample is positive semidefinite, so W is PSD up to
     roundoff.  lambda_min > 0 certifies observability of the truncation;
@@ -46,21 +46,21 @@ def observability_gramian(u: float, T: float, zeta, mu: float, N: int) -> Gramia
     zeta = np.asarray(zeta, dtype=complex)
     if truncation_order(zeta) != N:
         raise ValueError("observability_gramian: zeta length does not match N")
-    dt = T / _STEPS
+    dt = T / GRAMIAN_STEPS
     # row i of the propagated identity is expm(dt G) e_i, so the rows form
     # expm(dt G)^T and their conjugate is the one-step adjoint expm(dt G)^*
     step_h = observer_propagate(np.eye(2 * N + 1), u, mu, 0.0, zeta, dt).conj()
     # samples[i] = step_h^i zeta, by doubling: rows [m, 2m) are rows [0, m)
     # advanced by step_h^m, and power_t holds (step_h^m)^T
-    samples = np.empty((_STEPS + 1, 2 * N + 1), dtype=complex)
+    samples = np.empty((GRAMIAN_STEPS + 1, 2 * N + 1), dtype=complex)
     samples[0] = zeta
     power_t, m = step_h.T, 1
-    while m <= _STEPS:
-        k = min(m, _STEPS + 1 - m)
+    while m <= GRAMIAN_STEPS:
+        k = min(m, GRAMIAN_STEPS + 1 - m)
         samples[m:m + k] = samples[:k] @ power_t
         power_t = power_t @ power_t
         m *= 2
-    weights = np.full(_STEPS + 1, dt)
+    weights = np.full(GRAMIAN_STEPS + 1, dt)
     weights[[0, -1]] = 0.5 * dt
     w = (samples.T * weights) @ samples.conj()
     w = 0.5 * (w + w.conj().T)

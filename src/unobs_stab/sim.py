@@ -328,12 +328,14 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
             xs, eta = s[:, :2].real, s[:, 2:]
             inside = _valid(xs, mu)
             stages_inside.append(inside)
-            fy = linearized_output(spec, mu, output_value(spec, mu,
-                                                          np.where(inside[:, None], xs, 0.0)))
-            xd = np.stack([-xs[:, 1], xs[:, 0] + u], axis=-1)
-            etad = spectral.apply_generator(u, mu, eta) \
-                - alpha * (_row_dot(zeta_conj, eta) - fy)[:, None] * zeta
-            return np.concatenate([xd, etad], axis=-1)
+            fy = output_value(spec, mu, np.where(inside[:, None], xs, 0.0))
+            fy = linearized_output(spec, mu, fy) if spec.kind in spectral.RADIAL else fy
+            ds = np.empty_like(s)
+            np.negative(xs[:, 1], out=ds[:, 0])
+            np.add(xs[:, 0], u, out=ds[:, 1])
+            np.subtract(spectral.apply_generator(u, mu, eta),
+                        alpha * (_row_dot(zeta_conj, eta) - fy)[:, None] * zeta, out=ds[:, 2:])
+            return ds
 
         s_new = rk4_step(rhs, np.concatenate([x, zhat], axis=-1), h)
         x_new, zhat_new = s_new[:, :2].real, s_new[:, 2:]
@@ -345,7 +347,7 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     def advance(state, active, i):
         x, eps, zhat, u = state
         x_new, eps_new, zhat_new, ok = step(x, eps, zhat, u, active)
-        ok &= np.all(np.isfinite(zhat_new), axis=-1) \
+        ok &= np.isfinite(zhat_new).all(axis=-1) \
             & (_row_dot(x_new, x_new) <= DIVERGENCE_NORM ** 2)
         if (i + 1) % n_sub == 0:
             # before the boundary record: u is right-continuous, each sample

@@ -46,6 +46,7 @@ BESSEL_SERIES = "bessel_series"
 _COEFFS = {NORM_SQ: {0: 1.0}, J0_RADIAL: {0: 1.0}, J2_COS2THETA: {2: 0.5, -2: 0.5},
            NORM: {0: 1.0}, BESSEL_SERIES: None}
 KINDS = tuple(_COEFFS)
+RADIAL = (NORM_SQ, NORM, J0_RADIAL)  # closed form; linearized_output passes the others
 
 
 def truncation_order(z) -> int:
@@ -76,7 +77,14 @@ def _polar(x):
     return r, theta
 
 
-_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+@lru_cache(maxsize=16)
+def _order_tables(n: int):
+    """Read-only tables over the orders k = -N..N: -ik, k^2 + 1, i^k and (-1)^k."""
+    k = mode_orders(n)
+    tables = (-1j * k, k * k + 1.0, np.array([1.0, 1.0j, -1.0, -1.0j])[k % 4], (-1.0) ** k)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def embed(x, mu: float, n: int) -> np.ndarray:
@@ -89,13 +97,12 @@ def embed(x, mu: float, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("embed: truncation order must be >= 1")
     r, theta = _polar(x)
-    j = bessel_j_all(n, mu * r)
-    k = np.arange(n + 1)
-    zpos = _I_POWERS[k % 4] * j * np.exp(-1j * k * theta[..., None])
-    z = np.empty(zpos.shape[:-1] + (2 * n + 1,), dtype=complex)
-    z[..., n:] = zpos
+    phases, _, i_powers, signs = _order_tables(n)
+    z = np.empty(r.shape + (2 * n + 1,), dtype=complex)
+    zpos = np.multiply(i_powers[n:] * bessel_j_all(n, mu * r),
+                       np.exp(phases[n:] * theta[..., None]), out=z[..., n:])
     # z_{-k} = i^k J_k(mu r) e^{+ik theta} = (-1)^k conj(z_k)
-    z[..., :n] = ((-1.0) ** k[1:] * np.conj(zpos[..., 1:]))[..., ::-1]
+    np.multiply(signs[n + 1:], np.conj(zpos[..., 1:]), out=z[..., n - 1::-1])
     return z
 
 
@@ -103,8 +110,9 @@ def _generator_rows(z: np.ndarray, diag: np.ndarray, c) -> np.ndarray:
     """G z from its diagonal -i k and off-diagonal weight c = u mu / 2
     (c broadcasts against z's rows)."""
     out = z * diag
-    out[..., 1:] += c * z[..., :-1]
-    out[..., :-1] -= c * z[..., 1:]
+    cz = c * z
+    out[..., 1:] += cz[..., :-1]
+    out[..., :-1] -= cz[..., 1:]
     return out
 
 
@@ -114,7 +122,7 @@ def apply_generator(u, mu: float, z) -> np.ndarray:
     with out-of-range neighbors treated as zero.  u may hold one value per
     row of z."""
     z = np.asarray(z, dtype=complex)
-    return _generator_rows(z, -1j * mode_orders(truncation_order(z)),
+    return _generator_rows(z, _order_tables(truncation_order(z))[0],
                            (0.5 * np.asarray(u, dtype=float) * mu)[..., None])
 
 
@@ -148,17 +156,23 @@ _TAYLOR_THETA = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1)
                           for m in range(1, 19)])
 
 
+def taylor_plan(h: float, n: int, u, mu: float, alpha: float, zeta):
+    """Sub-steps q and degree m of observer_propagate's step h, per value of u:
+    with ||h M|| <= h (N + |u| mu + alpha ||zeta||^2), q keeps ||h M|| / q <= 1.15
+    and m (at most 18) is the least whose first neglected term is below 2^-53."""
+    bound = h * (n + np.abs(u) * mu + alpha * float(np.sum(zeta.real ** 2 + zeta.imag ** 2)))
+    subs = np.maximum(1.0, np.ceil(bound / _TAYLOR_THETA[-1]))
+    return subs, 1 + np.searchsorted(_TAYLOR_THETA, bound / subs)
+
+
 def observer_propagate(z, u, mu: float, alpha: float, zeta, h: float) -> np.ndarray:
     """Action of expm(h * observer_matrix(u, mu, alpha, zeta)) on z.
 
     Truncated Taylor series of structured matrix-vector products (diagonal,
     the two off-diagonals and the rank-one term), after Al-Mohy and Higham,
     "Computing the action of the matrix exponential" (SIAM J. Sci. Comput.
-    33(2), 2011).  Each row takes its own u: the bound
-    ||h M|| <= h (N + |u| mu + alpha ||zeta||^2) fixes how many sub-steps q
-    the row splits h into (each with ||h M|| / q <= 1.15) and the degree m
-    (at most 18) whose first neglected term stays below 2^-53 in every
-    sub-step; the whole tail is then below e^{1.15} 2^-53 ~ 3.5e-16.
+    33(2), 2011).  Each row takes its own u, which fixes its sub-steps and
+    degree (taylor_plan); the whole tail is then below e^{1.15} 2^-53 ~ 3.5e-16.
     """
     z = np.asarray(z, dtype=complex)
     rows = z.reshape(-1, z.shape[-1])
@@ -168,11 +182,9 @@ def observer_propagate(z, u, mu: float, alpha: float, zeta, h: float) -> np.ndar
     azeta = alpha * zeta
     u = np.broadcast_to(np.asarray(u, dtype=float).reshape(-1), rows.shape[:1])
     c = (0.5 * u * mu)[:, None]
-    bound = h * (n + np.abs(u) * mu + alpha * float(np.sum(zeta.real ** 2 + zeta.imag ** 2)))
-    subs = np.maximum(1.0, np.ceil(bound / _TAYLOR_THETA[-1]))
-    degree = 1 + np.searchsorted(_TAYLOR_THETA, bound / subs)
+    subs, degree = taylor_plan(h, n, u, mu, alpha, zeta)
     hs = (h / subs)[:, None]
-    diag = -1j * mode_orders(n)
+    diag = _order_tables(n)[0]
     out = rows.copy()
     for sub in range(int(subs.max())):
         term = out
@@ -270,8 +282,8 @@ def weak_norm(z):
     """sqrt(sum |z_k|^2 / (k^2 + 1)): metrizes weak convergence on bounded sets.
     One value per row of z."""
     z = np.asarray(z, dtype=complex)
-    k = mode_orders(truncation_order(z))
-    return np.sqrt(((z.real ** 2 + z.imag ** 2) / (k * k + 1.0)).sum(axis=-1))
+    return np.sqrt(((z.real ** 2 + z.imag ** 2) / _order_tables(truncation_order(z))[1])
+                   .sum(axis=-1))
 
 
 def weak_norm_bound() -> float:
@@ -297,16 +309,14 @@ def _blend_coefficients(j: float):
 
 def _radius_map(a, mu: float, j: float):
     """Radius assigned to coefficient magnitudes a = |<xi, e_1>|."""
-    zeros = find_zeros()
     y0, y1, g0, g1, s0 = _blend_coefficients(j)
-    a = np.asarray(a, dtype=float)
     w = y1 - y0
     t = (a - y0) / w
     h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
     h10 = t * (1.0 - t) ** 2
     h01 = t * t * (3.0 - 2.0 * t)
     blend = (h00 * g0 + h10 * w * s0 + h01 * g1) / mu
-    outer = np.where(a >= y1, zeros.j1 / mu, blend)
+    outer = np.where(a >= y1, g1 / mu, blend)
     return np.where(a <= y0, inv_j1(np.minimum(a, y0), j) / mu, outer)
 
 

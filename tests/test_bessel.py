@@ -11,7 +11,21 @@ from unobs_stab.bessel import (
     inv_j1,
 )
 
-from oracles import bessel_j_series, j0_first_zero, j1_zero_of_derivative
+from oracles import (
+    bessel_j_all_reference,
+    bessel_j_series,
+    inv_j1_reference,
+    j0_first_zero,
+    j1_zero_of_derivative,
+)
+
+# radii at the series ends (0, the smallest normal scale, the largest near
+# radius 8 and just below it), a typical one, mixed near/far batches, and
+# seeded batches at each scale a run meets
+KERNEL_RADII = [0.0, 1e-300, 0.06, 7.999, 8.0, np.array([0.0, 1e-300, 0.06, 7.999, 8.0]),
+                np.array([0.1, 20.0]), np.array([[0.1, 20.0], [8.0, 0.06]]), np.array([20.0, 30.0])]
+KERNEL_RADII += [np.random.default_rng(5).uniform(0.0, top, 7)
+                 for top in (1e-12, 1e-6, 1e-3, 0.1, 1.0, 4.0, 8.0, 20.0, 49.0)]
 
 
 def test_values_at_zero():
@@ -134,3 +148,19 @@ def test_inv_j1_monotone_and_left_inverse():
     inv = [inv_j1(y) for y in ys]
     assert np.max(np.abs(np.asarray(inv) - rs)) < 1e-10
     assert all(b > a for a, b in zip(inv[:-1], inv[1:]))
+
+
+@pytest.mark.parametrize("kmax", [0, 2, 24])
+@pytest.mark.parametrize("r", KERNEL_RADII, ids=lambda r: f"{np.ndim(r)}d-{np.max(r):.3g}")
+def test_kernel_bytes_match_reference(kmax, r):
+    # the leaner kernel keeps every row's truncation and summation order
+    got, want = bessel_j_all(kmax, r), bessel_j_all_reference(kmax, r)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("frac", [1.0, 0.9])
+def test_inv_j1_bytes_match_reference(frac):
+    cap = frac * find_zeros().j1
+    ys = np.linspace(0.0, bessel_j(1, cap), 41)
+    assert inv_j1(ys, cap).tobytes() == inv_j1_reference(ys, cap).tobytes()
+    assert all(inv_j1(float(y), cap) == inv_j1_reference(float(y), cap) for y in ys[::8])

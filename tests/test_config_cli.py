@@ -150,6 +150,16 @@ BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
     ("finite-output-kind", FINITE_CFG + "output.kind = bogus\n", "output.kind"),
     ("finite-Delta", FINITE_CFG + "params.Delta = 0.05\n", "params.Delta"),
     ("spectral-delta_frac", SPECTRAL_CFG + "params.delta_frac = 0.5\n", "params.delta_frac"),
+    # work caps: ~4e298 Taylor sub-steps per exact_linear step and per Gramian
+    # step, 3e12 integrator steps (7 TiB of records), 1e7 records of 56 floats
+    ("spectral-alpha-over-cap", SPECTRAL_CFG.replace("params.alpha = 1.0", "params.alpha = 1e300"),
+     "params.alpha"),
+    ("u_grid-over-cap", SPECTRAL_CFG + "analyze.u_grid = 0.0, 1e300\n", "analyze.u_grid"),
+    ("finite-steps-over-cap",
+     FINITE_CFG.replace("integrator.step = 1e-3", "integrator.step = 1e-9")
+     .replace("integrator.horizon = 2.0", "integrator.horizon = 1000.0"), "integrator.horizon"),
+    ("spectral-records-over-cap", SPECTRAL_CFG.replace("init.count = 2", "init.count = 100000"),
+     "integrator.horizon"),
 ]]
 
 # a valid text of each kind a strategy-scoped key has

@@ -1,5 +1,7 @@
+import cProfile
 import dataclasses
 import math
+import pstats
 
 import numpy as np
 import pytest
@@ -266,8 +268,10 @@ class TestSpectralBatch:
         _, params = spectral_setup(n=12)
         spec = OutputSpec(kind=kind)
         cfg = IntegratorConfig(method=method, step=0.01, horizon=1.0, record_every=5)
-        x0s = np.array([[0.6, 0.2], [-0.9, 0.4], [0.0, 0.0]])
-        xh0s = np.array([[0.1, -0.4], [0.3, 0.3], [0.5, -0.2]])
+        # mu |x0| = 8.73 for the last row: the batch's Bessel calls take the
+        # mixed series/recurrence path, the near rows alone the all-series one
+        x0s = np.array([[0.6, 0.2], [-0.9, 0.4], [0.0, 0.0], [85.0, -20.0]])
+        xh0s = np.array([[0.1, -0.4], [0.3, 0.3], [0.5, -0.2], [0.2, 0.1]])
         batch = run_spectral_batch(spec, params, x0s, xh0s, cfg)
         for x0, xh0, traj in zip(x0s, xh0s, batch):
             assert_same_run(run_spectral_batch(spec, params, x0, xh0, cfg)[0], traj)
@@ -312,6 +316,27 @@ class TestSpectralBatch:
             stages.append(rk4_step(plant_rhs, x, cfg.step))
             radii = 0.1 * np.linalg.norm(np.array(stages), axis=-1)
             assert np.all(radii < 50.0) if inside else np.any(radii >= 50.0)
+
+
+class TestCallBudget:
+    def test_rk4_coupled_calls_per_step(self):
+        # cProfile's counts of Python functions and C methods do not move with
+        # host load; 472 calls and 5.47 bessel_j_all calls per step before the
+        # Bessel kernel and the stage were trimmed, 267 and 5.47 after
+        spec = OutputSpec(kind=J2_COS2THETA)
+        params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
+                                Delta=0.03125, mu=0.1, j=default_j(), N=24)
+        cfg = IntegratorConfig(method="rk4_coupled", step=1 / 256, horizon=0.25)
+        x0s = np.array([[0.6, 0.2], [-0.9, 0.4], [0.3, -0.7], [-0.2, -0.5]])
+        xh0s = np.array([[0.1, -0.4], [0.3, 0.3], [0.5, -0.2], [-0.6, 0.1]])
+        run_spectral_batch(spec, params, x0s, xh0s, cfg)  # fill the caches first
+        prof = cProfile.Profile()
+        prof.runcall(run_spectral_batch, spec, params, x0s, xh0s, cfg)
+        counts = [(name, calls) for (_, _, name), (_, calls, _, _, _) in
+                  pstats.Stats(prof).stats.items()]
+        steps = 64
+        assert sum(calls for name, calls in counts if name == "bessel_j_all") / steps <= 5.5
+        assert sum(calls for _, calls in counts) / steps <= 300
 
 
 class TestPropagator:
