@@ -163,12 +163,16 @@ def _drive(state, eps0, advance, sample, steps: int, cfg: IntegratorConfig) -> l
 
     for i in range(steps):
         new, cur, ok = advance(state, active, i)
-        diverged_at[active & ~ok] = (i + 1) * h
-        active = ok
-        keep = active[:, None]
-        state = [np.where(keep if a.ndim > 1 else active, a, b)
-                 for a, b in zip(new, state)]
-        cur = np.where(active, cur, eps)
+        if ok.all():
+            # no row leaves (ok is within active): nothing to freeze
+            state = new
+        else:
+            diverged_at[active & ~ok] = (i + 1) * h
+            active = ok
+            keep = active[:, None]
+            state = [np.where(keep if a.ndim > 1 else active, a, b)
+                     for a, b in zip(new, state)]
+            cur = np.where(active, cur, eps)
         inc = cur - eps
         violations += inc > EPS_STEP_TOL
         max_inc = np.maximum(max_inc, inc)

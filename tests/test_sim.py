@@ -338,6 +338,21 @@ class TestCallBudget:
         assert sum(calls for name, calls in counts if name == "bessel_j_all") / steps <= 5.5
         assert sum(calls for _, calls in counts) / steps <= 300
 
+    def test_exact_linear_terms_per_interval(self):
+        # the loop's error vectors stop their Taylor series on its measured
+        # tail: 8 terms per interval where the degree is 16 (16 without the stop)
+        params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
+                                Delta=0.03125, mu=0.1, j=default_j(), N=24)
+        cfg = IntegratorConfig(method="exact_linear", step=0.03125, horizon=1.0)
+        x0s = np.array([[0.6, 0.2], [-0.9, 0.4], [0.3, -0.7], [-0.2, -0.5]])
+        xh0s = np.array([[0.1, -0.4], [0.3, 0.3], [0.5, -0.2], [-0.6, 0.1]])
+        prof = cProfile.Profile()
+        prof.runcall(run_spectral_batch, OutputSpec(kind=NORM_SQ), params, x0s, xh0s, cfg)
+        calls = {name: calls for (_, _, name), (_, calls, _, _, _) in
+                 pstats.Stats(prof).stats.items()}
+        assert calls["observer_propagate"] == 32
+        assert calls["_generator_rows"] <= 9 * calls["observer_propagate"]
+
 
 class TestPropagator:
     def test_norm_conserved(self):

@@ -152,7 +152,10 @@ class TestPropagation:
         eps = rng.normal(size=m) + 1j * rng.normal(size=m)
         # one vector the rank-one term does not see at t=0
         perp = eps - zeta * np.vdot(zeta, eps) / np.vdot(zeta, zeta)
-        return [eps / np.linalg.norm(eps), perp / np.linalg.norm(perp)]
+        # an error vector of the loop, its energy in the low orders: the series
+        # stops on its measured tail well before the degree
+        loop = embed([0.3, -0.5], self.MU, self.N) - embed([-0.4, 0.2], self.MU, self.N)
+        return [eps / np.linalg.norm(eps), perp / np.linalg.norm(perp), loop]
 
     @pytest.mark.parametrize("kind", [NORM_SQ, J2_COS2THETA])
     @pytest.mark.parametrize("h", [1e-3, 1.0 / 32.0, 0.5])
@@ -167,11 +170,13 @@ class TestPropagation:
             assert np.linalg.norm(got) <= size + 1e-15
 
     def test_rows_take_their_own_input(self):
-        # rows with different u need different degrees and sub-step counts;
-        # each row comes out bitwise as it does alone
+        # rows with different u need different degrees and sub-step counts, and
+        # the loop's error vector stops early beside random rows that run on to
+        # their degree; each row comes out bitwise as it does alone
         zeta = output_vector(OutputSpec(kind=J2_COS2THETA), self.N)
-        us = np.array([0.0, 0.3, 5.0, 40.0, 400.0])
-        eps = np.array([self.vectors(zeta)[0]] * len(us))
+        full, _, loop = self.vectors(zeta)
+        us = np.tile([0.0, 0.3, 5.0, 40.0, 400.0], 2)
+        eps = np.array([full, loop] * 5)
         batch = observer_propagate(eps, us, self.MU, self.ALPHA, zeta, 0.5)
         for u, e, row in zip(us, eps, batch):
             assert np.array_equal(observer_propagate(e, u, self.MU, self.ALPHA, zeta, 0.5), row)
