@@ -79,10 +79,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
     (0 iff every run passed its thresholds with no dissipativity violations)."""
     os.makedirs(out_dir, exist_ok=True)
     x0s, xhat0s = draw_initial_conditions(cfg)
-    shards = min(jobs, len(x0s))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    shards = min(jobs, len(x0s), cpus or 1)
     if shards > 1:
-        # contiguous shards, one batch each; rows never mix inside a batch,
-        # so the artifacts do not depend on the shard count
+        # contiguous shards, one batch each, at most one per usable CPU; rows
+        # never mix inside a batch, so the artifacts do not depend on the count
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=shards) as pool:
@@ -188,6 +189,9 @@ def main(argv=None) -> int:
     sub.add_parser("zeros", help="print j0, j1 and the weak-norm constant")
 
     args = parser.parse_args(argv)
+    if args.command == "simulate" and args.jobs < 1:
+        print(f"--jobs: expected a whole number >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     if args.command == "zeros":
         zeros = find_zeros()
         print("j0=%.17g" % zeros.j0)

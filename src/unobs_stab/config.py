@@ -24,8 +24,8 @@ from .finite import delta_margin, rotation_plant
 from .linalg import place_poles
 from .observability import GRAMIAN_STEPS
 from .sim import METHODS, VALID_MU_R, hold_grid
-from .spectral import (BESSEL_SERIES, KINDS, OutputSpec, output_vector, taylor_plan,
-                       truncation_tail_bound)
+from .spectral import (BESSEL_SERIES, KINDS, ObserverOperator, OutputSpec, output_vector,
+                       taylor_plan, truncation_tail_bound)
 
 STRATEGIES = ("finite", "spectral")
 SEED_ENV = "UNOBS_STAB_SEED"  # a non-negative integer here overrides the seed
@@ -286,8 +286,8 @@ def parse_config(path: str) -> ScenarioConfig:
             if cfg.method == "exact_linear":
                 loads.append(("params.alpha", cfg.step, 0.0, cfg.alpha))
             for key, h, u, alpha in loads:
-                if (subs := taylor_plan(h, cfg.N, u, cfg.mu, alpha,
-                                        output_vector(cfg.output, cfg.N))[0]) > MAX_SUBSTEPS:
+                op = ObserverOperator(cfg.mu, alpha, output_vector(cfg.output, cfg.N))
+                if (subs := taylor_plan(op, h, u)[0]) > MAX_SUBSTEPS:
                     problems.append(f"{key}: {subs:.3g} Taylor sub-steps per step of {h:g}, "
                                     f"above the cap {MAX_SUBSTEPS}")
 

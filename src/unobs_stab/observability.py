@@ -17,7 +17,7 @@ import numpy as np
 from .bessel import bessel_j, bessel_j_prime, find_zeros
 from .finite import _certificate
 from .linalg import kalman_matrix
-from .spectral import observer_propagate, truncation_order, weak_norm_bound
+from .spectral import ObserverOperator, observer_propagate, weak_norm_bound
 
 
 @dataclass(frozen=True)
@@ -43,17 +43,17 @@ def observability_gramian(u: float, T: float, zeta, mu: float, N: int) -> Gramia
     """
     if T <= 0.0:
         raise ValueError("observability_gramian: T must be positive")
-    zeta = np.asarray(zeta, dtype=complex)
-    if truncation_order(zeta) != N:
+    op = ObserverOperator(mu, 0.0, zeta)
+    if op.n != N:
         raise ValueError("observability_gramian: zeta length does not match N")
     dt = T / GRAMIAN_STEPS
     # row i of the propagated identity is expm(dt G) e_i, so the rows form
     # expm(dt G)^T and their conjugate is the one-step adjoint expm(dt G)^*
-    step_h = observer_propagate(np.eye(2 * N + 1), u, mu, 0.0, zeta, dt).conj()
+    step_h = observer_propagate(op, np.eye(2 * N + 1), u, dt).conj()
     # samples[i] = step_h^i zeta, by doubling: rows [m, 2m) are rows [0, m)
     # advanced by step_h^m, and power_t holds (step_h^m)^T
     samples = np.empty((GRAMIAN_STEPS + 1, 2 * N + 1), dtype=complex)
-    samples[0] = zeta
+    samples[0] = op.zeta
     power_t, m = step_h.T, 1
     while m <= GRAMIAN_STEPS:
         k = min(m, GRAMIAN_STEPS + 1 - m)

@@ -5,12 +5,12 @@ steps the packed rows (x, zhat) of the coupled plant/observer ODE
 (finite.closed_loop_rhs, continuous feedback) with classical fixed-step RK4.
 The spectral strategy is sampled: the control is held constant on each
 interval, so the truncated error system is linear time-invariant there and
-is propagated by the action of its matrix exponential (exact up to
-roundoff), while the plant state follows the closed-form
+is propagated by the action of its exponential (spectral.observer_propagate,
+exact up to roundoff), while the plant state follows the closed-form
 rotation-with-constant-input solution.  An independent path integrates the
-packed rows (x, zhat) of plant and observer exactly as written, the observer
-fed by the transformed measurement, with the same RK4 step (rk4_step), for
-cross-validation.
+packed rows (x, zhat) of plant and observer with the same RK4 step
+(rk4_step), the observer fed by the transformed measurement, for
+cross-validation.  Both apply the batch's one spectral.ObserverOperator.
 
 The batch drivers are the only drivers: a single run is their one-row case,
 run_*_batch(...)[0].  Each strategy supplies only its step and what it
@@ -40,6 +40,7 @@ from . import spectral
 from .bessel import MAX_ARG, bessel_j
 from .finite import FinParams, Plant, closed_loop_rhs, perturbed_feedback
 from .spectral import (
+    ObserverOperator,
     OutputSpec,
     SpectralParams,
     embed,
@@ -47,6 +48,7 @@ from .spectral import (
     observer_propagate,
     output_value,
     output_vector,
+    polar,
     sample_hold_feedback,
     weak_norm,
 )
@@ -265,9 +267,9 @@ def hold_grid(period: float, step: float, horizon: float) -> tuple[int, int]:
     return whole(period, step), whole(horizon, period)
 
 
-def _valid(x, mu: float) -> np.ndarray:
-    """Per point: inside the numerically valid region (NaN and inf are not)."""
-    return mu * np.hypot(x[..., 0], x[..., 1]) < VALID_MU_R
+def _valid(r, mu: float) -> np.ndarray:
+    """Per radius: inside the numerically valid region (NaN and inf are not)."""
+    return mu * r < VALID_MU_R
 
 
 def _row_norm(z) -> np.ndarray:
@@ -298,16 +300,15 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     nb = x0s.shape[0]
     if x0s.shape != (nb, 2) or xhat0s.shape != (nb, 2):
         raise ValueError("run_spectral_batch: x0s and xhat0s must have shape (runs, 2)")
-    if not _valid(np.concatenate([x0s, xhat0s]), params.mu).all():
+    if not _valid(np.hypot(*np.concatenate([x0s, xhat0s]).T), params.mu).all():
         raise ValueError(f"run_spectral_batch: every x0 and xhat0 needs mu |x| < {VALID_MU_R!r}")
     n_sub, n_int = hold_grid(params.Delta, cfg.step, cfg.horizon)
     if n_sub < 1:
         raise ValueError("run_spectral_batch: step must divide the sample period Delta")
     if n_int < 1:
         raise ValueError("run_spectral_batch: horizon must be a whole number of sample periods")
-    n, mu, alpha = params.N, params.mu, params.alpha
-    zeta = output_vector(spec, n)
-    zeta_conj = zeta.conj()
+    n, mu = params.N, params.mu
+    op = ObserverOperator(mu, params.alpha, output_vector(spec, n))
     clamp_level = bessel_j(1, params.j)
     h = cfg.step
     clamp_count = np.zeros(nb, dtype=int)
@@ -319,31 +320,29 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
 
     def exact_linear(x, eps, zhat, u, active):
         x_new = rotation_step(x, u, h)
-        ok = active & _valid(x_new, mu)
-        eps_new = observer_propagate(eps, u, mu, alpha, zeta, h)
+        ok = active & _valid(np.hypot(*x_new.T), mu)
+        eps_new = observer_propagate(op, eps, u, h)
         return x_new, eps_new, embed(np.where(ok[:, None], x_new, 0.0), mu, n) + eps_new, ok
 
     def rk4_coupled(x, eps, zhat, u, active):
-        # steps the packed complex rows (x, zhat); rhs collects the
-        # mu |x| < VALID_MU_R flags of every stage of the step
+        # steps the packed complex rows (x, zhat); rhs collects every stage's
+        # mu |x| < VALID_MU_R flags and measures a point outside at radius 0
         stages_inside = []
+        c = op.offdiag(u)
 
         def rhs(s):
-            xs, eta = s[:, :2].real, s[:, 2:]
-            inside = _valid(xs, mu)
+            xs = s[:, :2].real
+            r, theta = polar(xs)
+            inside = _valid(r, mu)
             stages_inside.append(inside)
-            fy = output_value(spec, mu, np.where(inside[:, None], xs, 0.0))
+            fy = output_value(spec, mu, np.where(inside, r, 0.0), theta)
             fy = linearized_output(spec, mu, fy) if spec.kind in spectral.RADIAL else fy
-            ds = np.empty_like(s)
-            np.negative(xs[:, 1], out=ds[:, 0])
-            np.add(xs[:, 0], u, out=ds[:, 1])
-            np.subtract(spectral.apply_generator(u, mu, eta),
-                        alpha * (_row_dot(zeta_conj, eta) - fy)[:, None] * zeta, out=ds[:, 2:])
-            return ds
+            return np.concatenate([-xs[:, 1:], (xs[:, 0] + u)[:, None],
+                                   op.apply(s[:, 2:], c, fy)], axis=-1)
 
         s_new = rk4_step(rhs, np.concatenate([x, zhat], axis=-1), h)
         x_new, zhat_new = s_new[:, :2].real, s_new[:, 2:]
-        ok = active & np.logical_and.reduce(stages_inside) & _valid(x_new, mu)
+        ok = active & np.logical_and.reduce(stages_inside) & _valid(np.hypot(*x_new.T), mu)
         return x_new, zhat_new - embed(np.where(ok[:, None], x_new, 0.0), mu, n), zhat_new, ok
 
     step = exact_linear if cfg.method == "exact_linear" else rk4_coupled
@@ -362,7 +361,7 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
 
     def sample(state, eps):
         x, eps_vec, zhat, u = state
-        return x, zhat, u, eps, np.abs(_row_dot(zeta_conj, eps_vec)), weak_norm(eps_vec)
+        return x, zhat, u, eps, np.abs(op.inner(eps_vec)), weak_norm(eps_vec)
 
     z, zhat = embed(x0s, mu, n), embed(xhat0s, mu, n)
     eps = zhat - z

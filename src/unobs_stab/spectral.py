@@ -3,8 +3,9 @@
 A state x = (r cos t, r sin t) of the rotation plant is represented by the
 function s -> exp(i mu (x1 cos s + x2 sin s)) on the circle, truncated to the
 Fourier modes |k| <= N.  In that basis the dynamics become a skew-Hermitian
-tridiagonal system, the nonlinear output becomes a linear functional, and a
-constant-gain Luenberger observer has a dissipative error system.
+tridiagonal system, the nonlinear output a linear functional, and a
+constant-gain Luenberger observer has the dissipative error operator
+G(u) - alpha zeta zeta^*, stated once, per batch, by ObserverOperator.
 
 Conventions used throughout:
 
@@ -50,26 +51,19 @@ RADIAL = (NORM_SQ, NORM, J0_RADIAL)  # closed form; linearized_output passes the
 
 
 def truncation_order(z) -> int:
-    """N for a coefficient vector (or rows of them) of length 2N+1."""
-    m = np.shape(z)[-1]
+    """N for a coefficient array (a vector or rows of them) of length 2N+1."""
+    m = z.shape[-1]
     if m % 2 == 0:
         raise ValueError("coefficient vectors have odd length 2N+1")
     return (m - 1) // 2
 
 
-def mode_orders(n: int) -> np.ndarray:
-    """The orders k = -N..N as an integer array."""
-    return np.arange(-n, n + 1)
-
-
 def embedded_target(n: int) -> np.ndarray:
     """Embedding of the origin: the constant function, i.e. the k = 0 mode."""
-    z = np.zeros(2 * n + 1, dtype=complex)
-    z[n] = 1.0
-    return z
+    return _order_tables(n)[4].copy()
 
 
-def _polar(x):
+def polar(x):
     """Radius and angle of points of shape (..., 2); the origin gets angle 0."""
     x = np.asarray(x, dtype=float)
     r = np.hypot(x[..., 0], x[..., 1])
@@ -79,9 +73,10 @@ def _polar(x):
 
 @lru_cache(maxsize=16)
 def _order_tables(n: int):
-    """Read-only tables over the orders k = -N..N: -ik, k^2 + 1, i^k and (-1)^k."""
-    k = mode_orders(n)
-    tables = (-1j * k, k * k + 1.0, np.array([1.0, 1.0j, -1.0, -1.0j])[k % 4], (-1.0) ** k)
+    """Read-only tables over the orders k = -N..N: -ik, k^2 + 1, i^k, (-1)^k, e_0."""
+    k = np.arange(-n, n + 1)
+    tables = (-1j * k, k * k + 1.0, np.array([1.0, 1.0j, -1.0, -1.0j])[k % 4], (-1.0) ** k,
+              (k == 0) + 0j)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -96,8 +91,8 @@ def embed(x, mu: float, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("embed: truncation order must be >= 1")
-    r, theta = _polar(x)
-    phases, _, i_powers, signs = _order_tables(n)
+    r, theta = polar(x)
+    phases, _, i_powers, signs, _ = _order_tables(n)
     z = np.empty(r.shape + (2 * n + 1,), dtype=complex)
     zpos = np.multiply(i_powers[n:] * bessel_j_all(n, mu * r),
                        np.exp(phases[n:] * theta[..., None]), out=z[..., n:])
@@ -106,47 +101,65 @@ def embed(x, mu: float, n: int) -> np.ndarray:
     return z
 
 
-def _generator_rows(z: np.ndarray, diag: np.ndarray, c) -> np.ndarray:
-    """G z from its diagonal -i k and off-diagonal weight c = u mu / 2
-    (c broadcasts against z's rows)."""
-    out = z * diag
-    cz = c * z
-    out[..., 1:] += cz[..., :-1]
-    out[..., :-1] -= cz[..., 1:]
-    return out
-
-
-def apply_generator(u, mu: float, z) -> np.ndarray:
-    """Apply the transport-plus-control generator in coefficient space:
-    (G(u) z)_k = -i k z_k + (u mu / 2)(z_{k-1} - z_{k+1}),
-    with out-of-range neighbors treated as zero.  u may hold one value per
-    row of z."""
-    z = np.asarray(z, dtype=complex)
-    return _generator_rows(z, _order_tables(truncation_order(z))[0],
-                           (0.5 * np.asarray(u, dtype=float) * mu)[..., None])
-
-
 def generator_matrix(u: float, mu: float, n: int) -> np.ndarray:
-    """Dense matrix of apply_generator: skew-Hermitian and tridiagonal."""
-    k = mode_orders(n)
-    g = np.diag(-1j * k.astype(complex))
-    c = 0.5 * u * mu
-    idx = np.arange(2 * n)
-    g[idx + 1, idx] = c
-    g[idx, idx + 1] = -c
-    return g
+    """Dense transport-plus-control generator G(u): skew-Hermitian and tridiagonal."""
+    c = np.full(2 * n, 0.5 * u * mu)
+    return np.diag(_order_tables(n)[0]) + np.diag(c, -1) - np.diag(c, 1)
 
 
 def observer_matrix(u: float, mu: float, alpha: float, zeta) -> np.ndarray:
-    """Error-system matrix G(u) - alpha * zeta zeta^*.
+    """Dense error-system matrix G(u) - alpha * zeta zeta^* (ObserverOperator's oracle).
 
     The output functional is z -> <z, zeta>, so the rank-one correction is its
     adjoint composed with itself; the Hermitian part of the result is exactly
     -alpha * zeta zeta^*, which makes the error norm non-increasing.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    n = truncation_order(zeta)
-    return generator_matrix(u, mu, n) - alpha * np.outer(zeta, zeta.conj())
+    return generator_matrix(u, mu, truncation_order(zeta)) - alpha * np.outer(zeta, zeta.conj())
+
+
+@dataclass(frozen=True, eq=False)
+class ObserverOperator:
+    """The observer's error operator G(u) - alpha zeta zeta^* with its batch
+    constants worked out once: N and G's diagonal -ik (n, diag), the slice
+    where alpha zeta is nonzero (span, empty at alpha = 0), conj(zeta) and
+    alpha zeta on it (zeta_conj, azeta) and load = alpha ||zeta||^2, the
+    rank-one share of taylor_plan's bound.  apply is the one statement of the
+    observer dynamics: observer_propagate's Taylor terms, the rk4_coupled
+    stage and, at alpha = 0, the Gramian use it."""
+
+    mu: float
+    alpha: float
+    zeta: np.ndarray
+
+    def __post_init__(self):
+        zeta = np.asarray(self.zeta, dtype=complex)
+        n = truncation_order(zeta)
+        support = np.flatnonzero(self.alpha * zeta)
+        span = slice(support[0], support[-1] + 1) if support.size else slice(0, 0)
+        load = self.alpha * float(np.sum(zeta.real ** 2 + zeta.imag ** 2))
+        vars(self).update(zeta=zeta, n=n, diag=_order_tables(n)[0], span=span, load=load,
+                          zeta_conj=zeta[span].conj(), azeta=self.alpha * zeta[span])
+
+    def offdiag(self, u):
+        """The weight c = u mu / 2 of G(u)'s off-diagonals, one row per value of u."""
+        return (0.5 * np.asarray(u, dtype=float) * self.mu)[..., None]
+
+    def inner(self, z):
+        """<z, zeta> for each row of z, summed over span."""
+        return (self.zeta_conj * z[..., self.span]).sum(axis=-1)
+
+    def apply(self, z, c, y):
+        """(G(u) - alpha zeta zeta^*) z + alpha y zeta = G z - alpha zeta (<z, zeta> - y)
+        for rows z, c = offdiag(u) and y each row's measurement (0: the bare
+        operator), where (G(u) z)_k = -ik z_k + c (z_{k-1} - z_{k+1})."""
+        d = self.inner(z) - y
+        out = z * self.diag
+        cz = c * z
+        out[..., 1:] += cz[..., :-1]
+        out[..., :-1] -= cz[..., 1:]
+        out[..., self.span] -= self.azeta * d[..., None]
+        return out
 
 
 # _TAYLOR_THETA[m - 1] is the largest ||h M|| for which the first term the
@@ -158,23 +171,23 @@ _TAYLOR_THETA = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1)
 _TAIL_TOL = math.exp(_TAYLOR_THETA[-1]) * 2.0 ** -53
 
 
-def taylor_plan(h: float, n: int, u, mu: float, alpha: float, zeta):
+def taylor_plan(op: ObserverOperator, h: float, u):
     """Sub-steps q, degree m and sub-step norm bound theta of
     observer_propagate's step h, per value of u: with
     ||h M|| <= h (N + |u| mu + alpha ||zeta||^2), q keeps theta = that bound / q
     at most 1.15 and m (at most 18) is the least whose first neglected term is
     below 2^-53."""
-    bound = h * (n + np.abs(u) * mu + alpha * float(np.sum(zeta.real ** 2 + zeta.imag ** 2)))
+    bound = h * (op.n + np.abs(u) * op.mu + op.load)
     subs = np.maximum(1.0, np.ceil(bound / _TAYLOR_THETA[-1]))
     theta = bound / subs
     return subs, 1 + np.searchsorted(_TAYLOR_THETA, theta), theta
 
 
-def observer_propagate(z, u, mu: float, alpha: float, zeta, h: float) -> np.ndarray:
-    """Action of expm(h * observer_matrix(u, mu, alpha, zeta)) on z.
+def observer_propagate(op: ObserverOperator, z, u, h: float) -> np.ndarray:
+    """Action of expm(h * observer_matrix(u, op.mu, op.alpha, op.zeta)) on z.
 
-    Truncated Taylor series of structured matrix-vector products (diagonal,
-    the two off-diagonals and the rank-one term on zeta's support), after
+    Truncated Taylor series whose terms are op.apply's structured products
+    (diagonal, the two off-diagonals and the rank-one term on span), after
     Al-Mohy and Higham, "Computing the action of the matrix exponential"
     (SIAM J. Sci. Comput. 33(2), 2011).  Each row takes its own u, which fixes
     its sub-steps, its norm bound theta per sub-step and its largest degree
@@ -188,15 +201,9 @@ def observer_propagate(z, u, mu: float, alpha: float, zeta, h: float) -> np.ndar
     """
     z = np.asarray(z, dtype=complex)
     rows = z.reshape(-1, z.shape[-1])
-    n = truncation_order(rows)
-    zeta = np.asarray(zeta, dtype=complex)
-    support = np.flatnonzero(alpha * zeta)
-    span = slice(support[0], support[-1] + 1) if support.size else slice(0, 0)
-    zeta_conj, azeta = zeta[span].conj(), alpha * zeta[span]
     u = np.broadcast_to(np.asarray(u, dtype=float).reshape(-1), rows.shape[:1])
-    c = (0.5 * u * mu)[:, None]
-    subs, degree, theta = taylor_plan(h, n, u, mu, alpha, zeta)
-    diag = _order_tables(n)[0]
+    c = op.offdiag(u)
+    subs, degree, theta = taylor_plan(op, h, u)
     orders = np.arange(1, int(degree.max()) + 1)[:, None]
     # per term m (table row m - 1) and row: the scale h_s / m, the bound on
     # |term_m|^2 / |v|^2 under which the row stops, and whether m is its degree
@@ -212,9 +219,7 @@ def observer_propagate(z, u, mu: float, alpha: float, zeta, h: float) -> np.ndar
         term = out
         total = out.copy()
         for i in range(orders.shape[0]):
-            inner = (zeta_conj * term[:, span]).sum(axis=-1, keepdims=True)
-            term = _generator_rows(term, diag, c)
-            term[:, span] -= azeta * inner
+            term = op.apply(term, c, 0.0)
             term *= scales[i]
             np.add(total, term, out=total, where=keep)
             live &= _sq_norms(term) > limit[i]
@@ -245,10 +250,6 @@ class OutputSpec:
 
     kind: str
     coeffs: dict = field(default_factory=dict)
-    index: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    phases: np.ndarray = field(init=False, repr=False, compare=False)
-    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _COEFFS:
@@ -261,17 +262,14 @@ class OutputSpec:
             raise ValueError("OutputSpec: bessel_series needs a nonzero coefficient")
         k = np.array(list(self.coeffs), dtype=int)
         c = np.array(list(self.coeffs.values()), dtype=complex)
-        object.__setattr__(self, "index", np.abs(k))
-        object.__setattr__(self, "weights", c * np.where((k < 0) & (k % 2 == 1), -1.0, 1.0))
-        object.__setattr__(self, "phases", -1j * k)
-        object.__setattr__(self, "top", int(self.index.max()))
+        vars(self).update(index=np.abs(k), phases=-1j * k, top=int(np.abs(k).max()),
+                          weights=c * np.where((k < 0) & (k % 2 == 1), -1.0, 1.0))
 
 
-def output_value(spec: OutputSpec, mu: float, x):
-    """The raw measurement y = h(x), for points of shape (..., 2), at the
-    loop's frequency mu: the radial kinds in closed form, every other kind
-    as its series sum_k c_k J_k(mu r) e^{-ik theta}."""
-    r, theta = _polar(x)
+def output_value(spec: OutputSpec, mu: float, r, theta):
+    """The raw measurement y = h(x) of points x given in polar form (r, theta)
+    (see polar), at the loop's frequency mu: the radial kinds in closed form,
+    every other kind as its series sum_k c_k J_k(mu r) e^{-ik theta}."""
     if spec.kind == NORM_SQ:
         return 0.5 * r * r
     if spec.kind == NORM:
@@ -422,9 +420,8 @@ def sample_hold_feedback(zhat, params: SpectralParams):
     K * left_inverse(zhat) + delta * weak_norm(zhat - embedded_target)^2.
     A float for one coefficient vector, one value per row otherwise."""
     zhat = np.asarray(zhat, dtype=complex)
-    n = truncation_order(zhat)
     xhat = left_inverse(zhat, params.mu, params.j)
-    dev = zhat - embedded_target(n)
+    dev = zhat - _order_tables(truncation_order(zhat))[4]
     u = np.sum(params.K * xhat, axis=-1) + params.delta * weak_norm(dev) ** 2
     return float(u) if zhat.ndim == 1 else u
 

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from unobs_stab.bessel import bessel_j, bessel_j_prime, find_zeros
 from unobs_stab.cli import run_scenario
@@ -33,6 +34,7 @@ from unobs_stab.sim import (
 from unobs_stab.spectral import (
     J2_COS2THETA,
     NORM_SQ,
+    ObserverOperator,
     OutputSpec,
     SpectralParams,
     default_j,
@@ -150,9 +152,10 @@ def test_criterion_05_unitarity_and_exactness():
     t0 = time.perf_counter()
     # alpha = 0 leaves the constant-input generator alone: T=100 in 10000 steps
     z = embed([1.0, 0.4], mu=0.1, n=24)
+    op = ObserverOperator(0.1, 0.0, embedded_target(24))
     norms = [np.sqrt((z.real ** 2 + z.imag ** 2).sum())]
     for _ in range(10000):
-        z = observer_propagate(z, 0.4, 0.1, 0.0, embedded_target(24), 0.01)
+        z = observer_propagate(op, z, 0.4, 0.01)
         norms.append(np.sqrt((z.real ** 2 + z.imag ** 2).sum()))
     drift = float(np.max(np.abs(np.array(norms) - norms[0])))
 
@@ -285,6 +288,23 @@ def test_criterion_09_spectral_closed_loop_nonradial_output():
     ok, detail = spectral_closed_loop(J2_COS2THETA, 1e-3)
     assert report(9, "spectral closed loop, non-radial output", ok, detail,
                   time.perf_counter() - t0)
+
+
+@pytest.mark.parametrize("kind", [NORM_SQ, J2_COS2THETA])
+def test_spectral_loop_parks_on_its_error_circle(kind):
+    # the diagnosis of criteria 8 and 9: once the estimate sits on the target
+    # the error norm is frozen at about |eps(0)|, and |e_0 - embed(x)|^2 =
+    # 2 - 2 J0(mu |x|) parks x on the circle r = J0^-1(1 - |eps(0)|^2 / 2) / mu
+    bounds = choose_radii(1.0, mu=0.1)
+    params = SpectralParams(K=np.array([1.0, -2.0]), delta=bounds.delta, alpha=1.0,
+                            Delta=bounds.Delta, mu=0.1, j=default_j(), N=24)
+    cfg = IntegratorConfig(method="exact_linear", step=bounds.Delta, horizon=50.0)
+    rng = np.random.default_rng(SEED + 1)
+    x0s, xh0s = ball_points(rng, 4, 1.0), ball_points(rng, 4, 1.0)
+    for traj in run_spectral_batch(OutputSpec(kind=kind), params, x0s, xh0s, cfg):
+        level = 1.0 - 0.5 * traj.eps_norm[0] ** 2
+        r_park = brentq(lambda s: bessel_j(0, s) - level, 0.0, find_zeros().j0) / params.mu
+        assert convergence_metrics(traj)["trailing_max_x"] == pytest.approx(r_park, rel=1e-2)
 
 
 FINITE_SCENARIO = """

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -371,6 +372,35 @@ class TestRunScenario:
         for name in sorted(os.listdir(out1)):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_shards_capped_at_usable_cpus(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and runs the shards in this process
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        cfg = parse_config(write(tmp_path, FINITE_CFG.replace("init.count = 3",
+                                                              "init.count = 5")))
+        run_scenario(cfg, str(tmp_path / "serial"), jobs=1)
+        run_scenario(cfg, str(tmp_path / "wide"), jobs=64)
+        run_scenario(cfg, str(tmp_path / "two"), jobs=2)
+        assert sizes == [3, 2]
+        for name in sorted(os.listdir(tmp_path / "serial")):
+            assert (tmp_path / "wide" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes()
+
     def test_run_outside_domain_does_not_end_batch(self, tmp_path):
         # the second run starts at mu |x0| = 49.9 and leaves mu |x| < 50
         # mid-run: it is reported as diverged there, and the first run's
@@ -495,6 +525,14 @@ class TestMain:
         code = main(["simulate", "--config", path, "--out", str(out)])
         assert code == 0
         assert (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
+        path = write(tmp_path, FINITE_CFG)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--out", str(out), "--jobs", jobs]) == 2
+        assert f"--jobs: expected a whole number >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         path = write(tmp_path, "strategy = nope\n")

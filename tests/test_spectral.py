@@ -12,20 +12,20 @@ from unobs_stab.spectral import (
     NORM,
     NORM_SQ,
     BESSEL_SERIES,
+    ObserverOperator,
     OutputSpec,
     SpectralParams,
-    apply_generator,
     default_j,
     embed,
     embedded_target,
     generator_matrix,
     left_inverse,
     linearized_output,
-    mode_orders,
     observer_matrix,
     observer_propagate,
     output_value,
     output_vector,
+    polar as polar_form,
     sample_hold_feedback,
     state_from_coef,
     truncation_tail_bound,
@@ -68,19 +68,25 @@ class TestEmbed:
             embed([1.0, 0.0], mu=1.0, n=0)
 
 
+def generator(u, mu, z):
+    """G(u) z: the observer operator at alpha = 0, where zeta only sets N."""
+    op = ObserverOperator(mu, 0.0, embedded_target((len(z) - 1) // 2))
+    return op.apply(z, op.offdiag(u), 0.0)
+
+
 class TestGenerator:
     def test_u_zero_is_diagonal(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=9) + 1j * rng.normal(size=9)
-        out = apply_generator(0.0, 2.0, z)
-        k = mode_orders(4)
+        out = generator(0.0, 2.0, z)
+        k = np.arange(-4, 5)
         assert np.allclose(out, -1j * k * z)
 
     def test_constant_mode_image(self):
         # sin(s) = (e_1 - e_{-1}) / (2i): driving the constant mode populates
         # the neighbors with -+1/2
         n = 3
-        out = apply_generator(1.0, 1.0, embedded_target(n))
+        out = generator(1.0, 1.0, embedded_target(n))
         want = np.zeros(2 * n + 1, dtype=complex)
         want[n + 1] = 0.5
         want[n - 1] = -0.5
@@ -92,7 +98,7 @@ class TestGenerator:
             n = int(rng.integers(2, 12))
             z = rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1)
             u = float(rng.normal())
-            out = apply_generator(u, 0.8, z)
+            out = generator(u, 0.8, z)
             assert abs(np.real(np.vdot(z, out))) < 1e-14 * np.vdot(z, z).real
 
     def test_matrix_matches_apply_and_is_skew_hermitian(self):
@@ -101,7 +107,7 @@ class TestGenerator:
         g = generator_matrix(0.4, 1.3, n)
         assert np.array_equal(g, -g.conj().T)
         z = rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1)
-        assert np.allclose(g @ z, apply_generator(0.4, 1.3, z), atol=1e-14)
+        assert np.allclose(g @ z, generator(0.4, 1.3, z), atol=1e-14)
 
 
 class TestObserverMatrix:
@@ -143,6 +149,54 @@ class TestObserverMatrix:
             assert got == pytest.approx(want, abs=1e-13 * np.vdot(eps, eps).real)
 
 
+class TestObserverOperator:
+    MU, N = 0.3, 10
+
+    def zetas(self):
+        n = self.N
+        rng = np.random.default_rng(21)
+        return {"e0": embedded_target(n),
+                "j2": output_vector(OutputSpec(kind=J2_COS2THETA), n),
+                "random": rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1)}
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.7])
+    @pytest.mark.parametrize("which", ["e0", "j2", "random"])
+    def test_rows_match_dense_oracle(self, alpha, which):
+        zeta = self.zetas()[which]
+        op = ObserverOperator(self.MU, alpha, zeta)
+        rng = np.random.default_rng(22)
+        us = np.array([0.0, 0.4, -2.5, 30.0])
+        z = rng.normal(size=(4, 2 * self.N + 1)) + 1j * rng.normal(size=(4, 2 * self.N + 1))
+        got = op.apply(z, op.offdiag(us), 0.0)
+        for u, row, out in zip(us, z, got):
+            want = observer_matrix(u, self.MU, alpha, zeta) @ row
+            assert np.linalg.norm(out - want) <= 1e-14 * np.linalg.norm(row)
+
+    def test_measurement_term(self):
+        # y enters as + alpha y zeta
+        zeta = self.zetas()["random"]
+        op = ObserverOperator(self.MU, 1.7, zeta)
+        z = np.random.default_rng(23).normal(size=(3, 2 * self.N + 1)) + 0j
+        y = np.array([0.5, -1.0 + 2.0j, 0.0])
+        c = op.offdiag(np.array([0.1, 0.2, 0.3]))
+        want = op.apply(z, c, 0.0) + 1.7 * y[:, None] * zeta
+        assert np.allclose(op.apply(z, c, y), want, rtol=0.0, atol=1e-13)
+
+    def test_row_is_the_same_in_any_batch(self):
+        zeta = self.zetas()["random"]
+        op = ObserverOperator(self.MU, 1.7, zeta)
+        rng = np.random.default_rng(24)
+        us = rng.normal(size=7)
+        z = rng.normal(size=(7, 2 * self.N + 1)) + 1j * rng.normal(size=(7, 2 * self.N + 1))
+        y = rng.normal(size=7) + 1j * rng.normal(size=7)
+        batch = op.apply(z, op.offdiag(us), y)
+        for i in range(7):
+            one = op.apply(z[i:i + 1], op.offdiag(us[i:i + 1]), y[i:i + 1])
+            assert np.array_equal(one[0], batch[i])
+            assert np.array_equal(op.apply(z[::-1], op.offdiag(us[::-1]), y[::-1])[6 - i],
+                                  batch[i])
+
+
 class TestPropagation:
     MU, ALPHA, N = 0.1, 1.0, 24
 
@@ -163,8 +217,9 @@ class TestPropagation:
     def test_matches_dense_expm(self, kind, h, u):
         zeta = output_vector(OutputSpec(kind=kind), self.N)
         dense = scipy.linalg.expm(h * observer_matrix(u, self.MU, self.ALPHA, zeta))
+        op = ObserverOperator(self.MU, self.ALPHA, zeta)
         for eps in self.vectors(zeta):
-            got = observer_propagate(eps, u, self.MU, self.ALPHA, zeta, h)
+            got = observer_propagate(op, eps, u, h)
             size = np.linalg.norm(eps)
             assert np.linalg.norm(got - dense @ eps) < 1e-14 * size
             assert np.linalg.norm(got) <= size + 1e-15
@@ -177,9 +232,10 @@ class TestPropagation:
         full, _, loop = self.vectors(zeta)
         us = np.tile([0.0, 0.3, 5.0, 40.0, 400.0], 2)
         eps = np.array([full, loop] * 5)
-        batch = observer_propagate(eps, us, self.MU, self.ALPHA, zeta, 0.5)
+        op = ObserverOperator(self.MU, self.ALPHA, zeta)
+        batch = observer_propagate(op, eps, us, 0.5)
         for u, e, row in zip(us, eps, batch):
-            assert np.array_equal(observer_propagate(e, u, self.MU, self.ALPHA, zeta, 0.5), row)
+            assert np.array_equal(observer_propagate(op, e, u, 0.5), row)
 
 
 class TestOutputs:
@@ -235,7 +291,7 @@ class TestOutputs:
                 for theta in (0.0, 0.9, 2.4, 4.4):
                     x = polar(r, theta)
                     lhs = np.vdot(zeta, embed(x, mu, n))
-                    rhs = linearized_output(spec, mu, output_value(spec, mu, x))
+                    rhs = linearized_output(spec, mu, output_value(spec, mu, *polar_form(x)))
                     assert abs(lhs - rhs) < 1e-10, (spec.kind, r, theta)
 
     def test_j2_is_its_bessel_series(self):
@@ -246,8 +302,8 @@ class TestOutputs:
         rng = np.random.default_rng(5)
         x = rng.uniform(-20.0, 20.0, size=(400, 2))
         for mu in (0.1, 1.0):
-            got = linearized_output(j2, mu, output_value(j2, mu, x))
-            want = linearized_output(series, mu, output_value(series, mu, x))
+            got = linearized_output(j2, mu, output_value(j2, mu, *polar_form(x)))
+            want = linearized_output(series, mu, output_value(series, mu, *polar_form(x)))
             assert np.array_equal(got, want)
         assert np.array_equal(output_vector(j2, 6), output_vector(series, 6))
 
@@ -262,7 +318,7 @@ class TestOutputs:
         x = np.random.default_rng(7).uniform(-20.0, 20.0, size=(500, 2))
         tol = 8.0 * np.finfo(float).eps * sum(abs(c) for c in coeffs.values())
         for mu in (0.1, 1.0):
-            got = output_value(spec, mu, x)
+            got = output_value(spec, mu, *polar_form(x))
             assert np.max(np.abs(got - bessel_series_per_order(coeffs, mu, x))) <= tol
 
     def test_named_kind_takes_no_coefficients(self):
