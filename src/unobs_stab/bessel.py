@@ -209,15 +209,16 @@ def inv_j1(y, cap: float | None = None):
     hi = np.full_like(target, cap)
     x = np.minimum(2.0 * target, cap)  # J_1(r) ~ r/2 near 0
     live = target != 0.0
-    for _ in range(100):
-        if not live.any():
-            break
-        jv = bessel_j_all(2, x)
+    for _ in range(100 if live.any() else 0):
+        # x stays in [0, cap], inside the series range
+        jv = _series_rows(x, 2, cap)
         fx = jv[:, 1] - target
         above = fx > 0.0
         hi = np.where(live & above, x, hi)
         lo = np.where(live & ~above, x, lo)
         live &= ~((np.abs(fx) < 1e-16) | (hi - lo < 1e-15))
+        if not live.any():
+            break
         dfx = 0.5 * (jv[:, 0] - jv[:, 2])
         mid = 0.5 * (lo + hi)
         steep = dfx > 1e-12

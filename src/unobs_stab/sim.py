@@ -7,10 +7,13 @@ The spectral strategy is sampled: the control is held constant on each
 interval, so the truncated error system is linear time-invariant there and
 is propagated by the action of its exponential (spectral.observer_propagate,
 exact up to roundoff), while the plant state follows the closed-form
-rotation-with-constant-input solution.  An independent path integrates the
-packed rows (x, zhat) of plant and observer with the same RK4 step
-(rk4_step), the observer fed by the transformed measurement, for
-cross-validation.  Both apply the batch's one spectral.ObserverOperator.
+rotation-with-constant-input solution.  An independent path, for
+cross-validation, integrates plant and observer with the same RK4 step
+(rk4_step), the observer fed by the transformed measurement.  The plant
+never reads the observer, so under the held control its path over a hold
+interval is planned first: its stage points measured and its step ends
+embedded in one call each, then the observer stepped alone on those
+measurements.  Both apply the batch's one spectral.ObserverOperator.
 
 The batch drivers are the only drivers: a single run is their one-row case,
 run_*_batch(...)[0].  Each strategy supplies only its step and what it
@@ -60,6 +63,10 @@ METHODS = ("rk4_coupled", "exact_linear")
 # the Bessel argument limit less a margin, which covers outputs that square
 # the radius and take the root again.
 VALID_MU_R = MAX_ARG * (1.0 - 1e-12)
+# Steps of a hold interval the rk4_coupled loop plans at once: the whole
+# interval up to this many, in pieces of it beyond, so a plan's memory does
+# not grow with the substep count.
+_PLAN_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -284,8 +291,14 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     method "exact_linear": plant state by the closed-form rotation solution,
     embedded state analytically, estimation error by the action of the
     matrix exponential of the (frozen-input) error system.  method
-    "rk4_coupled": the packed rows (x, zhat) of plant and observer stepped
-    together by rk4_step, the observer fed by the transformed measurement.
+    "rk4_coupled": plant and observer stepped by rk4_step, the observer fed
+    by the transformed measurement.  At the start of each hold interval (or
+    every _PLAN_STEPS steps of it) the plant alone is stepped ahead under the
+    held control; all its stage points are measured in one output_value
+    call and all its step ends embedded in one embed call, a step whose
+    stages or end fall outside the valid region at radius 0.  Each step then
+    steps zhat alone.  The runs are bitwise those of stepping the packed
+    complex rows (x, zhat) together, as x's imaginary parts were +0.
     The control is refreshed at every sample instant from the left limit of
     the observer state and held in between.
 
@@ -318,38 +331,57 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
         clamp_count[active & (np.abs(zhat[:, n + 1]) > clamp_level)] += 1
         return sample_hold_feedback(zhat, params)
 
-    def exact_linear(x, eps, zhat, u, active):
+    def exact_linear(x, eps, zhat, u, active, i):
         x_new = rotation_step(x, u, h)
         ok = active & _valid(np.hypot(*x_new.T), mu)
         eps_new = observer_propagate(op, eps, u, h)
         return x_new, eps_new, embed(np.where(ok[:, None], x_new, 0.0), mu, n) + eps_new, ok
 
-    def rk4_coupled(x, eps, zhat, u, active):
-        # steps the packed complex rows (x, zhat); rhs collects every stage's
-        # mu |x| < VALID_MU_R flags and measures a point outside at radius 0
-        stages_inside = []
-        c = op.offdiag(u)
+    plan = {}
 
-        def rhs(s):
-            xs = s[:, :2].real
-            r, theta = polar(xs)
-            inside = _valid(r, mu)
-            stages_inside.append(inside)
-            fy = output_value(spec, mu, np.where(inside, r, 0.0), theta)
-            fy = linearized_output(spec, mu, fy) if spec.kind in spectral.RADIAL else fy
-            return np.concatenate([-xs[:, 1:], (xs[:, 0] + u)[:, None],
-                                   op.apply(s[:, 2:], c, fy)], axis=-1)
+    def plan_plant(x, u, steps):
+        # the plant never reads the observer, so under the held u its RK4
+        # path over the next steps is known: every stage is measured in one
+        # output call, a point outside at radius 0, and every step end whose
+        # stages and end are inside is embedded in one call (the others at 0)
+        stages, ends = [], []
 
-        s_new = rk4_step(rhs, np.concatenate([x, zhat], axis=-1), h)
-        x_new, zhat_new = s_new[:, :2].real, s_new[:, 2:]
-        ok = active & np.logical_and.reduce(stages_inside) & _valid(np.hypot(*x_new.T), mu)
-        return x_new, zhat_new - embed(np.where(ok[:, None], x_new, 0.0), mu, n), zhat_new, ok
+        def plant_rhs(xs):
+            # (-x1, x0 + u), filled in place: np.stack takes a dozen calls
+            stages.append(xs)
+            dx = np.empty_like(xs)
+            np.negative(xs[:, 1], out=dx[:, 0])
+            np.add(xs[:, 0], u, out=dx[:, 1])
+            return dx
+
+        for _ in range(steps):
+            x = rk4_step(plant_rhs, x, h)
+            ends.append(x)
+        ends = np.array(ends)
+        r, theta = polar(np.array(stages))
+        inside = _valid(r, mu)
+        fy = output_value(spec, mu, np.where(inside, r, 0.0), theta)
+        fy = linearized_output(spec, mu, fy) if spec.kind in spectral.RADIAL else fy
+        ok = inside.reshape(steps, 4, nb).all(axis=1) \
+            & _valid(np.hypot(ends[..., 0], ends[..., 1]), mu)
+        plan.update(x=ends, fy=fy.reshape(steps, 4, nb), ok=ok, c=op.offdiag(u),
+                    z=embed(np.where(ok[..., None], ends, 0.0), mu, n))
+
+    def rk4_coupled(x, eps, zhat, u, active, i):
+        # the observer alone by rk4_step, fed the planned measurements; a plan
+        # covers at most _PLAN_STEPS steps of one hold interval
+        k = i % n_sub % _PLAN_STEPS
+        if k == 0:
+            plan_plant(x, u, min(_PLAN_STEPS, n_sub - i % n_sub))
+        fy, c = iter(plan["fy"][k]), plan["c"]
+        zhat_new = rk4_step(lambda z: op.apply(z, c, next(fy)), zhat, h)
+        return plan["x"][k], zhat_new - plan["z"][k], zhat_new, active & plan["ok"][k]
 
     step = exact_linear if cfg.method == "exact_linear" else rk4_coupled
 
     def advance(state, active, i):
         x, eps, zhat, u = state
-        x_new, eps_new, zhat_new, ok = step(x, eps, zhat, u, active)
+        x_new, eps_new, zhat_new, ok = step(x, eps, zhat, u, active, i)
         ok &= np.isfinite(zhat_new).all(axis=-1) \
             & (_row_dot(x_new, x_new) <= DIVERGENCE_NORM ** 2)
         if (i + 1) % n_sub == 0:

@@ -340,14 +340,17 @@ def _blend_coefficients(j: float):
 def _radius_map(a, mu: float, j: float):
     """Radius assigned to coefficient magnitudes a = |<xi, e_1>|."""
     y0, y1, g0, g1, s0 = _blend_coefficients(j)
+    inner = inv_j1(np.minimum(a, y0), j) / mu
+    if np.all(a <= y0):
+        # every row takes the inverse; the blend serves only rows above y0
+        return inner
     w = y1 - y0
     t = (a - y0) / w
     h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
     h10 = t * (1.0 - t) ** 2
     h01 = t * t * (3.0 - 2.0 * t)
     blend = (h00 * g0 + h10 * w * s0 + h01 * g1) / mu
-    outer = np.where(a >= y1, g1 / mu, blend)
-    return np.where(a <= y0, inv_j1(np.minimum(a, y0), j) / mu, outer)
+    return np.where(a <= y0, inner, np.where(a >= y1, g1 / mu, blend))
 
 
 def state_from_coef(c, mu: float, j: float) -> np.ndarray:

@@ -10,7 +10,9 @@ is the per-order loop that spectral.output_value's series arm replaced.  The
 reference Bessel kernel and inv_j1 are the array kernel as it stood before its
 call budget was cut (a term-count loop and the near/far masks on every call,
 a truncation index that falls back to the last term), kept to pin the bytes
-of the leaner kernel.
+of the leaner kernel.  The packed spectral driver is run_spectral_batch's
+rk4_coupled loop as it stood before the plant was planned per hold interval,
+kept to pin the planned loop's bits.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import math
 import mpmath as mp
 import numpy as np
 
+from unobs_stab import sim, spectral
 from unobs_stab.artifacts import _FMT, _HEIGHT, _PALETTE, _WIDTH, _thin, _ticks
-from unobs_stab.bessel import _SERIES_MAX_R, MAX_ARG, _miller_orders, bessel_j_all
+from unobs_stab.bessel import _SERIES_MAX_R, MAX_ARG, _miller_orders, bessel_j, bessel_j_all
 
 
 def bessel_j_series(k: int, r: float, dps: int = 30) -> float:
@@ -274,3 +277,60 @@ def inv_j1_reference(y, cap: float):
         x_new = np.where((lo < x_new) & (x_new < hi), x_new, mid)
         x = np.where(live, x_new, x)
     return float(x[0]) if ys.ndim == 0 else x.reshape(ys.shape)
+
+
+def run_spectral_packed(spec, params, x0s, xhat0s, cfg):
+    """run_spectral_batch with cfg.method "rk4_coupled", stepping the packed
+    complex rows (x, zhat) of plant and observer through one rk4_step per
+    step: every stage measures its own point, every step embeds its own end."""
+    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+    xhat0s = np.atleast_2d(np.asarray(xhat0s, dtype=float))
+    nb = x0s.shape[0]
+    n_sub, n_int = sim.hold_grid(params.Delta, cfg.step, cfg.horizon)
+    n, mu, h = params.N, params.mu, cfg.step
+    op = spectral.ObserverOperator(mu, params.alpha, spectral.output_vector(spec, n))
+    clamp_level = bessel_j(1, params.j)
+    clamp_count = np.zeros(nb, dtype=int)
+
+    def feedback(zhat, active):
+        clamp_count[active & (np.abs(zhat[:, n + 1]) > clamp_level)] += 1
+        return spectral.sample_hold_feedback(zhat, params)
+
+    def advance(state, active, i):
+        x, _, zhat, u = state
+        stages_inside = []
+        c = op.offdiag(u)
+
+        def rhs(s):
+            xs = s[:, :2].real
+            r, theta = spectral.polar(xs)
+            inside = sim._valid(r, mu)
+            stages_inside.append(inside)
+            fy = spectral.output_value(spec, mu, np.where(inside, r, 0.0), theta)
+            if spec.kind in spectral.RADIAL:
+                fy = spectral.linearized_output(spec, mu, fy)
+            return np.concatenate([-xs[:, 1:], (xs[:, 0] + u)[:, None],
+                                   op.apply(s[:, 2:], c, fy)], axis=-1)
+
+        s_new = sim.rk4_step(rhs, np.concatenate([x, zhat], axis=-1), h)
+        x_new, zhat_new = s_new[:, :2].real, s_new[:, 2:]
+        ok = active & np.logical_and.reduce(stages_inside) & sim._valid(np.hypot(*x_new.T), mu)
+        eps_new = zhat_new - spectral.embed(np.where(ok[:, None], x_new, 0.0), mu, n)
+        ok &= np.isfinite(zhat_new).all(axis=-1) \
+            & (sim._row_dot(x_new, x_new) <= sim.DIVERGENCE_NORM ** 2)
+        if (i + 1) % n_sub == 0:
+            zhat_new = np.where(ok[:, None], zhat_new, zhat)
+            u = np.where(ok, feedback(zhat_new, ok), u)
+        return (x_new, eps_new, zhat_new, u), sim._row_norm(eps_new), ok
+
+    def sample(state, eps):
+        x, eps_vec, zhat, u = state
+        return x, zhat, u, eps, np.abs(op.inner(eps_vec)), spectral.weak_norm(eps_vec)
+
+    zhat = spectral.embed(xhat0s, mu, n)
+    eps = zhat - spectral.embed(x0s, mu, n)
+    state = (x0s, eps, zhat, feedback(zhat, True))
+    trajs = sim._drive(state, sim._row_norm(eps), advance, sample, n_int * n_sub, cfg)
+    for traj, count in zip(trajs, clamp_count):
+        traj.clamp_count = int(count)
+    return trajs

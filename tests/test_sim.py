@@ -2,9 +2,11 @@ import cProfile
 import dataclasses
 import math
 import pstats
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import run_spectral_packed
 
 from unobs_stab.finite import FinParams, embed as embed_fin, rotation_plant
 from unobs_stab.linalg import place_poles
@@ -18,6 +20,7 @@ from unobs_stab.sim import (
     run_spectral_batch,
 )
 from unobs_stab.spectral import (
+    BESSEL_SERIES,
     J2_COS2THETA,
     NORM_SQ,
     ObserverOperator,
@@ -51,11 +54,13 @@ def spectral_setup(delta=0.003, alpha=1.0, Delta=0.05, mu=0.1, n=16):
 
 
 def assert_same_run(single, traj):
-    """Every Trajectory field of traj bitwise equal to the solo run's."""
+    """Every Trajectory field of traj bitwise equal to the solo run's (the
+    sign of a zero included)."""
     for f in dataclasses.fields(Trajectory):
         want, got = getattr(single, f.name), getattr(traj, f.name)
         if isinstance(want, np.ndarray):
-            assert np.array_equal(want, got), f.name
+            assert (want.dtype, want.shape, want.tobytes()) == \
+                (got.dtype, got.shape, got.tobytes()), f.name
         else:
             assert want == got, f.name
 
@@ -319,12 +324,70 @@ class TestSpectralBatch:
             assert np.all(radii < 50.0) if inside else np.any(radii >= 50.0)
 
 
+class TestPlannedPlant:
+    # rk4_coupled steps the plant alone over each hold interval first, then
+    # the observer alone on the planned measurements: every run stays
+    # bitwise the one the packed (x, zhat) rows gave
+    SPECS = [OutputSpec(kind=NORM_SQ), OutputSpec(kind=J2_COS2THETA),
+             OutputSpec(kind=BESSEL_SERIES, coeffs={-1: 0.7, 2: 0.3})]
+
+    @pytest.mark.parametrize("n_sub", [1, 3, 8, 80])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_matches_packed_stepper(self, spec, n_sub):
+        # row 1 runs into mu |x| = 50; row 2 starts on -0.0 coordinates; an
+        # interval of 80 steps is planned in two pieces
+        params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003, alpha=1.0,
+                                Delta=0.01 * n_sub, mu=0.1, j=default_j(), N=12)
+        cfg = IntegratorConfig(method="rk4_coupled", step=0.01, horizon=2.4)
+        x0s = np.array([[0.6, 0.2], [211.1, 452.7], [0.4, -0.0]])
+        xh0s = np.array([[0.1, -0.4], [3.0, 0.0], [-0.0, 0.3]])
+        planned = run_spectral_batch(spec, params, x0s, xh0s, cfg)
+        for want, got in zip(run_spectral_packed(spec, params, x0s, xh0s, cfg), planned):
+            assert_same_run(want, got)
+        assert planned[0].diverged_at is None and planned[2].diverged_at is None
+        if n_sub == 8:
+            # row 1 leaves mid-interval on a step whose second stage is
+            # outside while its end is inside
+            left = planned[1]
+            i = round(left.diverged_at / cfg.step) - 1
+            assert i % n_sub not in (0, n_sub - 1)
+            stages = []
+
+            def plant_rhs(s):
+                stages.append(s)
+                return np.array([-s[1], s[0] + left.u[-1]])
+
+            stages.append(rk4_step(plant_rhs, left.x[-1], cfg.step))
+            radii = 0.1 * np.linalg.norm(np.array(stages), axis=-1)
+            assert list(radii < 50.0) == [True, False, True, True, True]
+
+    def test_plan_memory_is_bounded(self):
+        # one hold interval of 4096 steps on 16 rows: planned whole, its step
+        # ends' embeddings alone would take 16 * 4096 * 49 * 16 B = 51 MB
+        spec = OutputSpec(kind=J2_COS2THETA)
+        params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
+                                Delta=1.0, mu=0.1, j=default_j(), N=24)
+        cfg = IntegratorConfig(method="rk4_coupled", step=1 / 4096, horizon=1.0,
+                               record_every=4096)
+        x0s, xh0s = np.random.default_rng(2).uniform(-0.7, 0.7, (2, 16, 2))
+        tracemalloc.start()
+        try:
+            traj = run_spectral_batch(spec, params, x0s, xh0s, cfg)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.times[-1] == 1.0
+        assert peak < 8 * 2 ** 20
+
+
 class TestCallBudget:
     def test_rk4_coupled_calls_per_step(self):
         # cProfile's counts of Python functions and C methods do not move with
         # host load; 472 calls and 5.47 bessel_j_all calls per step before the
         # Bessel kernel and the stage were trimmed, 264 and 5.47 after, 239
-        # with the observer operator built once per batch and one radius per stage
+        # with the observer operator built once per batch and one radius per
+        # stage, 102 and 0.30 with the plant planned per hold interval (one
+        # output and one embed call per interval) and inv_j1 on the series
         spec = OutputSpec(kind=J2_COS2THETA)
         params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
                                 Delta=0.03125, mu=0.1, j=default_j(), N=24)
@@ -337,8 +400,8 @@ class TestCallBudget:
         counts = [(name, calls) for (_, _, name), (_, calls, _, _, _) in
                   pstats.Stats(prof).stats.items()]
         steps = 64
-        assert sum(calls for name, calls in counts if name == "bessel_j_all") / steps <= 5.5
-        assert sum(calls for _, calls in counts) / steps <= 250
+        assert sum(calls for name, calls in counts if name == "bessel_j_all") / steps <= 1.0
+        assert sum(calls for _, calls in counts) / steps <= 130
 
     def test_exact_linear_terms_per_interval(self):
         # the loop's error vectors stop their Taylor series on its measured
