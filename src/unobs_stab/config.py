@@ -1,22 +1,22 @@
 """Flat key=value scenario configuration.
 
 One `key = value` pair per line, `#` starts a comment, sections are expressed
-by key prefixes (params., init., integrator., ...).  `_KEYS` names every key
-with the `ScenarioConfig` field it sets, the kind its text is read as and the
-strategy that reads it; a key's default is its field's default.  Parsing
-validates everything it can and reports every violation at once, each named by
-the offending key; a key the scenario's strategy does not read is one.  It also
-settles what every command then reads as given: the seed, with the
-UNOBS_STAB_SEED override applied; the gain K; for the finite strategy the
-perturbation delta; and for the spectral strategy the output as a
-spectral.OutputSpec.
+by key prefixes (params., init., integrator., ...).  Each `ScenarioConfig`
+field a key sets names that key, the kind its text is read as and the strategy
+that reads it, and its default is the key's default; `_KEYS` is read off the
+fields.  Parsing validates everything it can and reports every violation at
+once, each named by the offending key; a key the scenario's strategy does not
+read is one.  It also settles what every command then reads as given: the
+seed, with the UNOBS_STAB_SEED override applied; the gain K; for the finite
+strategy the perturbation delta; and for the spectral strategy the output as
+a spectral.OutputSpec.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,84 +64,63 @@ def read_key_values(path: str) -> dict:
     return out
 
 
+def _key(key: str, kind: str, reader: str | None = None, default=None):
+    """The ScenarioConfig field `key` sets, naming the kind `_typed` reads its text
+    as and the one strategy that reads it (None: both; the other rejects it)."""
+    meta = {"key": key, "kind": kind, "reader": reader}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class ScenarioConfig:
-    """Validated scenario description for the CLI drivers.  After parsing,
-    seed, K, delta (finite) and output (spectral) are what every command uses."""
+    """Validated scenario description for the CLI drivers, one field per key.
+    After parsing, seed, K, delta (finite) and output (spectral) are what every
+    command uses."""
 
-    strategy: str | None = None
-    seed: int = 0
+    strategy: str | None = _key("strategy", "word")
+    seed: int = _key("seed", "natural", default=0)
     # initial conditions: explicit (k, 2) point lists, or seeded draws in balls
-    x0: np.ndarray | None = None
-    xhat0: np.ndarray | None = None
-    init_count: int = 1
-    init_radius_xhat: float | None = None
-    rho: float | None = None
+    x0: np.ndarray | None = _key("init.x0", "points")
+    xhat0: np.ndarray | None = _key("init.xhat0", "points")
+    init_count: int = _key("init.count", "count", default=1)
+    init_radius_xhat: float | None = _key("init.radius_xhat", "positive")
+    rho: float | None = _key("init.rho", "positive")
     # gains: K as given, placed at the poles, or the strategy's default
-    K: np.ndarray | None = None
-    poles: list | None = None
-    alpha: float = 10.0
-    delta: float | None = None
-    delta_frac: float | None = None
-    Delta: float | None = None
-    mu: float | None = None
-    j_frac: float = 0.9
-    N: int = 24
+    K: np.ndarray | None = _key("params.K", "pair")
+    poles: list | None = _key("params.poles", "pair")
+    alpha: float = _key("params.alpha", "positive", default=10.0)
+    delta: float | None = _key("params.delta", "positive")
+    delta_frac: float | None = _key("params.delta_frac", "positive", "finite")
+    Delta: float | None = _key("params.Delta", "real", "spectral")
+    mu: float | None = _key("params.mu", "positive", "spectral")
+    j_frac: float = _key("params.j_frac", "positive", "spectral", default=0.9)
+    N: int = _key("params.N", "count", "spectral", default=24)
     # output map (spectral); output is set by parsing from the output keys
-    output_kind: str | None = None
-    output_orders: list | None = None
-    output_coeffs_re: list | None = None
-    output_coeffs_im: list | None = None
+    output_kind: str | None = _key("output.kind", "word", "spectral")
+    output_orders: list | None = _key("output.orders", "ints", "spectral")
+    output_coeffs_re: list | None = _key("output.coeffs_re", "reals", "spectral")
+    output_coeffs_im: list | None = _key("output.coeffs_im", "reals", "spectral")
     output: OutputSpec | None = None
     # integrator
-    method: str = "rk4_coupled"
-    step: float = 1e-3
-    horizon: float = 10.0
-    record_every: int = 1
+    method: str = _key("integrator.method", "word", default="rk4_coupled")
+    step: float = _key("integrator.step", "positive", default=1e-3)
+    horizon: float = _key("integrator.horizon", "positive", default=10.0)
+    record_every: int = _key("integrator.record_every", "count", default=1)
     # pass/fail thresholds for the batch driver
-    trailing_x_max: float = math.inf
-    final_c_eps_max: float = math.inf
+    trailing_x_max: float = _key("thresholds.trailing_x_max", "positive", default=math.inf)
+    final_c_eps_max: float = _key("thresholds.final_c_eps_max", "positive", default=math.inf)
     # analysis settings
-    analyze_trials: int = 100
-    analyze_u_grid: list = field(default_factory=lambda: [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-    analyze_R0: float = 1.0
+    analyze_trials: int = _key("analyze.trials", "count", default=100)
+    analyze_u_grid: list = _key("analyze.u_grid", "reals", "spectral",
+                                default=[0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+    analyze_R0: float = _key("analyze.R0", "positive", "spectral", default=1.0)
     warnings: list = field(default_factory=list)
 
 
-# every key: the ScenarioConfig field it sets, the kind `_typed` reads its text
-# as, and the one strategy that reads it (None: both); the other strategy
-# rejects it
-_KEYS = {
-    "strategy": ("strategy", "word", None),
-    "seed": ("seed", "natural", None),
-    "init.x0": ("x0", "points", None),
-    "init.xhat0": ("xhat0", "points", None),
-    "init.count": ("init_count", "count", None),
-    "init.radius_xhat": ("init_radius_xhat", "positive", None),
-    "init.rho": ("rho", "positive", None),
-    "params.K": ("K", "pair", None),
-    "params.poles": ("poles", "pair", None),
-    "params.alpha": ("alpha", "positive", None),
-    "params.delta": ("delta", "positive", None),
-    "params.delta_frac": ("delta_frac", "positive", "finite"),
-    "params.Delta": ("Delta", "real", "spectral"),
-    "params.mu": ("mu", "positive", "spectral"),
-    "params.j_frac": ("j_frac", "positive", "spectral"),
-    "params.N": ("N", "count", "spectral"),
-    "output.kind": ("output_kind", "word", "spectral"),
-    "output.orders": ("output_orders", "ints", "spectral"),
-    "output.coeffs_re": ("output_coeffs_re", "reals", "spectral"),
-    "output.coeffs_im": ("output_coeffs_im", "reals", "spectral"),
-    "integrator.method": ("method", "word", None),
-    "integrator.step": ("step", "positive", None),
-    "integrator.horizon": ("horizon", "positive", None),
-    "integrator.record_every": ("record_every", "count", None),
-    "thresholds.trailing_x_max": ("trailing_x_max", "positive", None),
-    "thresholds.final_c_eps_max": ("final_c_eps_max", "positive", None),
-    "analyze.trials": ("analyze_trials", "count", None),
-    "analyze.u_grid": ("analyze_u_grid", "reals", "spectral"),
-    "analyze.R0": ("analyze_R0", "positive", "spectral"),
-}
+_KEYS = {f.metadata["key"]: (f.name, f.metadata["kind"], f.metadata["reader"])
+         for f in fields(ScenarioConfig) if f.metadata}
 
 
 def _typed(key: str, kind: str, text: str):

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
 from .bessel import MAX_ARG, bessel_j
 from .finite import FinParams, Plant, closed_loop_rhs, perturbed_feedback
 from .spectral import (
@@ -360,8 +359,7 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
         ends = np.array(ends)
         r, theta = polar(np.array(stages))
         inside = _valid(r, mu)
-        fy = output_value(spec, mu, np.where(inside, r, 0.0), theta)
-        fy = linearized_output(spec, mu, fy) if spec.kind in spectral.RADIAL else fy
+        fy = linearized_output(spec, mu, output_value(spec, mu, np.where(inside, r, 0.0), theta))
         ok = inside.reshape(steps, 4, nb).all(axis=1) \
             & _valid(np.hypot(ends[..., 0], ends[..., 1]), mu)
         plan.update(x=ends, fy=fy.reshape(steps, 4, nb), ok=ok, c=op.offdiag(u),

@@ -47,7 +47,6 @@ BESSEL_SERIES = "bessel_series"
 _COEFFS = {NORM_SQ: {0: 1.0}, J0_RADIAL: {0: 1.0}, J2_COS2THETA: {2: 0.5, -2: 0.5},
            NORM: {0: 1.0}, BESSEL_SERIES: None}
 KINDS = tuple(_COEFFS)
-RADIAL = (NORM_SQ, NORM, J0_RADIAL)  # closed form; linearized_output passes the others
 
 
 def truncation_order(z) -> int:
@@ -162,25 +161,20 @@ class ObserverOperator:
         return out
 
 
-# _TAYLOR_THETA[m - 1] is the largest ||h M|| for which the first term the
-# degree-m Taylor polynomial of exp(h M) leaves out, ||h M||^{m+1} / (m+1)!,
-# is at most 2^-53; the whole tail is at most e^{||h M||} times that term.
-_TAYLOR_THETA = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1))
-                          for m in range(1, 19)])
-# observer_propagate's tail guarantee, relative to a sub-step's input
-_TAIL_TOL = math.exp(_TAYLOR_THETA[-1]) * 2.0 ** -53
+# observer_propagate's largest sub-step norm bound theta_max ~ 1.15, at which
+# the first term the degree-18 Taylor polynomial leaves out, theta^19 / 19!, is
+# 2^-53, and its tail guarantee relative to a sub-step's input
+_THETA_MAX = (2.0 ** -53 * math.factorial(19)) ** (1.0 / 19)
+_TAIL_TOL = math.exp(_THETA_MAX) * 2.0 ** -53
 
 
 def taylor_plan(op: ObserverOperator, h: float, u):
-    """Sub-steps q, degree m and sub-step norm bound theta of
-    observer_propagate's step h, per value of u: with
-    ||h M|| <= h (N + |u| mu + alpha ||zeta||^2), q keeps theta = that bound / q
-    at most 1.15 and m (at most 18) is the least whose first neglected term is
-    below 2^-53."""
+    """Sub-steps q and sub-step norm bound theta of observer_propagate's step
+    h, per value of u: with ||h M|| <= h (N + |u| mu + alpha ||zeta||^2), q
+    keeps theta = that bound / q at most _THETA_MAX ~ 1.15."""
     bound = h * (op.n + np.abs(u) * op.mu + op.load)
-    subs = np.maximum(1.0, np.ceil(bound / _TAYLOR_THETA[-1]))
-    theta = bound / subs
-    return subs, 1 + np.searchsorted(_TAYLOR_THETA, theta), theta
+    subs = np.maximum(1.0, np.ceil(bound / _THETA_MAX))
+    return subs, bound / subs
 
 
 def observer_propagate(op: ObserverOperator, z, u, h: float) -> np.ndarray:
@@ -190,32 +184,31 @@ def observer_propagate(op: ObserverOperator, z, u, h: float) -> np.ndarray:
     (diagonal, the two off-diagonals and the rank-one term on span), after
     Al-Mohy and Higham, "Computing the action of the matrix exponential"
     (SIAM J. Sci. Comput. 33(2), 2011).  Each row takes its own u, which fixes
-    its sub-steps, its norm bound theta per sub-step and its largest degree
-    (taylor_plan).  A row stops a sub-step after term m once
-    |term_m| (e^theta - 1) / (m + 1) <= e^{1.15} 2^-53 |v|, v the sub-step's
-    input: term_{m+j} = (h_s M)^j term_m m! / (m+j)! and
-    m! / (m+j)! <= 1 / ((m+1) j!), so the rest of the series is below that
-    bound, and the whole tail below e^{1.15} 2^-53 |v| ~ 3.5e-16 |v| at any
-    stop.  The loop's low-order error vectors (N = 24, Delta = 1/32) stop
-    after 8 terms, where the degree is 16.
+    its sub-steps and its norm bound theta per sub-step (taylor_plan).  The one
+    stop rule is the measured tail: a row stops a sub-step after term m once
+    |term_m| (e^theta - 1) / (m + 1) <= e^{theta_max} 2^-53 |v|, v the sub-step's
+    input.  As term_{m+j} = (h_s M)^j term_m m! / (m+j)! and m! / (m+j)! <=
+    1 / ((m+1) j!), the whole tail is then below e^{theta_max} 2^-53 |v| ~ 3.5e-16 |v|.
+    The test holds by the a-priori degree m* <= 18, the least m with
+    theta^{m+1} / (m+1)! <= 2^-53, as |term_m*| <= theta^m* / m*! |v| and
+    e^theta - 1 <= theta e^{theta_max}, with a margin of at least theta_max /
+    (1 - e^{-theta_max}) ~ 1.68 that roundoff cannot close: 18 terms bound the
+    loop.  The loop's error vectors (N = 24, Delta = 1/32) stop after 8 terms (m* = 16).
     """
     z = np.asarray(z, dtype=complex)
     rows = z.reshape(-1, z.shape[-1])
     u = np.broadcast_to(np.asarray(u, dtype=float).reshape(-1), rows.shape[:1])
     c = op.offdiag(u)
-    subs, degree, theta = taylor_plan(op, h, u)
-    orders = np.arange(1, int(degree.max()) + 1)[:, None]
-    # per term m (table row m - 1) and row: the scale h_s / m, the bound on
-    # |term_m|^2 / |v|^2 under which the row stops, and whether m is its degree
-    # or past it
+    subs, theta = taylor_plan(op, h, u)
+    orders = np.arange(1, 19)[:, None]
+    # per term m (row m - 1) and row: the scale h_s / m and the stop bound on |term_m|^2 / |v|^2
     scales = ((h / subs) / orders)[..., None]
     stop = ((orders + 1) * _TAIL_TOL / np.expm1(theta)) ** 2
-    capped = orders >= degree
     out = rows.copy()
     for sub in range(int(subs.max())):
         live = sub < subs
         keep = live[:, None]  # a view, so it follows live's updates
-        limit = np.where(capped, np.inf, stop * _sq_norms(out))
+        limit = stop * _sq_norms(out)
         term = out
         total = out.copy()
         for i in range(orders.shape[0]):

@@ -7,9 +7,10 @@ exactly as `perfbench/run.py` builds it, plus both commands on the two
 criterion-10 scenarios of `test_acceptance.py`.  `golden.json` holds one
 sha256 per output file and the machine the digests were taken on (numpy
 version and CPU model among it): the bytes depend on the numpy build and on
-the CPU's SIMD paths.  They also depend on the BLAS thread count (`analyze`'s
-Gramian products), so this script pins it to 1, as the benchmark does, and
-runs with UNOBS_STAB_SEED unset.
+the CPU's SIMD paths.  This script pins the BLAS threads to 1, as the
+benchmark does, and runs with UNOBS_STAB_SEED unset: the Gramian's own sum has
+a fixed order, but its doubling products and eigenvalues go through BLAS and
+LAPACK, which promise none across thread counts.
 
     python tests/golden.py              # rewrites tests/golden.json from this tree
     python tests/golden.py --print DIR  # prints the digests, working under DIR

@@ -307,7 +307,7 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg):
             inside = sim._valid(r, mu)
             stages_inside.append(inside)
             fy = spectral.output_value(spec, mu, np.where(inside, r, 0.0), theta)
-            if spec.kind in spectral.RADIAL:
+            if spec.kind in (spectral.NORM_SQ, spectral.NORM, spectral.J0_RADIAL):
                 fy = spectral.linearized_output(spec, mu, fy)
             return np.concatenate([-xs[:, 1:], (xs[:, 0] + u)[:, None],
                                    op.apply(s[:, 2:], c, fy)], axis=-1)

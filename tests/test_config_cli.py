@@ -200,15 +200,25 @@ class TestParseConfig:
         assert len(set(table)) == len(table) and set(table) <= fields
         assert fields - set(table) == {"warnings", "output"}
         assert {reader for _, _, reader in _KEYS.values()} == {None, "finite", "spectral"}
-        # README's key table: each key's row states the strategy that reads it
-        read_by = {}
+        # README's key table: each key's row states its kind, its field's default
+        # ('-' for None; the u grid by its first, second and last values) and
+        # the strategy that reads it
+        rows = {}
         for line in README.read_text(encoding="utf-8").splitlines():
-            cells = line.split("|")
+            cells = [cell.strip() for cell in line.split("|")]
             if line.startswith("| `") and len(cells) > 5:
-                read_by.update((key, cells[4].strip()) for key in re.findall(r"`([^`]+)`",
-                                                                            cells[1]))
-        assert {key: read_by.get(key) for key in _KEYS} == \
-            {key: reader or "both" for key, (_, _, reader) in _KEYS.items()}
+                rows.update((key, tuple(cells[2:5])) for key in re.findall(r"`([^`]+)`",
+                                                                           cells[1]))
+        defaults = ScenarioConfig()
+        grid, shown = defaults.analyze_u_grid, rows["analyze.u_grid"][1]
+        assert [float(shown.split(", ")[i]) for i in (0, 1, -1)] == [grid[i] for i in (0, 1, -1)]
+
+        def default(value):
+            return "-" if value is None else shown if value is grid else str(value)
+
+        assert {key: rows.get(key) for key in _KEYS} == \
+            {key: (kind, default(getattr(defaults, attr)), reader or "both")
+             for key, (attr, kind, reader) in _KEYS.items()}
 
     @pytest.mark.parametrize("key", [key for key, (_, _, reader) in _KEYS.items() if reader])
     def test_key_of_the_other_strategy_rejected(self, tmp_path, key):

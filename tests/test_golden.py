@@ -4,9 +4,12 @@ move bytes; such a change says which files and why).  The outputs are
 rebuilt in a fresh process, where golden.py pins the BLAS threads."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
+
+from test_acceptance import SPECTRAL_SCENARIO
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -21,3 +24,22 @@ def test_outputs_match_golden_digests(tmp_path):
                      if golden["files"][name] != got["files"][name])
     assert (sorted(got["files"]), changed) == (sorted(golden["files"]), []), \
         f"digests taken on {golden['machine']}, compared on {got['machine']}"
+
+
+def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # analyze's Gramian sums in an order the program fixes, so analysis.txt
+    # reads the same with one BLAS thread and with two
+    config = tmp_path / "spectral.cfg"
+    config.write_text(SPECTRAL_SCENARIO, encoding="utf-8")
+    texts = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src"),
+               "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+        env.pop("UNOBS_STAB_SEED", None)
+        out = tmp_path / f"threads{threads}"
+        done = subprocess.run([sys.executable, "-m", "unobs_stab", "analyze", "--config",
+                               str(config), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        texts.append((out / "analysis.txt").read_bytes())
+    assert texts[0] == texts[1]

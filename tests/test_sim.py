@@ -405,9 +405,10 @@ class TestCallBudget:
 
     def test_exact_linear_terms_per_interval(self):
         # the loop's error vectors stop their Taylor series on its measured
-        # tail: 8 terms per interval where the degree is 16 (16 without the
-        # stop); 376 calls per interval when each interval worked out the
-        # batch's constants again, 352 with the observer operator built once
+        # tail: 8 terms per interval, where the a-priori degree m* is 16 (16
+        # terms when the series ran to m*); 376 calls per interval when each
+        # interval worked out the batch's constants again, 352 with the
+        # observer operator built once
         params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
                                 Delta=0.03125, mu=0.1, j=default_j(), N=24)
         cfg = IntegratorConfig(method="exact_linear", step=0.03125, horizon=1.0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from unobs_stab import spectral
 from unobs_stab.bessel import bessel_j, find_zeros, inv_j1
-from unobs_stab.observability import working_disc_inverse_lipschitz
+from unobs_stab.observability import GRAMIAN_STEPS, working_disc_inverse_lipschitz
 from unobs_stab.spectral import (
     J0_RADIAL,
     J2_COS2THETA,
@@ -28,6 +29,7 @@ from unobs_stab.spectral import (
     polar as polar_form,
     sample_hold_feedback,
     state_from_coef,
+    taylor_plan,
     truncation_tail_bound,
     weak_norm,
     weak_norm_bound,
@@ -207,7 +209,7 @@ class TestPropagation:
         # one vector the rank-one term does not see at t=0
         perp = eps - zeta * np.vdot(zeta, eps) / np.vdot(zeta, zeta)
         # an error vector of the loop, its energy in the low orders: the series
-        # stops on its measured tail well before the degree
+        # stops on its measured tail after fewer terms than for the others
         loop = embed([0.3, -0.5], self.MU, self.N) - embed([-0.4, 0.2], self.MU, self.N)
         return [eps / np.linalg.norm(eps), perp / np.linalg.norm(perp), loop]
 
@@ -225,9 +227,9 @@ class TestPropagation:
             assert np.linalg.norm(got) <= size + 1e-15
 
     def test_rows_take_their_own_input(self):
-        # rows with different u need different degrees and sub-step counts, and
-        # the loop's error vector stops early beside random rows that run on to
-        # their degree; each row comes out bitwise as it does alone
+        # rows with different u take different sub-step counts and norm bounds,
+        # and the loop's error vector stops early beside random rows that run on
+        # for more terms; each row comes out bitwise as it does alone
         zeta = output_vector(OutputSpec(kind=J2_COS2THETA), self.N)
         full, _, loop = self.vectors(zeta)
         us = np.tile([0.0, 0.3, 5.0, 40.0, 400.0], 2)
@@ -236,6 +238,49 @@ class TestPropagation:
         batch = observer_propagate(op, eps, us, 0.5)
         for u, e, row in zip(us, eps, batch):
             assert np.array_equal(observer_propagate(op, e, u, 0.5), row)
+
+    @staticmethod
+    def terms_per_substep(monkeypatch, op, z, u, h):
+        """The Taylor terms (op.apply calls) of each of observer_propagate's
+        sub-steps on the one row z: a sub-step starts with the norm of its
+        input, then each term is one apply and one norm."""
+        events = []
+        sq_norms, apply = spectral._sq_norms, ObserverOperator.apply
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_sq_norms", lambda rows: events.append("n") or sq_norms(rows))
+            patch.setattr(ObserverOperator, "apply",
+                          lambda self, *args: events.append("a") or apply(self, *args))
+            observer_propagate(op, z, u, h)
+        counts = []
+        for before, event in zip([None] + events, events):
+            if event == "a":
+                counts[-1] += 1
+            elif before != "a":
+                counts.append(0)
+        return counts
+
+    @pytest.mark.parametrize("h", [1e-3, 1.0 / 32.0, 0.5, 2.0 * math.pi / GRAMIAN_STEPS])
+    @pytest.mark.parametrize("u", [0.0, 0.3, 5.0, 40.0, 400.0])
+    def test_measured_stop_ends_by_the_degree(self, monkeypatch, u, h):
+        # the measured tail is the one stop rule: it ends every sub-step by the
+        # a-priori degree m*, the least m with theta^{m+1} / (m+1)! <= 2^-53;
+        # e_{+-N} at u = 0 and alpha = 0, as the Gramian propagates them, have
+        # |h M e| equal to the bound, and reach m* (the last h is the Gramian's)
+        cases = []
+        for kind in (NORM_SQ, J2_COS2THETA):
+            zeta = output_vector(OutputSpec(kind=kind), self.N)
+            op = ObserverOperator(self.MU, self.ALPHA, zeta)
+            cases += [(op, eps, False) for eps in self.vectors(zeta)]
+        gramian = ObserverOperator(self.MU, 0.0, embedded_target(self.N))
+        cases += [(gramian, e, u == 0.0) for e in np.eye(2 * self.N + 1)[[0, -1]]]
+        for op, z, tight in cases:
+            subs, theta = taylor_plan(op, h, u)
+            degree = 1
+            while theta ** (degree + 1) / math.factorial(degree + 1) > 2.0 ** -53:
+                degree += 1
+            counts = self.terms_per_substep(monkeypatch, op, z, u, h)
+            assert len(counts) == subs and max(counts) <= degree
+            assert not tight or counts == [degree] * len(counts)
 
 
 class TestOutputs:
