@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from unobs_stab.bessel import bessel_j, find_zeros
+from unobs_stab.bessel import bessel_j
 from unobs_stab.finite import observability_certificate
 from unobs_stab.observability import (
     check_bound_inequalities,
@@ -25,7 +25,7 @@ from unobs_stab.observability import (
     max_control_bound,
     observability_gramian,
 )
-from unobs_stab.spectral import embedded_target
+from unobs_stab.spectral import default_j, embedded_target
 
 print("== certificate determinant ==")
 rep = determinant_identity_check(100, rng_seed=1)
@@ -39,14 +39,14 @@ print("\n== gramian sweep (zeta = constant mode, mu = 1, T = 2 pi) ==")
 for n in (2, 4, 6):
     line = f"N={n}: "
     for u in (0.0, 0.1, 0.3):
-        g = observability_gramian(u, 2.0 * math.pi, embedded_target(n), 1.0, n)
+        g = observability_gramian(u, 2.0 * math.pi, embedded_target(n), 1.0)
         line += f"lambda_min(u={u})={g.lambda_min:.2e}  "
     print(line)
 print("analytic smallest eigenvalue ~ 2 pi J_N(mu u)^2:",
       ", ".join(f"N={n}: {2*math.pi*bessel_j(n, 0.3)**2:.2e}" for n in (2, 4, 6, 12)))
 
 print("\n== control bound and parameter budget ==")
-j = 0.9 * find_zeros().j1
+j = default_j()
 umax, ok = max_control_bound(kappa=0.2, j=j, mu=0.1, delta=0.003)
 print(f"u_max = {umax:.4f}, mu*u_max < j0: {ok}")
 bounds = choose_radii(1.0, mu=0.1)

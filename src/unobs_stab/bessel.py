@@ -183,7 +183,7 @@ def _j1_at(cap: float) -> float:
     return bessel_j(1, cap)
 
 
-def inv_j1(y, cap: float | None = None):
+def inv_j1(y, cap: float):
     """The unique r in [0, cap] with J_1(r) = y.
 
     J_1 is strictly increasing on [0, j1], so the inverse is well defined for
@@ -193,8 +193,6 @@ def inv_j1(y, cap: float | None = None):
     it takes the same steps as it would alone.
     """
     zeros = find_zeros()
-    if cap is None:
-        cap = zeros.j1
     if not 0.0 < cap <= zeros.j1 + 1e-12:
         raise ValueError(f"inv_j1: cap must lie in (0, j1], got {cap}")
     cap = min(cap, zeros.j1)

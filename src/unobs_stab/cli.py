@@ -68,7 +68,7 @@ def _run_batch(cfg: ScenarioConfig, x0s, xhat0s) -> list:
                             record_every=cfg.record_every)
     if cfg.strategy == "finite":
         plant, params = build_finite(cfg)
-        return run_finite_batch(plant, params, x0s, [embed_fin(x) for x in xhat0s], icfg)
+        return run_finite_batch(plant, params, x0s, embed_fin(xhat0s), icfg)
     spec, params = build_spectral(cfg)
     return run_spectral_batch(spec, params, x0s, xhat0s, icfg)
 
@@ -144,7 +144,7 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
         n_tr = min(params.N, max(12, spec.top))
         zeta = output_vector(spec, n_tr)
         for u in cfg.analyze_u_grid:
-            rep = observability_gramian(float(u), 2.0 * math.pi, zeta, params.mu, n_tr)
+            rep = observability_gramian(float(u), 2.0 * math.pi, zeta, params.mu)
             report[f"gramian.u_{u:g}.lambda_min"] = rep.lambda_min
             report[f"gramian.u_{u:g}.lambda_max"] = rep.lambda_max
 
@@ -159,9 +159,7 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
         # independent, so the search only closes for small gains; cap it here
         bounds = choose_radii(cfg.analyze_R0, kappa=min(kappa, 0.2), j=params.j)
         res1, res2 = check_bound_inequalities(bounds)
-        for key in ("R0", "R1", "R2", "mu", "delta", "Delta", "kappa", "nu", "M",
-                    "ell_pi", "ell_tau"):
-            report[f"bounds.{key}"] = getattr(bounds, key)
+        report.update((f"bounds.{key}", value) for key, value in vars(bounds).items())
         report["bounds.ineq1_residual"] = res1
         report["bounds.ineq2_residual"] = res2
         report["bounds.satisfied"] = int(res1 < 0.0 and res2 < 0.0)

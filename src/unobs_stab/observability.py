@@ -17,7 +17,7 @@ import numpy as np
 from .bessel import bessel_j, bessel_j_prime, find_zeros
 from .finite import _certificate
 from .linalg import kalman_matrix
-from .spectral import ObserverOperator, observer_propagate, weak_norm_bound
+from .spectral import ObserverOperator, default_j, observer_propagate, weak_norm_bound
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,10 @@ class GramianReport:
 GRAMIAN_STEPS = 400
 
 
-def observability_gramian(u: float, T: float, zeta, mu: float, N: int) -> GramianReport:
+def observability_gramian(u: float, T: float, zeta, mu: float) -> GramianReport:
     """Trapezoidal Gramian W = int_0^T U(t)* zeta zeta* U(t) dt for the
     truncated spectral system under the constant input u, on GRAMIAN_STEPS intervals.
+    The truncation order N is zeta's: it has length 2N+1.
 
     Each quadrature sample is positive semidefinite, so W is PSD up to
     roundoff.  lambda_min > 0 certifies observability of the truncation;
@@ -44,15 +45,13 @@ def observability_gramian(u: float, T: float, zeta, mu: float, N: int) -> Gramia
     if T <= 0.0:
         raise ValueError("observability_gramian: T must be positive")
     op = ObserverOperator(mu, 0.0, zeta)
-    if op.n != N:
-        raise ValueError("observability_gramian: zeta length does not match N")
     dt = T / GRAMIAN_STEPS
     # row i of the propagated identity is expm(dt G) e_i, so the rows form
     # expm(dt G)^T and their conjugate is the one-step adjoint expm(dt G)^*
-    step_h = observer_propagate(op, np.eye(2 * N + 1), u, dt).conj()
+    step_h = observer_propagate(op, np.eye(2 * op.n + 1), u, dt).conj()
     # samples[i] = step_h^i zeta, by doubling: rows [m, 2m) are rows [0, m)
     # advanced by step_h^m, and power_t holds (step_h^m)^T
-    samples = np.empty((GRAMIAN_STEPS + 1, 2 * N + 1), dtype=complex)
+    samples = np.empty((GRAMIAN_STEPS + 1, 2 * op.n + 1), dtype=complex)
     samples[0] = op.zeta
     power_t, m = step_h.T, 1
     while m <= GRAMIAN_STEPS:
@@ -208,9 +207,8 @@ def choose_radii(r0: float, mu: float | None = None, kappa: float = 0.2,
     """
     if r0 <= 0.0:
         raise ValueError("choose_radii: R0 must be positive")
-    zeros = find_zeros()
     if j is None:
-        j = 0.9 * zeros.j1
+        j = default_j()
     r1 = 2.0 * r0
     r2 = (2.0 * math.sqrt(2.0) + 3.0) * r0
     nu = weak_norm_bound()

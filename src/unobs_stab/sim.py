@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import MAX_ARG, bessel_j
-from .finite import FinParams, Plant, closed_loop_rhs, perturbed_feedback
+from .finite import FinParams, Plant, closed_loop_rhs, embed as embed_fin, perturbed_feedback
 from .spectral import (
     ObserverOperator,
     OutputSpec,
@@ -207,10 +207,12 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     once (vectorized over runs; each run bitwise equal to its one-row batch).
 
     The state of a run is the packed row (x, zhat), stepped by RK4 on
-    finite.closed_loop_rhs.  A run whose state stops being finite or whose
-    x or zhat exceeds DIVERGENCE_NORM is frozen at its last valid step and
-    reported as diverged, its records ending there; the other runs carry on
-    unaffected.
+    finite.closed_loop_rhs.  Its error is eps = zhat - finite.embed(x), as
+    the spectral loop measures it: |eps| is checked every step and
+    |C eps| = |eps_last| recorded.  A run whose state stops being finite or
+    whose x or zhat exceeds DIVERGENCE_NORM is frozen at its last valid step
+    and reported as diverged, its records ending there; the other runs carry
+    on unaffected.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     zhat0s = np.atleast_2d(np.asarray(zhat0s, dtype=float))
@@ -225,26 +227,26 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     def rhs(s):
         return closed_loop_rhs(s, params, plant)
 
-    def eps_norms(s):
-        xs, zl = s[:, :n], s[:, 2 * n]
-        d = s[:, n:2 * n] - xs
-        return np.sqrt(_row_dot(d, d) + (zl - 0.5 * _row_dot(xs, xs)) ** 2)
+    def error(s):
+        eps = s[:, n:] - embed_fin(s[:, :n])
+        return eps, np.sqrt(_row_dot(eps, eps))
 
     def advance(state, active, i):
         s = rk4_step(rhs, state[0], cfg.step)
-        eps = eps_norms(s)
-        ok = active & np.isfinite(eps) \
+        eps, eps_norm = error(s)
+        ok = active & np.isfinite(eps_norm) \
             & (_row_dot(s[:, :n], s[:, :n]) <= DIVERGENCE_NORM ** 2) \
             & (_row_dot(s[:, n:], s[:, n:]) <= DIVERGENCE_NORM ** 2)
-        return (s,), eps, ok
+        return (s, eps), eps_norm, ok
 
-    def sample(state, eps):
-        s = state[0]
+    def sample(state, eps_norm):
+        s, eps = state
         return (s[:, :n], s[:, n:], perturbed_feedback(s[:, n:], params.K, params.delta),
-                eps, np.abs(s[:, 2 * n] - 0.5 * _row_dot(s[:, :n], s[:, :n])))
+                eps_norm, np.abs(eps[:, -1]))
 
     s = np.concatenate([x0s, zhat0s], axis=1)
-    return _drive((s,), eps_norms(s), advance, sample, steps, cfg)
+    eps, eps_norm = error(s)
+    return _drive((s, eps), eps_norm, advance, sample, steps, cfg)
 
 
 def rotation_step(x, u, h: float) -> np.ndarray:

@@ -212,15 +212,15 @@ def test_criterion_07_gramian_singularity_separation(monkeypatch):
         spectra.append(eig)
         return eig
 
-    rep0 = observability_gramian(0.0, T, measured_mode(12), mu=1.0, N=12)
+    rep0 = observability_gramian(0.0, T, measured_mode(12), mu=1.0)
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-        observability_gramian(u, T, measured_mode(12), mu=1.0, N=12)
+        observability_gramian(u, T, measured_mode(12), mu=1.0)
     program = np.sort(spectra[-1])
     exact = np.array(gramian_eigenvalues(u, T, measured_mode(12), mu=1.0, N=12, steps=400))
     scale = 2.0 * math.pi * bessel_j_series(12, u) ** 2
     gap = float(np.max(np.abs(program - exact)))
-    rep4 = observability_gramian(u, T, measured_mode(4), mu=1.0, N=4)
+    rep4 = observability_gramian(u, T, measured_mode(4), mu=1.0)
     umax_ok = 1.0 * u < find_zeros().j0
     ok = (rep0.lambda_min < 1e-14 and exact[0] > 0.0
           and 0.5 * scale <= exact[0] <= 2.0 * scale

@@ -124,7 +124,7 @@ def test_magnitude_bound():
 
 def test_inv_j1_basics():
     z = find_zeros()
-    assert inv_j1(0.0) == 0.0
+    assert inv_j1(0.0, z.j1) == 0.0
     y = bessel_j(1, 1.0)
     assert inv_j1(y, z.j1) == pytest.approx(1.0, abs=1e-10)
 
@@ -134,7 +134,7 @@ def test_inv_j1_domain_errors():
     with pytest.raises(ValueError):
         inv_j1(bessel_j(1, z.j1) + 0.1, z.j1)
     with pytest.raises(ValueError):
-        inv_j1(-0.05)
+        inv_j1(-0.05, z.j1)
     with pytest.raises(ValueError):
         inv_j1(0.1, cap=z.j1 + 0.2)
 
@@ -145,7 +145,7 @@ def test_inv_j1_monotone_and_left_inverse():
     ys = [bessel_j(1, float(r)) for r in rs]
     # J1 strictly increasing on [0, j1]
     assert all(b > a for a, b in zip(ys[:-1], ys[1:]))
-    inv = [inv_j1(y) for y in ys]
+    inv = [inv_j1(y, z.j1) for y in ys]
     assert np.max(np.abs(np.asarray(inv) - rs)) < 1e-10
     assert all(b > a for a, b in zip(inv[:-1], inv[1:]))
 

@@ -30,6 +30,15 @@ def test_embed_examples():
     assert np.allclose(embed([1.0, 0.0]), [1.0, 0.0, 0.5])
 
 
+def test_embed_rows_match_one_row_calls():
+    # the rows are lifted by the same sum as one point, bit for bit
+    xs = np.random.default_rng(3).uniform(-3.0, 3.0, size=(2000, 2))
+    rows = embed(xs)
+    assert rows.shape == (2000, 3)
+    assert rows.tobytes() == np.array([embed(x) for x in xs]).tobytes()
+    assert embed(xs[None]).tobytes() == rows.tobytes()
+
+
 def test_plant_rejects_non_skew():
     with pytest.raises(ValueError):
         Plant(A=np.array([[0.1, -1.0], [1.0, 0.0]]), b=np.array([0.0, 1.0]))

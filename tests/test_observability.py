@@ -20,20 +20,20 @@ from unobs_stab.spectral import embedded_target, generator_matrix, weak_norm_bou
 class TestGramian:
     def test_zero_input_is_singular(self):
         zeta = embedded_target(6)
-        rep = observability_gramian(0.0, 2.0 * math.pi, zeta, mu=1.0, N=6)
+        rep = observability_gramian(0.0, 2.0 * math.pi, zeta, mu=1.0)
         # the measured mode decouples from everything else at u = 0
         assert rep.lambda_min < 1e-14
         assert rep.lambda_max > 1.0
 
     def test_psd_and_hermitian_accumulation(self):
         zeta = embedded_target(4)
-        rep = observability_gramian(0.25, 3.0, zeta, mu=1.0, N=4)
+        rep = observability_gramian(0.25, 3.0, zeta, mu=1.0)
         assert rep.lambda_min >= -1e-12
 
     def test_monotone_in_horizon(self):
         zeta = embedded_target(3)
-        rep1 = observability_gramian(0.4, 2.0, zeta, mu=1.0, N=3)
-        rep2 = observability_gramian(0.4, 4.0, zeta, mu=1.0, N=3)
+        rep1 = observability_gramian(0.4, 2.0, zeta, mu=1.0)
+        rep2 = observability_gramian(0.4, 4.0, zeta, mu=1.0)
         assert rep2.lambda_min >= rep1.lambda_min - 1e-12
         assert rep2.lambda_max >= rep1.lambda_max - 1e-12
 
@@ -77,16 +77,14 @@ class TestGramian:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-        rep = observability_gramian(u, T, zeta, mu=1.0, N=n)
+        rep = observability_gramian(u, T, zeta, mu=1.0)
         assert abs(rep.lambda_max - eig_ref[-1]) <= 1e-12 * eig_ref[-1]
         assert np.max(np.abs(spectra[-1] - w_ref)) <= 1e-13 * eig_ref[-1]
 
     def test_validation(self):
         zeta = embedded_target(3)
         with pytest.raises(ValueError):
-            observability_gramian(0.1, -1.0, zeta, 1.0, 3)
-        with pytest.raises(ValueError):
-            observability_gramian(0.1, 1.0, zeta, 1.0, 4)
+            observability_gramian(0.1, -1.0, zeta, 1.0)
 
 
 class TestObstructionSums:

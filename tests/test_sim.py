@@ -123,6 +123,14 @@ class TestFiniteLoop:
         states = rk4_path(state_feedback, x0, cfg.step, 10000)
         assert np.max(np.linalg.norm(states - traj.x, axis=1)) < 1e-7
 
+        # a batch of perfect starts reads zero error exactly at t = 0: the
+        # start lift and the loop's error use one summation
+        x0s = np.random.default_rng(11).uniform(-3.0, 3.0, size=(200, 2))
+        cfg = IntegratorConfig(step=1e-3, horizon=0.1)
+        trajs = run_finite_batch(plant, fin_params, x0s, [embed_fin(x) for x in x0s], cfg)
+        assert all(t.eps_norm[0] == 0.0 and t.c_eps_abs[0] == 0.0 for t in trajs)
+        assert max(np.max(t.eps_norm) for t in trajs) <= 1e-8
+
     def test_error_norm_non_increasing(self, plant, fin_params):
         cfg = IntegratorConfig(step=1e-3, horizon=20.0)
         rng = np.random.default_rng(5)
