@@ -2,7 +2,8 @@
 
 Only what the rest of the package needs: J_k(r) and its derivative for
 integer k (possibly negative), the first positive zero j1 of J_1' and the
-first positive zero j0 of J_0, and the local inverse of J_1 on [0, j1].
+first positive zero j0 of J_0 (fixed numbers, stated as constants), and the
+local inverse of J_1 on [0, j1].
 
 Evaluation is done by the ascending power series for small arguments and by
 Miller's backward recurrence with the standard normalization
@@ -23,13 +24,15 @@ import numpy as np
 # Beyond that, Miller's recurrence is the accurate route.
 _SERIES_MAX_R = 8.0
 MAX_ARG = 50.0
+# a series row ends at its first term below this, and its table reaches one
+_SERIES_TOL = 1e-20
 
 
 def _series_rows(r: np.ndarray, kmax: int, largest: float) -> np.ndarray:
     """Rows [J_0(r_i)..J_kmax(r_i)] by the ascending series, 0 <= r_i <= largest <= 8.
 
-    Row i sums the terms up to and including its first one below 1e-20 (in
-    every order), in sequence, so a row's value does not depend on the
+    Row i sums the terms up to and including its first one below _SERIES_TOL
+    (in every order), in sequence, so a row's value does not depend on the
     other rows it is evaluated with.
     """
     half = 0.5 * r
@@ -42,7 +45,7 @@ def _series_rows(r: np.ndarray, kmax: int, largest: float) -> np.ndarray:
     np.multiply.accumulate(seq[:, 0], axis=1, out=seq[:, 0])
     np.multiply.accumulate(seq, axis=1, out=seq)
     # the leading term of order 0 is 1, so the first small term has m >= 1
-    last = (np.abs(seq).max(axis=2) < 1e-20).argmax(axis=1)
+    last = (np.abs(seq).max(axis=2) < _SERIES_TOL).argmax(axis=1)
     np.add.accumulate(seq, axis=1, out=seq)
     return seq[np.arange(r.shape[0]), last]
 
@@ -50,11 +53,11 @@ def _series_rows(r: np.ndarray, kmax: int, largest: float) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _series_tables(kmax: int, exponent: int):
     """Orders 1..kmax and the denominators -m (m + k) for m = 1..terms (read-only),
-    terms enough to reach one below 1e-20 in every row with (r/2)^2 < 2**exponent:
+    terms enough to reach one below _SERIES_TOL in every row with (r/2)^2 < 2**exponent:
     |term_{m,k}| <= e^{r/2} (r/2)^{2m} / (m!)^2, a bound that grows with r."""
     h2, terms = 2.0 ** exponent, 0
     bound = math.exp(math.sqrt(h2))
-    while bound >= 1e-20:
+    while bound >= _SERIES_TOL:
         terms += 1
         bound *= h2 / (terms * terms)
     k = np.arange(kmax + 1, dtype=float)
@@ -144,38 +147,15 @@ class BesselZeros:
     j0: float
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError("bisection bracket does not change sign")
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo = mid
-            flo = fm
-    return 0.5 * (lo + hi)
+# j0 is the correctly rounded zero; j1 is 1.55e-14 above the true zero of J_1'
+# (a 1e-13 bisection left it there) and every spectral digest is pinned to it.
+_ZEROS = BesselZeros(j1=float.fromhex("0x1.d757d1fec8a80p+0"),
+                     j0=float.fromhex("0x1.33d152e971b40p+1"))
 
 
-@lru_cache(maxsize=1)
 def find_zeros() -> BesselZeros:
-    """Locate j1 and j0 by sign-bracketed bisection to 1e-13.
-
-    Brackets are hard-coded from known sign changes: J_1' changes sign on
-    [1.5, 2.0] and J_0 on [2.0, 3.0].
-    """
-    j1 = _bisect(lambda r: bessel_j_prime(1, r), 1.5, 2.0)
-    j0 = _bisect(lambda r: bessel_j(0, r), 2.0, 3.0)
-    return BesselZeros(j1=j1, j0=j0)
+    """The constants j1 = 1.8411837813406748 and j0 = 2.404825557695773."""
+    return _ZEROS
 
 
 @lru_cache(maxsize=8)

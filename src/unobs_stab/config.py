@@ -24,8 +24,8 @@ from .finite import delta_margin, rotation_plant
 from .linalg import place_poles
 from .observability import GRAMIAN_STEPS
 from .sim import METHODS, VALID_MU_R, hold_grid
-from .spectral import (BESSEL_SERIES, KINDS, ObserverOperator, OutputSpec, output_vector,
-                       taylor_plan, truncation_tail_bound)
+from .spectral import (BESSEL_SERIES, J_FRAC, KINDS, ObserverOperator, OutputSpec,
+                       output_vector, taylor_plan, truncation_tail_bound)
 
 STRATEGIES = ("finite", "spectral")
 SEED_ENV = "UNOBS_STAB_SEED"  # a non-negative integer here overrides the seed
@@ -95,7 +95,7 @@ class ScenarioConfig:
     delta_frac: float | None = _key("params.delta_frac", "positive", "finite")
     Delta: float | None = _key("params.Delta", "real", "spectral")
     mu: float | None = _key("params.mu", "positive", "spectral")
-    j_frac: float = _key("params.j_frac", "positive", "spectral", default=0.9)
+    j_frac: float = _key("params.j_frac", "positive", "spectral", default=J_FRAC)
     N: int = _key("params.N", "count", "spectral", default=24)
     # output map (spectral); output is set by parsing from the output keys
     output_kind: str | None = _key("output.kind", "word", "spectral")

@@ -18,13 +18,13 @@ measurements.  Both apply the batch's one spectral.ObserverOperator.
 The batch drivers are the only drivers: a single run is their one-row case,
 run_*_batch(...)[0].  Each strategy supplies only its step and what it
 records; one loop (_drive) does the rest for both.  It freezes a run at its
-last valid step when it leaves the region where it can be evaluated (a
-non-finite state, a norm past DIVERGENCE_NORM and, for the spectral loop,
-mu |x| >= VALID_MU_R) and ends its records there, the other runs carrying
-on; it counts the per-step dissipativity violations; and it builds the
-trajectories.  run_*_batch and the config parser share one time grid,
-hold_grid, which refuses a horizon off the grid instead of rounding it, and
-one threshold, VALID_MU_R, inside which every run starts.  Both loops step
+last valid step when it leaves the region where it can be evaluated (by one
+rule for both, _bounded: x or zhat not finite or past DIVERGENCE_NORM; for
+the spectral loop also mu |x| >= VALID_MU_R) and ends its records there, the
+other runs carrying on; it counts the per-step dissipativity violations; and
+it builds the trajectories.  run_*_batch and the config parser share one time
+grid, hold_grid, which refuses a horizon off the grid instead of rounding it,
+and one threshold, VALID_MU_R, inside which every run starts.  Both loops step
 the configured step itself, so records fall at k * record_every * step.
 
 Everything is deterministic: fixed steps, no adaptivity, no hidden state.
@@ -39,12 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import MAX_ARG, bessel_j
+from .bessel import MAX_ARG
 from .finite import FinParams, Plant, closed_loop_rhs, embed as embed_fin, perturbed_feedback
 from .spectral import (
     ObserverOperator,
     OutputSpec,
     SpectralParams,
+    clamped,
     embed,
     linearized_output,
     observer_propagate,
@@ -133,6 +134,13 @@ def _row_dot(a, b):
     return (a * b).sum(axis=-1)
 
 
+def _bounded(x, zhat) -> np.ndarray:
+    """The stop rule of both loops, per run: |x| and |zhat| within
+    DIVERGENCE_NORM, a NaN or inf failing the comparison."""
+    limit = DIVERGENCE_NORM ** 2
+    return (np.vecdot(x, x).real <= limit) & (np.vecdot(zhat, zhat).real <= limit)
+
+
 # Trajectory fields a strategy's sample() returns, in this order (the finite
 # loop stops before weak_eps)
 _RECORDED = ("x", "zhat", "u", "eps_norm", "c_eps_abs", "weak_eps")
@@ -209,8 +217,8 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     The state of a run is the packed row (x, zhat), stepped by RK4 on
     finite.closed_loop_rhs.  Its error is eps = zhat - finite.embed(x), as
     the spectral loop measures it: |eps| is checked every step and
-    |C eps| = |eps_last| recorded.  A run whose state stops being finite or
-    whose x or zhat exceeds DIVERGENCE_NORM is frozen at its last valid step
+    |C eps| = |eps_last| recorded.  A run whose x or zhat stops being finite
+    or exceeds DIVERGENCE_NORM (_bounded) is frozen at its last valid step
     and reported as diverged, its records ending there; the other runs carry
     on unaffected.
     """
@@ -234,10 +242,7 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     def advance(state, active, i):
         s = rk4_step(rhs, state[0], cfg.step)
         eps, eps_norm = error(s)
-        ok = active & np.isfinite(eps_norm) \
-            & (_row_dot(s[:, :n], s[:, :n]) <= DIVERGENCE_NORM ** 2) \
-            & (_row_dot(s[:, n:], s[:, n:]) <= DIVERGENCE_NORM ** 2)
-        return (s, eps), eps_norm, ok
+        return (s, eps), eps_norm, active & _bounded(s[:, :n], s[:, n:])
 
     def sample(state, eps_norm):
         s, eps = state
@@ -304,10 +309,11 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     the observer state and held in between.
 
     Every x0 and xhat0 must lie in the region mu |x| < VALID_MU_R where the
-    embedding can be evaluated (a ValueError otherwise).  A run whose state
-    stops being finite, exceeds DIVERGENCE_NORM or leaves that region is
-    frozen at its last valid step and reported as diverged; the other runs
-    carry on unaffected.
+    embedding can be evaluated (a ValueError otherwise).  A run whose x or
+    zhat stops being finite or exceeds DIVERGENCE_NORM (_bounded), or whose x
+    leaves that region, is frozen at its last valid step and reported as
+    diverged; the other runs carry on unaffected.  A hold value taken past
+    the left inverse's threshold (spectral.clamped) counts in clamp_count.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     xhat0s = np.atleast_2d(np.asarray(xhat0s, dtype=float))
@@ -323,13 +329,12 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
         raise ValueError("run_spectral_batch: horizon must be a whole number of sample periods")
     n, mu = params.N, params.mu
     op = ObserverOperator(mu, params.alpha, output_vector(spec, n))
-    clamp_level = bessel_j(1, params.j)
     h = cfg.step
     clamp_count = np.zeros(nb, dtype=int)
 
     def feedback(zhat, active):
         # left limit of the observer state fixes the next hold value
-        clamp_count[active & (np.abs(zhat[:, n + 1]) > clamp_level)] += 1
+        clamp_count[active & clamped(zhat, params.j)] += 1
         return sample_hold_feedback(zhat, params)
 
     def exact_linear(x, eps, zhat, u, active, i):
@@ -382,8 +387,7 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     def advance(state, active, i):
         x, eps, zhat, u = state
         x_new, eps_new, zhat_new, ok = step(x, eps, zhat, u, active, i)
-        ok &= np.isfinite(zhat_new).all(axis=-1) \
-            & (_row_dot(x_new, x_new) <= DIVERGENCE_NORM ** 2)
+        ok &= _bounded(x_new, zhat_new)
         if (i + 1) % n_sub == 0:
             # before the boundary record: u is right-continuous, each sample
             # carries the value just applied

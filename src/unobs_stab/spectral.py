@@ -47,6 +47,8 @@ BESSEL_SERIES = "bessel_series"
 _COEFFS = {NORM_SQ: {0: 1.0}, J0_RADIAL: {0: 1.0}, J2_COS2THETA: {2: 0.5, -2: 0.5},
            NORM: {0: 1.0}, BESSEL_SERIES: None}
 KINDS = tuple(_COEFFS)
+# default inversion radius parameter j, as a fraction of j1
+J_FRAC = 0.9
 
 
 def truncation_order(z) -> int:
@@ -346,6 +348,12 @@ def _radius_map(a, mu: float, j: float):
     return np.where(a <= y0, inner, np.where(a >= y1, g1 / mu, blend))
 
 
+def clamped(zhat, j: float) -> np.ndarray:
+    """Per row of zhat: its e_1 coefficient is past J1(j), where _radius_map
+    leaves the inverse of J1 for the blend toward the cap."""
+    return np.abs(zhat[..., truncation_order(zhat) + 1]) > _blend_coefficients(j)[0]
+
+
 def state_from_coef(c, mu: float, j: float) -> np.ndarray:
     """Invert e_1 coefficients back to plane points (shape c.shape + (2,)).
 
@@ -407,8 +415,8 @@ class SpectralParams:
 
 
 def default_j() -> float:
-    """Default inversion radius parameter: 0.9 * j1."""
-    return 0.9 * find_zeros().j1
+    """Default inversion radius parameter: J_FRAC * j1."""
+    return J_FRAC * find_zeros().j1
 
 
 def sample_hold_feedback(zhat, params: SpectralParams):

@@ -316,8 +316,8 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg):
         x_new, zhat_new = s_new[:, :2].real, s_new[:, 2:]
         ok = active & np.logical_and.reduce(stages_inside) & sim._valid(np.hypot(*x_new.T), mu)
         eps_new = zhat_new - spectral.embed(np.where(ok[:, None], x_new, 0.0), mu, n)
-        ok &= np.isfinite(zhat_new).all(axis=-1) \
-            & (sim._row_dot(x_new, x_new) <= sim.DIVERGENCE_NORM ** 2)
+        ok &= (np.linalg.norm(x_new, axis=-1) <= sim.DIVERGENCE_NORM) \
+            & (np.linalg.norm(zhat_new, axis=-1) <= sim.DIVERGENCE_NORM)
         if (i + 1) % n_sub == 0:
             zhat_new = np.where(ok[:, None], zhat_new, zhat)
             u = np.where(ok, feedback(zhat_new, ok), u)

@@ -107,6 +107,15 @@ def test_zeros_against_series_oracle():
     assert abs(bessel_j(0, z.j0)) < 1e-12
 
 
+def test_zeros_against_mpmath():
+    # j0 is the correctly rounded zero; j1 is 1.55e-14 above the zero, within
+    # the 1e-13 it was first located to (every spectral digest holds its bits)
+    mpmath = pytest.importorskip("mpmath")
+    z = find_zeros()
+    assert z.j0 == float(mpmath.besseljzero(0, 1))
+    assert abs(z.j1 - float(mpmath.besseljzero(1, 1, derivative=1))) < 1e-13
+
+
 def test_normalization_identity():
     # sum over |k| <= 20 of J_k(r)^2 is 1 up to a vanishing tail for r <= 2
     for r in (0.5, 1.0, 2.0):

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from oracles import run_spectral_packed
 
+from unobs_stab.bessel import bessel_j
 from unobs_stab.finite import FinParams, embed as embed_fin, rotation_plant
 from unobs_stab.linalg import place_poles
 from unobs_stab.sim import (
+    DIVERGENCE_NORM,
     IntegratorConfig,
     Trajectory,
     convergence_metrics,
@@ -330,6 +332,32 @@ class TestSpectralBatch:
             stages.append(rk4_step(plant_rhs, x, cfg.step))
             radii = 0.1 * np.linalg.norm(np.array(stages), axis=-1)
             assert np.all(radii < 50.0) if inside else np.any(radii >= 50.0)
+
+    def test_observer_past_the_norm_bound_freezes_the_run(self):
+        # alpha = 300 makes the observer's RK4 step unstable at h = 1/32: |zhat|
+        # passes DIVERGENCE_NORM on step 5, long before it stops being finite,
+        # while x stays small; the run freezes there
+        params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.0, alpha=300.0,
+                                Delta=1 / 32, mu=0.1, j=default_j(), N=24)
+        cfg = IntegratorConfig(method="rk4_coupled", step=1 / 32, horizon=4.0)
+        traj = run_spectral_batch(OutputSpec(kind=NORM_SQ), params, [0.5, 0.0], [0.2, 0.3],
+                                  cfg)[0]
+        assert traj.diverged_at == 5 / 32
+        assert traj.times[-1] == 4 / 32
+        assert np.all(np.linalg.norm(traj.zhat, axis=1) <= DIVERGENCE_NORM)
+
+    @pytest.mark.parametrize("method", ["exact_linear", "rk4_coupled"])
+    def test_clamp_count_counts_hold_values_past_the_inverse(self, method):
+        # with step = Delta every record is a sample instant, so a run's
+        # clamp_count is its records whose e_1 coefficient is past J1(j); the
+        # first start's estimate begins at mu |xhat0| = 2 > j
+        spec, params = spectral_setup(delta=0.003125, Delta=1 / 32, n=24)
+        cfg = IntegratorConfig(method=method, step=1 / 32, horizon=2.0)
+        trajs = run_spectral_batch(spec, params, [[0.5, 0.0], [0.3, 0.2]],
+                                   [[20.0, 0.0], [0.2, 0.1]], cfg)
+        level = bessel_j(1, params.j)
+        past = [int(np.sum(np.abs(t.zhat[:, 25]) > level)) for t in trajs]
+        assert [t.clamp_count for t in trajs] == past == [16, 0]
 
 
 class TestPlannedPlant:

@@ -419,6 +419,17 @@ class TestInverse:
         x = state_from_coef(big + 0.0j, mu, j)
         assert np.linalg.norm(x) == pytest.approx(j1 / mu, abs=1e-12)
 
+    def test_clamped_past_the_inverse(self):
+        # clamped marks the rows whose e_1 coefficient leaves the inverse of
+        # J1 for the blend, at J1(j) exactly
+        mu, j, n = 0.3, default_j(), 4
+        y0 = bessel_j(1, j)
+        zhat = np.zeros((3, 2 * n + 1), dtype=complex)
+        zhat[:, n + 1] = [1j * y0, -np.nextafter(y0, 1.0), 0.5 * y0]
+        assert spectral.clamped(zhat, j).tolist() == [False, True, False]
+        inside = np.linalg.norm(left_inverse(zhat[0], mu, j))
+        assert inside == pytest.approx(j / mu, abs=1e-12)
+
     def test_blend_is_c1_and_monotone(self):
         mu, j = 1.0, default_j()
         j1 = find_zeros().j1
