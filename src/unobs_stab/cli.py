@@ -135,7 +135,7 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
         rank = int(np.linalg.matrix_rank(q, tol=1e-10))
         report["certificate.delta"] = cfg.delta
         report["certificate.rank"] = rank
-        report["certificate.full_rank"] = int(rank == plant.n + 2)
+        report["certificate.full_rank"] = int(rank == q.shape[0])
         if cfg.delta == 0.0:
             report["certificate.singular"] = 1
     else:

@@ -1,12 +1,12 @@
 """Finite-dimensional strategy: embed the plant state as (x, |x|^2 / 2).
 
-For a skew-symmetric plant  xdot = A x + b u  with output y = |x|^2 / 2, the
-embedded state z = (x, y) obeys a bilinear system with linear output, which
-admits a Luenberger observer whose error norm never increases.  Feedback is
-the stabilizing gain plus a small multiple of the estimated output coordinate;
-that perturbation is what restores observability of the closed loop at the
-target.  closed_loop_rhs states the whole loop once, on packed rows
-(x, zhat); sim.run_finite_batch steps those rows.
+For the quarter-turn plant xdot = A x + b u, A = [[0, -1], [1, 0]], b = (0, 1),
+with output y = |x|^2 / 2, the embedded state z = (x, y) obeys a bilinear
+system with linear output, which admits a Luenberger observer whose error norm
+never increases.  Feedback is the stabilizing gain plus a small multiple of the
+estimated output coordinate; that perturbation is what restores observability
+of the closed loop at the target.  closed_loop_rhs states the whole loop once,
+on packed rows (x, zhat); sim.run_finite_batch steps those rows.
 """
 
 from __future__ import annotations
@@ -17,34 +17,32 @@ import numpy as np
 
 from .linalg import solve_lyapunov
 
+_A = np.array([[0.0, -1.0], [1.0, 0.0]])
+_B = np.array([0.0, 1.0])
+_A.setflags(write=False)
+_B.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class Plant:
-    """Linear plant x' = A x + b u with skew-symmetric A."""
+    """The plant x' = A x + b u the loop runs, as the matrices the synthesis
+    reads (place_poles, delta_margin, the certificate): A the quarter-turn
+    generator and b = (0, 1), the only plant closed_loop_rhs states.  Any
+    other A or b is refused."""
 
     A: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"Plant: A must be square, got {a.shape}")
-        if b.shape[0] != a.shape[0]:
-            raise ValueError("Plant: b length must match A")
-        if not np.allclose(a, -a.T, atol=1e-12):
-            raise ValueError("Plant: A must be skew-symmetric")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
+        if not (np.array_equal(self.A, _A) and np.array_equal(self.b, _B)):
+            raise ValueError("Plant: the loop runs only A = [[0, -1], [1, 0]] with b = (0, 1)")
+        object.__setattr__(self, "A", _A)
+        object.__setattr__(self, "b", _B)
 
 
 def rotation_plant() -> Plant:
     """The 2-state benchmark: A the quarter-turn generator, b = (0, 1)."""
-    return Plant(A=np.array([[0.0, -1.0], [1.0, 0.0]]), b=np.array([0.0, 1.0]))
+    return Plant(A=_A, b=_B)
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class FinParams:
 
 def _half_sq(x) -> np.ndarray:
     """|x|^2 / 2 per row, the loop's one summation of the lift."""
-    return 0.5 * (x * x).sum(axis=-1)
+    return 0.5 * np.add.reduce(x * x, axis=-1)
 
 
 def embed(x) -> np.ndarray:
@@ -83,31 +81,35 @@ def perturbed_feedback(zhat, K, delta: float):
     """u = K zhat[:n] + delta * zhat[n] for each row of zhat; on embedded
     states this equals K x + (delta/2) |x|^2."""
     zhat = np.asarray(zhat, dtype=float)
-    K = np.asarray(K, dtype=float)
-    return (zhat[..., :-1] * K).sum(axis=-1) + delta * zhat[..., -1]
+    return np.add.reduce(zhat[..., :-1] * K, axis=-1) + delta * zhat[..., -1]
 
 
-def closed_loop_rhs(s, params: FinParams, plant: Plant) -> np.ndarray:
-    """Time derivative of the output-feedback loop, for each packed row
-    s = (x, zhat) of length 2n+1.
+def _rotation_field(x, u, out):
+    """The plant's field A x + b u = (-x1, x0 + u) for rows x of shape
+    (..., 2) and one input per row, written into out."""
+    np.negative(x[..., 1], out=out[..., 0])
+    np.add(x[..., 0], u, out=out[..., 1])
+    return out
+
+
+def closed_loop_rhs(s, params: FinParams) -> np.ndarray:
+    """Time derivative of the output-feedback loop on the quarter-turn plant,
+    for each packed row s = (x, zhat) of length 5.
 
     u = perturbed_feedback(zhat);  xdot = A x + b u;
     zhatdot = A_emb(u) zhat + B_emb u - L(u) (C zhat - y), with y = |x|^2/2,
-    A_emb(u) = [[A, 0], [u b', 0]], B_emb = (b, 0), C = (0, ..., 0, 1) and
+    A_emb(u) = [[A, 0], [u b', 0]], B_emb = (b, 0), C = (0, 0, 1) and
     L(u) = (b u, alpha).  The error matrix A_emb(u) - L(u) C has symmetric
     part -alpha C'C, which is what makes the estimation error dissipative.
     """
-    s = np.asarray(s, dtype=float)
-    n = plant.n
-    x, zbar, zlast = s[..., :n], s[..., n:2 * n], s[..., 2 * n]
-    u = perturbed_feedback(s[..., n:], params.K, params.delta)
-    innov = zlast - _half_sq(x)
-    # einsum, not matmul: it never hands the run axis to BLAS
-    xdot = np.einsum("...j,kj->...k", x, plant.A) + u[..., None] * plant.b
-    zbar_dot = np.einsum("...j,kj->...k", zbar, plant.A) \
-        + (u * (1.0 - innov))[..., None] * plant.b
-    zlast_dot = u * (zbar * plant.b).sum(axis=-1) - params.alpha * innov
-    return np.concatenate([xdot, zbar_dot, zlast_dot[..., None]], axis=-1)
+    x, zhat = s[..., :2], s[..., 2:]
+    u = perturbed_feedback(zhat, params.K, params.delta)
+    innov = zhat[..., 2] - _half_sq(x)
+    out = np.empty_like(s)
+    _rotation_field(x, u, out[..., :2])
+    _rotation_field(zhat[..., :2], u * (1.0 - innov), out[..., 2:4])
+    np.subtract(u * zhat[..., 1], params.alpha * innov, out=out[..., 4])
+    return out
 
 
 def delta_margin(K, rho: float, plant: Plant) -> float:
@@ -119,7 +121,7 @@ def delta_margin(K, rho: float, plant: Plant) -> float:
         raise ValueError("delta_margin: rho must be positive")
     K = np.asarray(K, dtype=float).reshape(-1)
     # solve_lyapunov raises when A + bK is not Hurwitz
-    p = solve_lyapunov(plant.A + np.outer(plant.b, K), 2.0 * np.eye(plant.n))
+    p = solve_lyapunov(plant.A + np.outer(plant.b, K), 2.0 * np.eye(2))
     return 1.0 / (rho * float(np.linalg.norm(p @ plant.b)))
 
 

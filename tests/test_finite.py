@@ -39,9 +39,16 @@ def test_embed_rows_match_one_row_calls():
     assert embed(xs[None]).tobytes() == rows.tobytes()
 
 
-def test_plant_rejects_non_skew():
-    with pytest.raises(ValueError):
-        Plant(A=np.array([[0.1, -1.0], [1.0, 0.0]]), b=np.array([0.0, 1.0]))
+@pytest.mark.parametrize("A, b", [
+    ([[0.1, -1.0], [1.0, 0.0]], [0.0, 1.0]),   # not skew
+    ([[0.0, -2.0], [2.0, 0.0]], [0.0, 1.0]),   # skew, another frequency
+    ([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [0.0, 1.0, 0.0]),
+    ([[0.0, -1.0], [1.0, 0.0]], [1.0, 0.0]),
+    ([[0.0, -1.0], [1.0, 0.0]], [[0.0], [1.0]]),
+], ids=["not-skew", "other-frequency", "three-states", "other-b", "b-column"])
+def test_plant_rejects_other_than_quarter_turn(A, b):
+    with pytest.raises(ValueError, match="^Plant: the loop runs only"):
+        Plant(A=np.array(A), b=np.array(b))
 
 
 def test_perturbed_feedback_examples():
@@ -63,33 +70,33 @@ def test_perturbed_feedback_examples():
     assert all(u == perturbed_feedback(z, k, delta) for z, u in zip(zhats, rows))
 
 
-def test_closed_loop_equilibrium(plant, gain):
+def test_closed_loop_equilibrium(gain):
     params = FinParams(K=gain, delta=0.2, alpha=10.0)
-    sdot = closed_loop_rhs(np.zeros(5), params, plant)
+    sdot = closed_loop_rhs(np.zeros(5), params)
     assert sdot.shape == (5,)
     assert np.allclose(sdot, 0.0)
 
 
-def test_error_dynamics_annihilate_on_manifold(plant, gain):
+def test_error_dynamics_annihilate_on_manifold(gain):
     # if zhat = embed(x), the estimation error has zero derivative
     params = FinParams(K=gain, delta=0.2, alpha=3.0)
     x = np.array([0.8, -0.5])
-    sdot = closed_loop_rhs(np.append(x, embed(x)), params, plant)
+    sdot = closed_loop_rhs(np.append(x, embed(x)), params)
     xdot, zdot = sdot[:2], sdot[2:]
     tau_dot = np.append(xdot, x @ xdot)  # chain rule through (x, |x|^2/2)
     assert np.allclose(zdot - tau_dot, 0.0, atol=1e-14)
 
 
-def test_error_norm_derivative_is_dissipative(plant, gain):
+def test_error_norm_derivative_is_dissipative(gain):
     # d|eps|^2/dt = -2 alpha (C eps)^2 along the coupled dynamics, for every
     # packed row (x, zhat) of a batch, each row as it would be alone
     rng = np.random.default_rng(8)
     params = FinParams(K=gain, delta=0.15, alpha=4.0)
     rows = rng.normal(size=(10, 5))
-    sdots = closed_loop_rhs(rows, params, plant)
+    sdots = closed_loop_rhs(rows, params)
     assert sdots.shape == (10, 5)
     for s, sdot in zip(rows, sdots):
-        assert np.array_equal(sdot, closed_loop_rhs(s, params, plant))
+        assert np.array_equal(sdot, closed_loop_rhs(s, params))
         x, zhat = s[:2], s[2:]
         xdot, zdot = sdot[:2], sdot[2:]
         eps = zhat - embed(x)
@@ -97,6 +104,20 @@ def test_error_norm_derivative_is_dissipative(plant, gain):
         got = 2.0 * eps @ eps_dot
         want = -2.0 * params.alpha * eps[2] ** 2
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_rhs_is_the_matrix_form(plant, gain):
+    # the elementwise field is A x + b u and A_emb(u) zhat + B_emb u - L(u) innov
+    # in matrix form, bit for bit: the products it drops are by an exact 0 or 1
+    params = FinParams(K=gain, delta=0.15, alpha=4.0)
+    rows = np.random.default_rng(5).normal(size=(50, 5))
+    x, zbar, zlast = rows[:, :2], rows[:, 2:4], rows[:, 4]
+    u = perturbed_feedback(rows[:, 2:], gain, params.delta)
+    innov = zlast - 0.5 * (x * x).sum(axis=1)
+    want = np.hstack([x @ plant.A.T + u[:, None] * plant.b,
+                      zbar @ plant.A.T + (u * (1.0 - innov))[:, None] * plant.b,
+                      (u * (zbar @ plant.b) - params.alpha * innov)[:, None]])
+    assert np.array_equal(closed_loop_rhs(rows, params), want)
 
 
 def test_delta_margin_formula(plant, gain):

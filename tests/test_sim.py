@@ -9,12 +9,15 @@ import pytest
 from oracles import run_spectral_packed
 
 from unobs_stab.bessel import bessel_j
-from unobs_stab.finite import FinParams, embed as embed_fin, rotation_plant
+from unobs_stab.finite import FinParams, delta_margin, embed as embed_fin, rotation_plant
 from unobs_stab.linalg import place_poles
 from unobs_stab.sim import (
     DIVERGENCE_NORM,
+    VALID_MU_R,
     IntegratorConfig,
     Trajectory,
+    _drive,
+    _valid,
     convergence_metrics,
     rk4_step,
     rotation_step,
@@ -203,6 +206,36 @@ class TestFiniteLoop:
         cfg = IntegratorConfig(step=0.1, horizon=0.3)
         traj = run_finite_batch(plant, fin_params, [1.0, 0.5], [0.1, 0.0, 1.0], cfg)[0]
         assert np.array_equal(traj.times, np.arange(4) * 0.1)
+
+
+class TestStepChecks:
+    # the per-step dissipativity check and the domain test at their edges
+
+    @staticmethod
+    def rise_once(rise):
+        """One run through _drive whose error norm rises from 0 by rise."""
+        def advance(state, active, i):
+            return state, np.array([rise]), active
+
+        def sample(state, eps):
+            return state[0], np.zeros((1, 3)), np.zeros(1), eps, np.zeros(1)
+
+        cfg = IntegratorConfig(step=1.0, horizon=1.0)
+        return _drive((np.zeros((1, 2)),), np.zeros(1), advance, sample, 1, cfg)[0]
+
+    def test_rise_up_to_the_tolerance_is_no_violation(self):
+        traj = self.rise_once(1e-8)
+        assert traj.dissipativity_violations == 0
+        assert traj.max_eps_increase == 1e-8
+
+    def test_rise_past_the_tolerance_is_one_violation(self):
+        traj = self.rise_once(2e-8)
+        assert traj.dissipativity_violations == 1
+        assert traj.max_eps_increase == 2e-8
+
+    def test_valid_region_is_open(self):
+        assert not _valid(np.array([VALID_MU_R]), 1.0)[0]
+        assert _valid(np.array([np.nextafter(VALID_MU_R, 0.0)]), 1.0)[0]
 
 
 class TestRotationStep:
@@ -417,6 +450,20 @@ class TestPlannedPlant:
 
 
 class TestCallBudget:
+    def test_finite_calls_per_step(self, plant):
+        # criterion 4's loop: 156 calls per step through the general-A rhs
+        # (einsums, a concatenate and .sum reductions at every stage)
+        gain = place_poles(plant.A, plant.b, [-1.0, -2.0])
+        params = FinParams(K=gain, delta=0.5 * delta_margin(gain, 3.0, plant), alpha=10.0)
+        rng = np.random.default_rng(4)
+        x0s, xh0s = rng.uniform(-2.0, 2.0, size=(2, 20, 2))
+        cfg = IntegratorConfig(step=2e-3, horizon=0.5)
+        run_finite_batch(plant, params, x0s, embed_fin(xh0s), cfg)  # fill the caches first
+        prof = cProfile.Profile()
+        prof.runcall(run_finite_batch, plant, params, x0s, embed_fin(xh0s), cfg)
+        calls = sum(calls for (_, calls, _, _, _) in pstats.Stats(prof).stats.values())
+        assert calls / 250 <= 60
+
     def test_rk4_coupled_calls_per_step(self):
         # cProfile's counts of Python functions and C methods do not move with
         # host load; 472 calls and 5.47 bessel_j_all calls per step before the
