@@ -3,7 +3,8 @@
 Only what the rest of the package needs: J_k(r) and its derivative for
 integer k (possibly negative), the first positive zero j1 of J_1' and the
 first positive zero j0 of J_0 (fixed numbers, stated as constants), and the
-local inverse of J_1 on [0, j1].
+local inverse of J_1 on [0, j1]: the reversion of J_1's series for
+y <= 0.11 (within 2 ulp), Newton on the series above.
 
 Evaluation is done by the ascending power series for small arguments and by
 Miller's backward recurrence with the standard normalization
@@ -163,14 +164,29 @@ def _j1_at(cap: float) -> float:
     return bessel_j(1, cap)
 
 
+# With s = r/2, J_1(r) = sum_m (-1)^m s^{2m+1} / (m!(m+1)!) inverts to
+# s = sum_k b_k y^{2k+1}; these are b_0..b_9.  The first omitted one is
+# b_10 = 62288343754211/143700480000 = 433.46, and b_{k+1}/b_k rises toward
+# 1/J_1(j1)^2 = 2.954 (the reversion's radius is J_1(j1)), so the omitted
+# tail is below b_10 y^21 / (1 - 2.954 y^2).  That stays below 2^-54 y, half
+# an ulp of s >= y, up to y = 0.1134; at _Y_REV it is 0.54 * 2^-54 y.
+_REVERSION = (1 / 1, 1 / 2, 2 / 3, 169 / 144, 6799 / 2880, 443821 / 86400,
+              14239171 / 1209600, 1137478541 / 40642560,
+              1000663219979 / 14631321600, 224809697103661 / 1316818944000)
+_Y_REV = 0.11
+
+
 def inv_j1(y, cap: float):
     """The unique r in [0, cap] with J_1(r) = y.
 
     J_1 is strictly increasing on [0, j1], so the inverse is well defined for
-    cap <= j1 and 0 <= y <= J_1(cap).  Safeguarded Newton iteration with a
-    bisection fallback; accurate to ~1e-13.  y may be a scalar or an array:
-    each entry iterates on its own and is frozen once it has converged, so
-    it takes the same steps as it would alone.
+    cap <= j1 and 0 <= y <= J_1(cap).  An entry with y <= 0.11 is the reversion
+    of J_1's series, r = 2y P(y^2), within 2 ulp of the true r.  An entry
+    above that takes a safeguarded Newton iteration on the series from r = 2y
+    with a bisection fallback, within 3e-15 up to r = 1.83; as r nears j1,
+    J_1' -> 0 and the error grows to 4e-11 at r = j1.  y may be a scalar or an
+    array: each entry is answered on its own, so it takes the same value as
+    it would alone.
     """
     zeros = find_zeros()
     if not 0.0 < cap <= zeros.j1 + 1e-12:
@@ -183,11 +199,24 @@ def inv_j1(y, cap: float):
     if bad.any():
         raise ValueError(f"inv_j1: y={target[bad][0]} outside [0, J1(cap)] = [0, {ymax}]")
     target = np.minimum(target, ymax)
+    y2 = target * target
+    poly = np.full_like(target, _REVERSION[-1])
+    for b in _REVERSION[-2::-1]:
+        poly = poly * y2 + b
+    x = 2.0 * target * poly
+    far = np.flatnonzero(target > _Y_REV)
+    if far.size:
+        x[far] = _newton_j1(target[far], cap)
+    return float(x[0]) if ys.ndim == 0 else x.reshape(ys.shape)
+
+
+def _newton_j1(target: np.ndarray, cap: float) -> np.ndarray:
+    """inv_j1 of entries 0 < target <= J_1(cap), each frozen once it has converged."""
     lo = np.zeros_like(target)
     hi = np.full_like(target, cap)
     x = np.minimum(2.0 * target, cap)  # J_1(r) ~ r/2 near 0
-    live = target != 0.0
-    for _ in range(100 if live.any() else 0):
+    live = np.ones(target.shape, dtype=bool)
+    for _ in range(100):
         # x stays in [0, cap], inside the series range
         jv = _series_rows(x, 2, cap)
         fx = jv[:, 1] - target
@@ -203,4 +232,4 @@ def inv_j1(y, cap: float):
         x_new = np.where(steep, x - fx / np.where(steep, dfx, 1.0), mid)
         x_new = np.where((lo < x_new) & (x_new < hi), x_new, mid)
         x = np.where(live, x_new, x)
-    return float(x[0]) if ys.ndim == 0 else x.reshape(ys.shape)
+    return x

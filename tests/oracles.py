@@ -7,17 +7,20 @@ the truncated generator built and propagated in high-precision arithmetic.
 The artifact writers are the per-value loops the package's CSV and SVG
 writers replaced, kept to pin their bytes, and the Bessel-series measurement
 is the per-order loop that spectral.output_value's series arm replaced.  The
-reference Bessel kernel and inv_j1 are the array kernel as it stood before its
-call budget was cut (a term-count loop and the near/far masks on every call,
-a truncation index that falls back to the last term), kept to pin the bytes
-of the leaner kernel.  The packed spectral driver is run_spectral_batch's
-rk4_coupled loop as it stood before the plant was planned per hold interval,
-kept to pin the planned loop's bits.
+reference Bessel kernel is the array kernel as it stood before its call
+budget was cut (a term-count loop and the near/far masks on every call, a
+truncation index that falls back to the last term), kept to pin the bytes of
+the leaner kernel.  The reference inv_j1 derives the reversion of J_1's
+series in exact fractions for small y and runs the Newton iteration on that
+reference kernel above, to pin inv_j1's bytes.  The packed spectral driver
+is run_spectral_batch's rk4_coupled loop as it stood before the plant was
+planned per hold interval, kept to pin the planned loop's bits.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -251,16 +254,53 @@ def bessel_j_all_reference(kmax: int, r) -> np.ndarray:
     return out.reshape(radii.shape + (kmax + 1,))
 
 
+def j1_reversion_coefficients(count: int) -> list:
+    """b_0..b_{count-1}, exact fractions, of s = sum_k b_k y^{2k+1}, the inverse
+    of y = J_1(2s) = sum_m (-1)^m s^{2m+1} / (m!(m+1)!) near 0: the fixed point
+    s = y - (J_1(2s) - s) iterated on power series in y cut after y^{2count-1},
+    each pass settling one more coefficient."""
+    size = 2 * count
+
+    def mul(p, q):
+        out = [Fraction(0)] * size
+        for i, a in enumerate(p):
+            if a:
+                for j in range(size - i):
+                    out[i + j] += a * q[j]
+        return out
+
+    y = [Fraction(0)] * size
+    y[1] = Fraction(1)
+    s = list(y)
+    for _ in range(count):
+        s2 = mul(s, s)
+        power, rest = mul(s, s2), [Fraction(0)] * size
+        for m in range(1, count):
+            coef = Fraction((-1) ** m, math.factorial(m) * math.factorial(m + 1))
+            rest = [g + coef * p for g, p in zip(rest, power)]
+            power = mul(power, s2)
+        s = [a - g for a, g in zip(y, rest)]
+    return s[1::2]
+
+
+# inv_j1_reference answers y <= REVERSION_MAX_Y from the reversion's first
+# ten coefficients, rounded to float
+REVERSION_MAX_Y = 0.11
+
+
 def inv_j1_reference(y, cap: float):
-    """The r in [0, cap] with J_1(r) = y, cap <= j1, by inv_j1's safeguarded
-    Newton iteration on bessel_j_all_reference; each entry of y iterates alone."""
+    """The r in [0, cap] with J_1(r) = y, cap <= j1; each entry of y alone.
+
+    An entry y <= REVERSION_MAX_Y is 2y P(y^2), P the reversion polynomial of
+    j1_reversion_coefficients(10) by Horner in float; an entry above it takes
+    inv_j1's safeguarded Newton iteration on bessel_j_all_reference from 2y."""
     ymax = float(bessel_j_all_reference(1, cap)[1])
     ys = np.asarray(y, dtype=float)
     target = np.minimum(ys.reshape(-1), ymax)
     lo = np.zeros_like(target)
     hi = np.full_like(target, cap)
     x = np.minimum(2.0 * target, cap)
-    live = target != 0.0
+    live = target > REVERSION_MAX_Y
     for _ in range(100):
         if not live.any():
             break
@@ -276,6 +316,13 @@ def inv_j1_reference(y, cap: float):
         x_new = np.where(steep, x - fx / np.where(steep, dfx, 1.0), mid)
         x_new = np.where((lo < x_new) & (x_new < hi), x_new, mid)
         x = np.where(live, x_new, x)
+    coeffs = [float(b) for b in j1_reversion_coefficients(10)]
+    for i, t in enumerate(target.tolist()):
+        if t <= REVERSION_MAX_Y:
+            poly = coeffs[-1]
+            for b in coeffs[-2::-1]:
+                poly = poly * (t * t) + b
+            x[i] = 2.0 * t * poly
     return float(x[0]) if ys.ndim == 0 else x.reshape(ys.shape)
 
 

@@ -1,8 +1,10 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from unobs_stab import bessel, cli, spectral
 from unobs_stab.bessel import (
     bessel_j,
     bessel_j_all,
@@ -12,10 +14,12 @@ from unobs_stab.bessel import (
 )
 
 from oracles import (
+    REVERSION_MAX_Y,
     bessel_j_all_reference,
     bessel_j_series,
     inv_j1_reference,
     j0_first_zero,
+    j1_reversion_coefficients,
     j1_zero_of_derivative,
 )
 
@@ -173,3 +177,51 @@ def test_inv_j1_bytes_match_reference(frac):
     ys = np.linspace(0.0, bessel_j(1, cap), 41)
     assert inv_j1(ys, cap).tobytes() == inv_j1_reference(ys, cap).tobytes()
     assert all(inv_j1(float(y), cap) == inv_j1_reference(float(y), cap) for y in ys[::8])
+
+
+def test_inv_j1_reversion_coefficients_and_threshold():
+    # bessel's b_0..b_9 are the exact reversion rounded to float, and at its
+    # threshold the first omitted term b_10 y^21 with a geometric tail of ratio
+    # 1/J1(j1)^2, the limit b_{k+1}/b_k rises toward, stays below 2^-54 y
+    exact = j1_reversion_coefficients(21)
+    assert bessel._REVERSION == tuple(float(b) for b in exact[:10])
+    assert bessel._Y_REV == REVERSION_MAX_Y
+    ratio = 1.0 / bessel_j(1, find_zeros().j1) ** 2
+    rises = [exact[k + 1] / exact[k] for k in range(10, 20)]
+    assert rises == sorted(rises) and rises[-1] < ratio
+    y = bessel._Y_REV
+    assert float(exact[10]) * y ** 20 / (1.0 - ratio * y * y) < 2.0 ** -54
+
+
+def test_inv_j1_within_two_ulp_on_the_reversion():
+    mpmath = pytest.importorskip("mpmath")
+    ys = np.linspace(0.0, REVERSION_MAX_Y, 201)[1:]
+    got = inv_j1(ys, find_zeros().j1)
+    with mpmath.workdps(40):
+        for y, r in zip(ys, got):
+            true = mpmath.findroot(lambda t: mpmath.besselj(1, t) - float(y), 2.0 * float(y))
+            assert abs(mpmath.mpf(float(r)) - true) <= 2 * np.spacing(float(true)), y
+
+
+def test_inv_j1_answers_the_hold_loop_without_bessel_rows(tmp_path, monkeypatch):
+    # the feedback inputs of the benchmark's spectral-hold workload at seed 1
+    # (|zhat_{e1}| <= 0.0475) all lie on the reversion: no _series_rows call
+    # in inv_j1 (2.42 per call with Newton from 2y on every entry)
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS, load_reference, select_inputs
+
+    workload = WORKLOADS["spectral-hold"]
+    config = tmp_path / "scenario.cfg"
+    config.write_text(workload.scenario(select_inputs(workload, load_reference(), 1)[1]),
+                      encoding="utf-8")
+    cfg = cli.parse_config(str(config))
+    inputs, rows, series_rows = [], [], bessel._series_rows
+    monkeypatch.setattr(spectral, "inv_j1",
+                        lambda y, cap: inputs.append((y, cap)) or inv_j1(y, cap))
+    cli._run_batch(cfg, *cli.draw_initial_conditions(cfg))
+    monkeypatch.setattr(bessel, "_series_rows",
+                        lambda *args: rows.append(args) or series_rows(*args))
+    for y, cap in inputs:
+        inv_j1(y, cap)
+    assert len(inputs) == 193 and max(float(np.max(y)) for y, _ in inputs) < 0.05
+    assert rows == []
