@@ -47,7 +47,6 @@ from .spectral import (
     ObserverOperator,
     OutputSpec,
     SpectralParams,
-    clamped,
     embed,
     linearized_output,
     observer_propagate,
@@ -311,8 +310,8 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     embedding can be evaluated (a ValueError otherwise).  A run whose x or
     zhat stops being finite or exceeds DIVERGENCE_NORM (_bounded), or whose x
     leaves that region, is frozen at its last valid step and reported as
-    diverged; the other runs carry on unaffected.  A hold value taken past
-    the left inverse's threshold (spectral.clamped) counts in clamp_count.
+    diverged; the other runs carry on unaffected.  A hold value read from an
+    estimate that spectral.left_inverse clamps counts in clamp_count.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     xhat0s = np.atleast_2d(np.asarray(xhat0s, dtype=float))
@@ -333,8 +332,9 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
 
     def feedback(zhat, active):
         # left limit of the observer state fixes the next hold value
-        clamp_count[active & clamped(zhat, params.j)] += 1
-        return sample_hold_feedback(zhat, params)
+        u, clamped = sample_hold_feedback(zhat, params)
+        clamp_count[active & clamped] += 1
+        return u
 
     def exact_linear(x, eps, zhat, u, active, i):
         x_new = rotation_step(x, u, h)

@@ -49,6 +49,9 @@ _COEFFS = {NORM_SQ: {0: 1.0}, J0_RADIAL: {0: 1.0}, J2_COS2THETA: {2: 0.5, -2: 0.
 KINDS = tuple(_COEFFS)
 # default inversion radius parameter j, as a fraction of j1
 J_FRAC = 0.9
+# 1/|c| overflows below the smallest normal float, so left_inverse leaves such
+# a row's phase unnormalized: its point, about 2|c|^2 / mu, rounds to the origin
+_TINY = np.finfo(float).tiny
 
 
 def truncation_order(z) -> int:
@@ -319,65 +322,44 @@ def weak_norm_bound() -> float:
 
 @lru_cache(maxsize=8)
 def _blend_coefficients(j: float):
-    """Cubic-Hermite data for the radius map on [J1(j), J1(j1)].
+    """Cubic-Hermite data of the radius on [J1(j), J1(j1)]: J1(j), J1(j1) and
+    the left slope 1/J1'(j) of J1's inverse (the right slope is 0, so the
+    radius levels off at the cap).  Fritsch-Carlson holds for every j in
+    (0, j1), so the blend is monotone."""
+    return bessel_j(1, j), bessel_j(1, find_zeros().j1), 1.0 / bessel_j_prime(1, j)
 
-    Endpoint values (j, j1); left slope matches the inverse of J1, right slope
-    zero so the map levels off at the cap.  Fritsch-Carlson holds for every
-    j in (0, j1), so the blend is monotone.
+
+def left_inverse(z, mu: float, j: float):
+    """State estimates from coefficient vectors, and which rows are clamped.
+
+    Each row's e_1 coefficient c = <embed(x), e_1> = i J_1(mu r) e^{-i theta}
+    is read once.  With |c| <= J1(j), i.e. mu r <= j, the inverse of J1
+    recovers x exactly; a row past J1(j) is clamped: the inverse is skipped
+    and its radius is capped at j1/mu through a C^1, globally Lipschitz
+    blend.  Returns (xhat, clamped), xhat of shape z.shape[:-1] + (2,).
     """
-    zeros = find_zeros()
-    y0 = bessel_j(1, j)
-    y1 = bessel_j(1, zeros.j1)
-    s0 = 1.0 / bessel_j_prime(1, j)
-    return y0, y1, j, zeros.j1, s0
-
-
-def _radius_map(a, mu: float, j: float):
-    """Radius assigned to coefficient magnitudes a = |<xi, e_1>|."""
-    y0, y1, g0, g1, s0 = _blend_coefficients(j)
-    inner = inv_j1(np.minimum(a, y0), j) / mu
-    if np.all(a <= y0):
-        # every row takes the inverse; the blend serves only rows above y0
-        return inner
-    w = y1 - y0
-    t = (a - y0) / w
-    h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-    h10 = t * (1.0 - t) ** 2
-    h01 = t * t * (3.0 - 2.0 * t)
-    blend = (h00 * g0 + h10 * w * s0 + h01 * g1) / mu
-    return np.where(a <= y0, inner, np.where(a >= y1, g1 / mu, blend))
-
-
-def clamped(zhat, j: float) -> np.ndarray:
-    """Per row of zhat: its e_1 coefficient is past J1(j), where _radius_map
-    leaves the inverse of J1 for the blend toward the cap."""
-    return np.abs(zhat[..., truncation_order(zhat) + 1]) > _blend_coefficients(j)[0]
-
-
-def state_from_coef(c, mu: float, j: float) -> np.ndarray:
-    """Invert e_1 coefficients back to plane points (shape c.shape + (2,)).
-
-    For c = <embed(x), e_1> = i J_1(mu r) e^{-i theta} with mu r <= j this
-    recovers x exactly; larger magnitudes are radially capped at j1/mu through
-    a C^1, globally Lipschitz blend.
-    """
-    zeros = find_zeros()
-    if not 0.0 < j < zeros.j1:
-        raise ValueError(f"state_from_coef: need 0 < j < j1, got j={j}")
-    c = np.asarray(c, dtype=complex)
-    a = np.abs(c)
-    w = 1j * np.conj(c) / np.where(a > 0.0, a, 1.0)
-    p = w * _radius_map(a, mu, j)
-    return np.stack([p.real, p.imag], axis=-1)
-
-
-def left_inverse(z, mu: float, j: float) -> np.ndarray:
-    """State estimates from coefficient vectors: invert their e_1 coefficient."""
+    j1 = find_zeros().j1
+    if not 0.0 < j < j1:
+        raise ValueError(f"left_inverse: need 0 < j < j1, got j={j}")
     z = np.asarray(z, dtype=complex)
     n = truncation_order(z)
     if n < 1:
         raise ValueError("left_inverse: truncation order must be >= 1")
-    return state_from_coef(z[..., n + 1], mu, j)
+    c = z[..., n + 1]
+    a = np.abs(c)
+    y0, y1, s0 = _blend_coefficients(j)
+    clamped = a > y0
+    radius = inv_j1(np.where(clamped, 0.0, a), j) / mu
+    if clamped.any():
+        w = y1 - y0
+        t = (a - y0) / w
+        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
+        h10 = t * (1.0 - t) ** 2
+        h01 = t * t * (3.0 - 2.0 * t)
+        blend = (h00 * j + h10 * w * s0 + h01 * j1) / mu
+        radius = np.where(clamped, np.where(a >= y1, j1 / mu, blend), radius)
+    p = 1j * np.conj(c) / np.where(a >= _TINY, a, 1.0) * radius
+    return np.stack([p.real, p.imag], axis=-1), clamped
 
 
 @dataclass(frozen=True)
@@ -420,14 +402,15 @@ def default_j() -> float:
 
 
 def sample_hold_feedback(zhat, params: SpectralParams):
-    """Control applied over one hold interval:
-    K * left_inverse(zhat) + delta * weak_norm(zhat - embedded_target)^2.
-    A float for one coefficient vector, one value per row otherwise."""
+    """Control applied over one hold interval,
+    K * xhat + delta * weak_norm(zhat - embedded_target)^2, and the clamp
+    flag, for (xhat, clamped) = left_inverse(zhat).  A float for one
+    coefficient vector, one value per row otherwise."""
     zhat = np.asarray(zhat, dtype=complex)
-    xhat = left_inverse(zhat, params.mu, params.j)
+    xhat, clamped = left_inverse(zhat, params.mu, params.j)
     dev = zhat - _order_tables(truncation_order(zhat))[4]
     u = np.sum(params.K * xhat, axis=-1) + params.delta * weak_norm(dev) ** 2
-    return float(u) if zhat.ndim == 1 else u
+    return (float(u) if zhat.ndim == 1 else u), clamped
 
 
 def truncation_tail_bound(s: float, n: int) -> float:

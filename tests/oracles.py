@@ -341,7 +341,7 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg):
 
     def feedback(zhat, active):
         clamp_count[active & (np.abs(zhat[:, n + 1]) > clamp_level)] += 1
-        return spectral.sample_hold_feedback(zhat, params)
+        return spectral.sample_hold_feedback(zhat, params)[0]
 
     def advance(state, active, i):
         x, _, zhat, u = state

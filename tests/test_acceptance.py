@@ -184,7 +184,7 @@ def test_criterion_06_strong_left_inverse():
         for theta in np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False):
             r = 0.9 * r_frac * j / mu
             x = np.array([r * math.cos(theta), r * math.sin(theta)])
-            err = np.linalg.norm(left_inverse(embed(x, mu, n), mu, j) - x)
+            err = np.linalg.norm(left_inverse(embed(x, mu, n), mu, j)[0] - x)
             worst = max(worst, float(err))
     ok = worst < 1e-9
     detail = f"sup round-trip error over 50x50 polar grid = {worst:.2e}"

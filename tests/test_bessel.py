@@ -24,10 +24,12 @@ from oracles import (
 )
 
 # radii at the series ends (0, the smallest normal scale, the largest near
-# radius 8 and just below it), a typical one, mixed near/far batches, and
-# seeded batches at each scale a run meets
+# radius 8 and just below it), a typical one, mixed near/far batches, J0's
+# first zero and a radius near its second (where a series row that stops
+# early shows in J0's last bits), and seeded batches at each scale a run meets
 KERNEL_RADII = [0.0, 1e-300, 0.06, 7.999, 8.0, np.array([0.0, 1e-300, 0.06, 7.999, 8.0]),
-                np.array([0.1, 20.0]), np.array([[0.1, 20.0], [8.0, 0.06]]), np.array([20.0, 30.0])]
+                np.array([0.1, 20.0]), np.array([[0.1, 20.0], [8.0, 0.06]]), np.array([20.0, 30.0]),
+                2.404825557695773, 5.52, np.array([2.404825557695773, 5.52, 0.3])]
 KERNEL_RADII += [np.random.default_rng(5).uniform(0.0, top, 7)
                  for top in (1e-12, 1e-6, 1e-3, 0.1, 1.0, 4.0, 8.0, 20.0, 49.0)]
 

@@ -1,6 +1,7 @@
 """The scripts outside the package that call its public API run: each demo
 exits 0, and perfbench's micro timings run and report every key.  Each runs
-in a fresh process on the package under src/, writing only under tmp_path."""
+in a fresh process on the package under src/, writing only under tmp_path.
+The mutation script's list still applies to the tree (no pytest is run)."""
 
 import json
 import math
@@ -11,6 +12,7 @@ import subprocess
 import sys
 
 import pytest
+from mutants import MUTANTS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -41,3 +43,10 @@ def test_perfbench_micro_runs(tmp_path):
     result = json.loads(out.read_text(encoding="utf-8"))
     assert set(result) == MICRO_KEYS
     assert all(math.isfinite(v) and v > 0.0 for v in result.values()), result
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: f"{pathlib.Path(m[0]).stem}:{m[1]}")
+def test_mutant_applies_once(mutant):
+    path, old, new = mutant
+    assert old != new
+    assert (ROOT / path).read_text(encoding="utf-8").count(old) == 1

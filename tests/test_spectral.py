@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from unobs_stab import spectral
+from unobs_stab import bessel, spectral
 from unobs_stab.bessel import bessel_j, find_zeros, inv_j1
 from unobs_stab.observability import GRAMIAN_STEPS, working_disc_inverse_lipschitz
 from unobs_stab.spectral import (
@@ -28,7 +29,6 @@ from unobs_stab.spectral import (
     output_vector,
     polar as polar_form,
     sample_hold_feedback,
-    state_from_coef,
     taylor_plan,
     truncation_tail_bound,
     weak_norm,
@@ -40,6 +40,14 @@ from oracles import bessel_series_per_order, bessel_tail_energy
 
 def polar(r, theta):
     return np.array([r * math.cos(theta), r * math.sin(theta)])
+
+
+def at_e1(c, n=1):
+    """Coefficient vectors of order n holding c at e_1 and 0 elsewhere."""
+    c = np.asarray(c, dtype=complex)
+    z = np.zeros(c.shape + (2 * n + 1,), dtype=complex)
+    z[..., n + 1] = c
+    return z
 
 
 class TestEmbed:
@@ -403,31 +411,31 @@ class TestWeakNorm:
 
 class TestInverse:
     def test_zero_maps_to_origin(self):
-        assert np.allclose(state_from_coef(0.0, 0.5, default_j()), [0.0, 0.0])
+        assert np.allclose(left_inverse(at_e1(0.0), 0.5, default_j())[0], [0.0, 0.0])
 
     def test_round_trip_inside_inversion_ball(self):
         mu, j = 0.4, default_j()
         for r in (0.1, 0.8, 0.5 * j / mu):
             for theta in (0.0, 1.0, 2.5, 5.0):
                 c = 1j * bessel_j(1, mu * r) * np.exp(-1j * theta)
-                assert np.allclose(state_from_coef(c, mu, j), polar(r, theta), atol=1e-10)
+                assert np.allclose(left_inverse(at_e1(c), mu, j)[0], polar(r, theta), atol=1e-10)
 
     def test_clamped_branch(self):
         mu, j = 0.3, default_j()
         j1 = find_zeros().j1
         big = 2.0 * bessel_j(1, j1)
-        x = state_from_coef(big + 0.0j, mu, j)
+        x = left_inverse(at_e1(big + 0.0j), mu, j)[0]
         assert np.linalg.norm(x) == pytest.approx(j1 / mu, abs=1e-12)
 
     def test_clamped_past_the_inverse(self):
-        # clamped marks the rows whose e_1 coefficient leaves the inverse of
-        # J1 for the blend, at J1(j) exactly
+        # the clamp flag marks the rows whose e_1 coefficient leaves the
+        # inverse of J1 for the blend, at J1(j) exactly
         mu, j, n = 0.3, default_j(), 4
         y0 = bessel_j(1, j)
         zhat = np.zeros((3, 2 * n + 1), dtype=complex)
         zhat[:, n + 1] = [1j * y0, -np.nextafter(y0, 1.0), 0.5 * y0]
-        assert spectral.clamped(zhat, j).tolist() == [False, True, False]
-        inside = np.linalg.norm(left_inverse(zhat[0], mu, j))
+        assert left_inverse(zhat, mu, j)[1].tolist() == [False, True, False]
+        inside = np.linalg.norm(left_inverse(zhat[0], mu, j)[0])
         assert inside == pytest.approx(j / mu, abs=1e-12)
 
     def test_blend_is_c1_and_monotone(self):
@@ -436,16 +444,16 @@ class TestInverse:
         y0, y1 = bessel_j(1, j), bessel_j(1, j1)
         h = 1e-7
         for y_edge in (y0, y1):
-            lo = np.linalg.norm(state_from_coef(y_edge - h, mu, j))
-            hi = np.linalg.norm(state_from_coef(y_edge + h, mu, j))
-            mid = np.linalg.norm(state_from_coef(y_edge, mu, j))
+            lo = np.linalg.norm(left_inverse(at_e1(y_edge - h), mu, j)[0])
+            hi = np.linalg.norm(left_inverse(at_e1(y_edge + h), mu, j)[0])
+            mid = np.linalg.norm(left_inverse(at_e1(y_edge), mu, j)[0])
             left = (mid - lo) / h
             right = (hi - mid) / h
             # a kink would show up as an O(10) slope jump; curvature of the
             # blend makes the one-sided quotients differ only at O(h * g'')
             assert abs(left - right) < 0.05 * (1.0 + max(abs(left), abs(right)))
         ys = np.linspace(1e-6, y1 * 1.05, 400)
-        radii = [np.linalg.norm(state_from_coef(y, mu, j)) for y in ys]
+        radii = [np.linalg.norm(left_inverse(at_e1(y), mu, j)[0]) for y in ys]
         assert all(b >= a - 1e-12 for a, b in zip(radii[:-1], radii[1:]))
 
     @pytest.mark.parametrize("mu,r2", [(0.1, 2.9), (0.25, 5.0)])
@@ -457,7 +465,7 @@ class TestInverse:
         a = np.linspace(0.0, bessel_j(1, mu * r2), 401)[1:]
         theta = np.linspace(0.0, 2.0 * math.pi, 65)
         c = a[:, None] * np.exp(1j * theta)[None, :]
-        x = state_from_coef(c, mu, default_j())
+        x = left_inverse(at_e1(c), mu, default_j())[0]
         sampled = max(np.max(np.linalg.norm(np.diff(x, axis=ax), axis=-1)
                              / np.abs(np.diff(c, axis=ax))) for ax in (0, 1))
         assert 0.99 * ell < sampled <= ell
@@ -467,7 +475,7 @@ class TestInverse:
         for r_frac in np.linspace(0.0, 0.9, 7):
             for theta in np.linspace(0.0, 2.0 * math.pi, 9):
                 x = polar(r_frac * j / mu, theta)
-                err = np.linalg.norm(left_inverse(embed(x, mu, n), mu, j) - x)
+                err = np.linalg.norm(left_inverse(embed(x, mu, n), mu, j)[0] - x)
                 assert err < 1e-9
 
     def test_batched_inverse_matches_scalar_path(self):
@@ -482,8 +490,10 @@ class TestInverse:
             z = embedded_target(n)
             z[n + 1] = a
             zs = np.vstack([zs, z])
-        batch = left_inverse(zs, mu, j)
-        assert np.array_equal(batch, np.array([left_inverse(z, mu, j) for z in zs]))
+        batch, flags = left_inverse(zs, mu, j)
+        rows = [left_inverse(z, mu, j) for z in zs]
+        assert np.array_equal(batch, np.array([x for x, _ in rows]))
+        assert flags.tolist() == [bool(flag) for _, flag in rows]
         ys = np.abs(zs[:, n + 1])
         ys = ys[ys <= bessel_j(1, j)]
         assert np.array_equal(inv_j1(ys, j), np.array([inv_j1(float(y), j) for y in ys]))
@@ -492,8 +502,64 @@ class TestInverse:
         mu, j, n = 0.5, default_j(), 8
         z = np.zeros(2 * n + 1, dtype=complex)
         z[n + 1] = 50.0 - 12.0j
-        assert np.linalg.norm(left_inverse(z, mu, j)) == pytest.approx(
+        assert np.linalg.norm(left_inverse(z, mu, j)[0]) == pytest.approx(
             find_zeros().j1 / mu, abs=1e-12)
+
+    def test_clamped_rows_skip_the_inverse(self, monkeypatch):
+        # rows past J1(j) take the blend alone, so once the caches are warm
+        # they evaluate no Bessel series row (Newton at y = J1(j) took 10 per
+        # call when every row went through the inverse)
+        mu, j, n = 0.1, 0.9 * find_zeros().j1, 24
+        a = np.geomspace(np.nextafter(bessel_j(1, j), 1.0), 50.0, 12)
+        zhat = at_e1(a * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 12)), n)
+        left_inverse(zhat, mu, j)  # fill the caches first
+        rows, series_rows = [], bessel._series_rows
+        monkeypatch.setattr(bessel, "_series_rows",
+                            lambda *args: rows.append(args) or series_rows(*args))
+        for batch in (zhat, zhat[:1], zhat[-1]):
+            assert np.all(left_inverse(batch, mu, j)[1])
+        assert rows == []
+
+
+# Left-inverse properties, drawn by hypothesis from a fixed seed so that every
+# run tests the same examples
+PROPERTIES = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+_J = default_j()
+_Y0, _Y1 = bessel_j(1, _J), bessel_j(1, find_zeros().j1)
+# |c| anywhere in the kernel's range, or at either end of the blend
+MAGNITUDES = st.one_of(
+    st.floats(0.0, 50.0),
+    st.sampled_from([_Y0, np.nextafter(_Y0, 0.0), np.nextafter(_Y0, 1.0), _Y1,
+                     np.nextafter(_Y1, 0.0)]))
+ANGLES = st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi))
+MUS = st.floats(0.05, 1.0)
+
+
+@PROPERTIES
+@given(frac=st.floats(0.0, 0.95), theta=ANGLES, mu=MUS, n=st.integers(1, 24))
+def test_left_inverse_recovers_states_inside_the_ball(frac, theta, mu, n):
+    x = polar(frac * _J / mu, theta)
+    xhat, clamped = left_inverse(embed(x, mu, n), mu, _J)
+    assert not clamped
+    assert np.linalg.norm(xhat - x) <= 1e-9 * max(1.0, np.linalg.norm(x))
+
+
+@PROPERTIES
+@given(coefs=st.lists(st.tuples(MAGNITUDES, ANGLES), min_size=2, max_size=8), mu=MUS)
+def test_left_inverse_clamp_flag_and_radius(coefs, mu):
+    # the flag is exact; the radius |xhat| carries the unit phase
+    # i conj(c) / |c|, rounded to about 2 ulp (rel below)
+    j1, rel = find_zeros().j1, 1e-15
+    c = np.array([a * np.exp(1j * theta) for a, theta in coefs])
+    a = np.abs(c)
+    xhat, clamped = left_inverse(at_e1(c, 3), mu, _J)
+    assert clamped.tolist() == (a > _Y0).tolist()
+    radius = np.hypot(xhat[:, 0], xhat[:, 1])
+    order = np.argsort(a, kind="stable")
+    assert np.all(np.diff(radius[order]) >= -1e-12)
+    assert np.all(radius[clamped] > _J / mu * (1.0 - rel))
+    assert np.all(radius[clamped] <= j1 / mu * (1.0 + rel))
+    assert np.allclose(radius[a >= _Y1], j1 / mu, rtol=rel, atol=0.0)
 
 
 class TestFeedbackAndParams:
@@ -503,12 +569,12 @@ class TestFeedbackAndParams:
 
     def test_zero_at_target(self):
         p = self.params()
-        assert sample_hold_feedback(embedded_target(p.N), p) == pytest.approx(0.0, abs=1e-15)
+        assert sample_hold_feedback(embedded_target(p.N), p)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_reduces_to_state_feedback_without_perturbation(self):
         p = self.params(delta=0.0)
         x = polar(0.4 * p.j / p.mu, 1.1)
-        u = sample_hold_feedback(embed(x, p.mu, p.N), p)
+        u = sample_hold_feedback(embed(x, p.mu, p.N), p)[0]
         assert u == pytest.approx(float(p.K @ x), abs=1e-9)
 
     def test_perturbation_term(self):
@@ -517,7 +583,7 @@ class TestFeedbackAndParams:
         zhat[p.N + 3] += 0.2  # deviation in a high mode
         dev = zhat - embedded_target(p.N)
         want = p.delta * weak_norm(dev) ** 2  # left-inverse sees no e_1 content
-        assert sample_hold_feedback(zhat, p) == pytest.approx(want, abs=1e-12)
+        assert sample_hold_feedback(zhat, p)[0] == pytest.approx(want, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
