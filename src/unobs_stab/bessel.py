@@ -1,10 +1,11 @@
 """Bessel functions of the first kind at integer order.
 
 Only what the rest of the package needs: J_k(r) and its derivative for
-integer k (possibly negative), the first positive zero j1 of J_1' and the
-first positive zero j0 of J_0 (fixed numbers, stated as constants), and the
-local inverse of J_1 on [0, j1]: the reversion of J_1's series for
-y <= 0.11 (within 2 ulp), Newton on the series above.
+integer k (possibly negative), three fixed numbers stated once as module
+constants (J0_ZERO, the first positive zero j0 of J_0; J1_ARGMAX, the first
+positive zero j1 of J_1', where J_1 peaks; and J1_MAX = J_1(j1)), and the
+inverse of J_1 on its increasing branch [0, j1]: the reversion of J_1's
+series for y <= 0.11 (within 2 ulp), Newton on the series above.
 
 Evaluation is done by the ascending power series for small arguments and by
 Miller's backward recurrence with the standard normalization
@@ -15,7 +16,6 @@ J_0 + 2*sum_m J_{2m} = 1 for moderate ones.  Arguments are restricted to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -140,28 +140,12 @@ def bessel_j_prime(k: int, r: float) -> float:
     return 0.5 * (bessel_j(k - 1, r) - bessel_j(k + 1, r))
 
 
-@dataclass(frozen=True)
-class BesselZeros:
-    """First positive zero j1 of J_1' and first positive zero j0 of J_0."""
-
-    j1: float
-    j0: float
-
-
-# j0 is the correctly rounded zero; j1 is 1.55e-14 above the true zero of J_1'
-# (a 1e-13 bisection left it there) and every spectral digest is pinned to it.
-_ZEROS = BesselZeros(j1=float.fromhex("0x1.d757d1fec8a80p+0"),
-                     j0=float.fromhex("0x1.33d152e971b40p+1"))
-
-
-def find_zeros() -> BesselZeros:
-    """The constants j1 = 1.8411837813406748 and j0 = 2.404825557695773."""
-    return _ZEROS
-
-
-@lru_cache(maxsize=8)
-def _j1_at(cap: float) -> float:
-    return bessel_j(1, cap)
+# J0_ZERO is the correctly rounded zero; J1_ARGMAX is 1.55e-14 above the true
+# zero of J_1' (a 1e-13 bisection left it there) and every spectral digest is
+# pinned to it.
+J0_ZERO = float.fromhex("0x1.33d152e971b40p+1")
+J1_ARGMAX = float.fromhex("0x1.d757d1fec8a80p+0")
+J1_MAX = bessel_j(1, J1_ARGMAX)
 
 
 # With s = r/2, J_1(r) = sum_m (-1)^m s^{2m+1} / (m!(m+1)!) inverts to
@@ -176,29 +160,24 @@ _REVERSION = (1 / 1, 1 / 2, 2 / 3, 169 / 144, 6799 / 2880, 443821 / 86400,
 _Y_REV = 0.11
 
 
-def inv_j1(y, cap: float):
-    """The unique r in [0, cap] with J_1(r) = y.
+def inv_j1(y):
+    """The unique r in [0, j1] with J_1(r) = y, for 0 <= y <= J1_MAX.
 
-    J_1 is strictly increasing on [0, j1], so the inverse is well defined for
-    cap <= j1 and 0 <= y <= J_1(cap).  An entry with y <= 0.11 is the reversion
-    of J_1's series, r = 2y P(y^2), within 2 ulp of the true r.  An entry
-    above that takes a safeguarded Newton iteration on the series from r = 2y
-    with a bisection fallback, within 3e-15 up to r = 1.83; as r nears j1,
-    J_1' -> 0 and the error grows to 4e-11 at r = j1.  y may be a scalar or an
-    array: each entry is answered on its own, so it takes the same value as
-    it would alone.
+    J_1 is strictly increasing on [0, j1] (j1 = J1_ARGMAX), so the inverse is
+    well defined there.  An entry with y <= 0.11 is the reversion of J_1's
+    series, r = 2y P(y^2), within 2 ulp of the true r.  An entry above that
+    takes a safeguarded Newton iteration on the series from r = 2y with a
+    bisection fallback, within 3e-15 up to r = 1.83; as r nears j1, J_1' -> 0
+    and the error grows to 4e-11 at r = j1.  y may be a scalar or an array:
+    each entry is answered on its own, so it takes the same value as it would
+    alone.
     """
-    zeros = find_zeros()
-    if not 0.0 < cap <= zeros.j1 + 1e-12:
-        raise ValueError(f"inv_j1: cap must lie in (0, j1], got {cap}")
-    cap = min(cap, zeros.j1)
-    ymax = _j1_at(cap)
     ys = np.asarray(y, dtype=float)
     target = ys.reshape(-1)
-    bad = ~((target >= 0.0) & (target <= ymax + 1e-12))
+    bad = ~((target >= 0.0) & (target <= J1_MAX + 1e-12))
     if bad.any():
-        raise ValueError(f"inv_j1: y={target[bad][0]} outside [0, J1(cap)] = [0, {ymax}]")
-    target = np.minimum(target, ymax)
+        raise ValueError(f"inv_j1: y={target[bad][0]} outside [0, J1(j1)] = [0, {J1_MAX}]")
+    target = np.minimum(target, J1_MAX)
     y2 = target * target
     poly = np.full_like(target, _REVERSION[-1])
     for b in _REVERSION[-2::-1]:
@@ -206,19 +185,19 @@ def inv_j1(y, cap: float):
     x = 2.0 * target * poly
     far = np.flatnonzero(target > _Y_REV)
     if far.size:
-        x[far] = _newton_j1(target[far], cap)
+        x[far] = _newton_j1(target[far])
     return float(x[0]) if ys.ndim == 0 else x.reshape(ys.shape)
 
 
-def _newton_j1(target: np.ndarray, cap: float) -> np.ndarray:
-    """inv_j1 of entries 0 < target <= J_1(cap), each frozen once it has converged."""
+def _newton_j1(target: np.ndarray) -> np.ndarray:
+    """inv_j1 of entries 0 < target <= J1_MAX, each frozen once it has converged."""
     lo = np.zeros_like(target)
-    hi = np.full_like(target, cap)
-    x = np.minimum(2.0 * target, cap)  # J_1(r) ~ r/2 near 0
+    hi = np.full_like(target, J1_ARGMAX)
+    x = np.minimum(2.0 * target, J1_ARGMAX)  # J_1(r) ~ r/2 near 0
     live = np.ones(target.shape, dtype=bool)
     for _ in range(100):
-        # x stays in [0, cap], inside the series range
-        jv = _series_rows(x, 2, cap)
+        # x stays in [0, j1], inside the series range
+        jv = _series_rows(x, 2, J1_ARGMAX)
         fx = jv[:, 1] - target
         above = fx > 0.0
         hi = np.where(live & above, x, hi)

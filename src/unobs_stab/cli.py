@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .artifacts import write_csv, write_summary, write_trajectory_svg
-from .bessel import find_zeros
+from .bessel import J0_ZERO, J1_ARGMAX
 from .config import ConfigError, ScenarioConfig, parse_config
 from .finite import FinParams, embed as embed_fin, observability_certificate, rotation_plant
 from .observability import (
@@ -31,7 +31,7 @@ from .observability import (
     observability_gramian,
 )
 from .sim import IntegratorConfig, convergence_metrics, run_finite_batch, run_spectral_batch
-from .spectral import SpectralParams, output_vector, weak_norm_bound
+from .spectral import WEAK_NORM_BOUND, SpectralParams, output_vector
 
 def _ball_points(rng, count: int, radius: float) -> np.ndarray:
     r = radius * np.sqrt(rng.uniform(size=count))
@@ -56,7 +56,7 @@ def build_finite(cfg: ScenarioConfig):
 
 
 def build_spectral(cfg: ScenarioConfig):
-    j = cfg.j_frac * find_zeros().j1
+    j = cfg.j_frac * J1_ARGMAX
     params = SpectralParams(K=cfg.K, delta=cfg.delta, alpha=cfg.alpha,
                             Delta=cfg.Delta, mu=cfg.mu, j=j, N=cfg.N)
     return cfg.output, params
@@ -152,7 +152,7 @@ def analyze(cfg: ScenarioConfig, out_dir: str) -> str:
         umax, applicable = max_control_bound(kappa, params.j, params.mu, params.delta)
         report["umax.value"] = umax
         report["umax.mu_umax"] = params.mu * umax
-        report["umax.j0"] = find_zeros().j0
+        report["umax.j0"] = J0_ZERO
         report["umax.applicable"] = int(applicable)
 
         # the budget's leading term scales with kappa and is (mu, delta, Delta)-
@@ -191,10 +191,9 @@ def main(argv=None) -> int:
         print(f"--jobs: expected a whole number >= 1, got {args.jobs}", file=sys.stderr)
         return 2
     if args.command == "zeros":
-        zeros = find_zeros()
-        print("j0=%.17g" % zeros.j0)
-        print("j1=%.17g" % zeros.j1)
-        print("nu=%.17g" % weak_norm_bound())
+        print("j0=%.17g" % J0_ZERO)
+        print("j1=%.17g" % J1_ARGMAX)
+        print("nu=%.17g" % WEAK_NORM_BOUND)
         return 0
 
     try:

@@ -24,8 +24,8 @@ from .finite import delta_margin, rotation_plant
 from .linalg import place_poles
 from .observability import GRAMIAN_STEPS
 from .sim import METHODS, VALID_MU_R, hold_grid
-from .spectral import (BESSEL_SERIES, J_FRAC, KINDS, ObserverOperator, OutputSpec,
-                       output_vector, taylor_plan, truncation_tail_bound)
+from .spectral import (BESSEL_SERIES, J_FRAC, KINDS, OutputSpec, taylor_plan,
+                       truncation_tail_bound)
 
 STRATEGIES = ("finite", "spectral")
 SEED_ENV = "UNOBS_STAB_SEED"  # a non-negative integer here overrides the seed
@@ -259,14 +259,15 @@ def parse_config(path: str) -> ScenarioConfig:
                                 f"mu * {key} = {arg:g}; the drawn starts embed inexactly")
         if cfg.mu is not None and cfg.output is not None and cfg.output.top <= cfg.N:
             # the propagator's sub-steps in analyze's Gramian steps (one period 2 pi)
-            # at the sweep's largest |u|, and in exact_linear's steps at u = 0 and up
+            # at the sweep's largest |u|, and in exact_linear's steps at u = 0 and up;
+            # ||zeta||^2 = sum |c_k|^2, as |zeta_k| = |c_k|, so nothing of size N is built
+            sq_norm = sum(c.real ** 2 + c.imag ** 2 for c in cfg.output.coeffs.values())
             loads = [("analyze.u_grid", 2.0 * math.pi / GRAMIAN_STEPS,
                       max(map(abs, cfg.analyze_u_grid)), 0.0)]
             if cfg.method == "exact_linear":
                 loads.append(("params.alpha", cfg.step, 0.0, cfg.alpha))
             for key, h, u, alpha in loads:
-                op = ObserverOperator(cfg.mu, alpha, output_vector(cfg.output, cfg.N))
-                if (subs := taylor_plan(op, h, u)[0]) > MAX_SUBSTEPS:
+                if (subs := taylor_plan(cfg.N, cfg.mu, alpha * sq_norm, h, u)[0]) > MAX_SUBSTEPS:
                     problems.append(f"{key}: {subs:.3g} Taylor sub-steps per step of {h:g}, "
                                     f"above the cap {MAX_SUBSTEPS}")
 

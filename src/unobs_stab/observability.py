@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_prime, find_zeros
+from .bessel import J0_ZERO, bessel_j, bessel_j_prime
 from .finite import _certificate
 from .linalg import kalman_matrix
-from .spectral import ObserverOperator, default_j, observer_propagate, weak_norm_bound
+from .spectral import WEAK_NORM_BOUND, ObserverOperator, default_j, observer_propagate
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,8 @@ def max_control_bound(kappa: float, j: float, mu: float,
     most u_max keeps the spectral system observable)."""
     if kappa < 0.0 or j <= 0.0 or mu <= 0.0 or delta < 0.0:
         raise ValueError("max_control_bound: inputs must be positive")
-    nu = weak_norm_bound()
-    u_max = kappa * j / mu + 16.0 * nu ** 2 * delta
-    return u_max, bool(mu * u_max < find_zeros().j0)
+    u_max = kappa * j / mu + 16.0 * WEAK_NORM_BOUND ** 2 * delta
+    return u_max, bool(mu * u_max < J0_ZERO)
 
 
 @dataclass(frozen=True)
@@ -211,11 +210,10 @@ def choose_radii(r0: float, mu: float | None = None, kappa: float = 0.2,
         j = default_j()
     r1 = 2.0 * r0
     r2 = (2.0 * math.sqrt(2.0) + 3.0) * r0
-    nu = weak_norm_bound()
 
     def params(mu_, d_, dd_):
         return BoundParams(R0=r0, R1=r1, R2=r2, mu=mu_, delta=d_, Delta=dd_,
-                           kappa=kappa, nu=nu, M=_M,
+                           kappa=kappa, nu=WEAK_NORM_BOUND, M=_M,
                            ell_pi=working_disc_inverse_lipschitz(mu_, r2),
                            ell_tau=mu_ / math.sqrt(2.0))
 
@@ -239,7 +237,7 @@ def choose_radii(r0: float, mu: float | None = None, kappa: float = 0.2,
         res1, res2 = check_bound_inequalities(p)
         if res1 < 0.0 and res2 < 0.0:
             return p
-        pert = 16.0 * nu ** 2 * delta
+        pert = 16.0 * WEAK_NORM_BOUND ** 2 * delta
         delta_part = _M * pert * (1.0 + kappa * cap)
         cap_part = _M * kappa * cap * (r1 + 3.0 * kappa * p.ell_pi)
         if delta_part >= cap_part:

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_all, bessel_j_prime, find_zeros, inv_j1
+from .bessel import J1_ARGMAX, J1_MAX, bessel_j, bessel_j_all, bessel_j_prime, inv_j1
 
 NORM_SQ = "norm_sq"
 J0_RADIAL = "j0_radial"
@@ -49,6 +49,9 @@ _COEFFS = {NORM_SQ: {0: 1.0}, J0_RADIAL: {0: 1.0}, J2_COS2THETA: {2: 0.5, -2: 0.
 KINDS = tuple(_COEFFS)
 # default inversion radius parameter j, as a fraction of j1
 J_FRAC = 0.9
+# nu with weak_norm <= nu ||.||: sqrt(sum_k 1/(k^2+1)) over all integers k,
+# i.e. sqrt(pi coth(pi))
+WEAK_NORM_BOUND = math.sqrt(math.pi / math.tanh(math.pi))
 # 1/|c| overflows below the smallest normal float, so left_inverse leaves such
 # a row's phase unnormalized: its point, about 2|c|^2 / mu, rounds to the origin
 _TINY = np.finfo(float).tiny
@@ -173,11 +176,12 @@ _THETA_MAX = (2.0 ** -53 * math.factorial(19)) ** (1.0 / 19)
 _TAIL_TOL = math.exp(_THETA_MAX) * 2.0 ** -53
 
 
-def taylor_plan(op: ObserverOperator, h: float, u):
+def taylor_plan(n: int, mu: float, load: float, h: float, u):
     """Sub-steps q and sub-step norm bound theta of observer_propagate's step
-    h, per value of u: with ||h M|| <= h (N + |u| mu + alpha ||zeta||^2), q
+    h, per value of u, for an operator of truncation order n, frequency mu and
+    rank-one load alpha ||zeta||^2: with ||h M|| <= h (n + |u| mu + load), q
     keeps theta = that bound / q at most _THETA_MAX ~ 1.15."""
-    bound = h * (op.n + np.abs(u) * op.mu + op.load)
+    bound = h * (n + np.abs(u) * mu + load)
     subs = np.maximum(1.0, np.ceil(bound / _THETA_MAX))
     return subs, bound / subs
 
@@ -204,7 +208,7 @@ def observer_propagate(op: ObserverOperator, z, u, h: float) -> np.ndarray:
     rows = z.reshape(-1, z.shape[-1])
     u = np.broadcast_to(np.asarray(u, dtype=float).reshape(-1), rows.shape[:1])
     c = op.offdiag(u)
-    subs, theta = taylor_plan(op, h, u)
+    subs, theta = taylor_plan(op.n, op.mu, op.load, h, u)
     orders = np.arange(1, 19)[:, None]
     # per term m (row m - 1) and row: the scale h_s / m and the stop bound on |term_m|^2 / |v|^2
     scales = ((h / subs) / orders)[..., None]
@@ -314,32 +318,26 @@ def weak_norm(z):
                    .sum(axis=-1))
 
 
-def weak_norm_bound() -> float:
-    """The constant nu with weak_norm <= nu * ||.||: sqrt(sum_k 1/(k^2+1))
-    over all integers, i.e. sqrt(pi * coth(pi))."""
-    return math.sqrt(math.pi / math.tanh(math.pi))
-
-
 @lru_cache(maxsize=8)
 def _blend_coefficients(j: float):
-    """Cubic-Hermite data of the radius on [J1(j), J1(j1)]: J1(j), J1(j1) and
-    the left slope 1/J1'(j) of J1's inverse (the right slope is 0, so the
-    radius levels off at the cap).  Fritsch-Carlson holds for every j in
-    (0, j1), so the blend is monotone."""
-    return bessel_j(1, j), bessel_j(1, find_zeros().j1), 1.0 / bessel_j_prime(1, j)
+    """Cubic-Hermite data of the radius on [J1(j), J1_MAX]: J1(j) and the
+    left slope 1/J1'(j) of J1's inverse (the right slope is 0, so the radius
+    levels off at the cap).  Fritsch-Carlson holds for every j in (0, j1), so
+    the blend is monotone."""
+    return bessel_j(1, j), 1.0 / bessel_j_prime(1, j)
 
 
 def left_inverse(z, mu: float, j: float):
     """State estimates from coefficient vectors, and which rows are clamped.
 
     Each row's e_1 coefficient c = <embed(x), e_1> = i J_1(mu r) e^{-i theta}
-    is read once.  With |c| <= J1(j), i.e. mu r <= j, the inverse of J1
-    recovers x exactly; a row past J1(j) is clamped: the inverse is skipped
-    and its radius is capped at j1/mu through a C^1, globally Lipschitz
-    blend.  Returns (xhat, clamped), xhat of shape z.shape[:-1] + (2,).
+    is read once.  With |c| <= J1(j), i.e. mu r <= j, inv_j1 recovers x
+    exactly; a row past J1(j) is clamped: the inverse is skipped and its
+    radius rises from j/mu to j1/mu through a C^1, globally Lipschitz blend,
+    reaching j1/mu at |c| = J1_MAX = J1(j1).  Returns (xhat, clamped), xhat
+    of shape z.shape[:-1] + (2,).
     """
-    j1 = find_zeros().j1
-    if not 0.0 < j < j1:
+    if not 0.0 < j < J1_ARGMAX:
         raise ValueError(f"left_inverse: need 0 < j < j1, got j={j}")
     z = np.asarray(z, dtype=complex)
     n = truncation_order(z)
@@ -347,17 +345,17 @@ def left_inverse(z, mu: float, j: float):
         raise ValueError("left_inverse: truncation order must be >= 1")
     c = z[..., n + 1]
     a = np.abs(c)
-    y0, y1, s0 = _blend_coefficients(j)
+    y0, s0 = _blend_coefficients(j)
     clamped = a > y0
-    radius = inv_j1(np.where(clamped, 0.0, a), j) / mu
+    radius = inv_j1(np.where(clamped, 0.0, a)) / mu
     if clamped.any():
-        w = y1 - y0
+        w = J1_MAX - y0
         t = (a - y0) / w
         h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
         h10 = t * (1.0 - t) ** 2
         h01 = t * t * (3.0 - 2.0 * t)
-        blend = (h00 * j + h10 * w * s0 + h01 * j1) / mu
-        radius = np.where(clamped, np.where(a >= y1, j1 / mu, blend), radius)
+        blend = (h00 * j + h10 * w * s0 + h01 * J1_ARGMAX) / mu
+        radius = np.where(clamped, np.where(a >= J1_MAX, J1_ARGMAX / mu, blend), radius)
     p = 1j * np.conj(c) / np.where(a >= _TINY, a, 1.0) * radius
     return np.stack([p.real, p.imag], axis=-1), clamped
 
@@ -390,7 +388,7 @@ class SpectralParams:
             raise ValueError("SpectralParams: alpha and mu must be positive")
         if not 0.0 < self.Delta < math.pi:
             raise ValueError("SpectralParams: Delta must lie in (0, pi)")
-        if not 0.0 < self.j < find_zeros().j1:
+        if not 0.0 < self.j < J1_ARGMAX:
             raise ValueError("SpectralParams: j must lie in (0, j1)")
         if self.N < 1:
             raise ValueError("SpectralParams: N must be >= 1")
@@ -398,7 +396,7 @@ class SpectralParams:
 
 def default_j() -> float:
     """Default inversion radius parameter: J_FRAC * j1."""
-    return J_FRAC * find_zeros().j1
+    return J_FRAC * J1_ARGMAX
 
 
 def sample_hold_feedback(zhat, params: SpectralParams):

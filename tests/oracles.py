@@ -27,7 +27,8 @@ import numpy as np
 
 from unobs_stab import sim, spectral
 from unobs_stab.artifacts import _FMT, _HEIGHT, _PALETTE, _WIDTH, _thin, _ticks
-from unobs_stab.bessel import _SERIES_MAX_R, MAX_ARG, _miller_orders, bessel_j, bessel_j_all
+from unobs_stab.bessel import (_SERIES_MAX_R, J1_ARGMAX, MAX_ARG, _miller_orders, bessel_j,
+                               bessel_j_all)
 
 
 def bessel_j_series(k: int, r: float, dps: int = 30) -> float:
@@ -288,18 +289,18 @@ def j1_reversion_coefficients(count: int) -> list:
 REVERSION_MAX_Y = 0.11
 
 
-def inv_j1_reference(y, cap: float):
-    """The r in [0, cap] with J_1(r) = y, cap <= j1; each entry of y alone.
+def inv_j1_reference(y):
+    """The r in [0, j1] with J_1(r) = y; each entry of y alone.
 
     An entry y <= REVERSION_MAX_Y is 2y P(y^2), P the reversion polynomial of
     j1_reversion_coefficients(10) by Horner in float; an entry above it takes
     inv_j1's safeguarded Newton iteration on bessel_j_all_reference from 2y."""
-    ymax = float(bessel_j_all_reference(1, cap)[1])
+    ymax = float(bessel_j_all_reference(1, J1_ARGMAX)[1])
     ys = np.asarray(y, dtype=float)
     target = np.minimum(ys.reshape(-1), ymax)
     lo = np.zeros_like(target)
-    hi = np.full_like(target, cap)
-    x = np.minimum(2.0 * target, cap)
+    hi = np.full_like(target, J1_ARGMAX)
+    x = np.minimum(2.0 * target, J1_ARGMAX)
     live = target > REVERSION_MAX_Y
     for _ in range(100):
         if not live.any():

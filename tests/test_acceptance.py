@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from unobs_stab.bessel import bessel_j, bessel_j_prime, find_zeros
+from unobs_stab.bessel import J0_ZERO, J1_ARGMAX, bessel_j, bessel_j_prime
 from unobs_stab.cli import run_scenario
 from unobs_stab.config import parse_config
 from unobs_stab.finite import FinParams, delta_margin, embed as embed_fin, rotation_plant
@@ -67,9 +67,8 @@ def test_criterion_01_bessel_correctness():
     for k in range(-10, 11):
         for r in np.arange(0.0, 5.0 + 1e-9, 0.25):
             worst = max(worst, abs(bessel_j(k, float(r)) - bessel_j_series(k, float(r))))
-    zeros = find_zeros()
-    j1_resid = abs(bessel_j_prime(1, zeros.j1))
-    j0_resid = abs(bessel_j(0, zeros.j0))
+    j1_resid = abs(bessel_j_prime(1, J1_ARGMAX))
+    j0_resid = abs(bessel_j(0, J0_ZERO))
     norm_gap = abs(sum(bessel_j(k, 2.0) ** 2 for k in range(-20, 21)) - 1.0)
     ok = worst < 1e-12 and j1_resid < 1e-12 and j0_resid < 1e-12 and norm_gap < 1e-12
     detail = (f"max|J_k - oracle|={worst:.2e}, |J1'(j1)|={j1_resid:.1e}, "
@@ -178,7 +177,7 @@ def test_criterion_05_unitarity_and_exactness():
 def test_criterion_06_strong_left_inverse():
     t0 = time.perf_counter()
     mu, n = 0.1, 24
-    j = 0.9 * find_zeros().j1
+    j = 0.9 * J1_ARGMAX
     worst = 0.0
     for r_frac in np.linspace(0.0, 1.0, 50):
         for theta in np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False):
@@ -221,7 +220,7 @@ def test_criterion_07_gramian_singularity_separation(monkeypatch):
     scale = 2.0 * math.pi * bessel_j_series(12, u) ** 2
     gap = float(np.max(np.abs(program - exact)))
     rep4 = observability_gramian(u, T, measured_mode(4), mu=1.0)
-    umax_ok = 1.0 * u < find_zeros().j0
+    umax_ok = 1.0 * u < J0_ZERO
     ok = (rep0.lambda_min < 1e-14 and exact[0] > 0.0
           and 0.5 * scale <= exact[0] <= 2.0 * scale
           and gap <= 1e-13 * exact[-1] and rep4.lambda_min > 1e-10 and umax_ok)
@@ -303,7 +302,7 @@ def test_spectral_loop_parks_on_its_error_circle(kind):
     x0s, xh0s = ball_points(rng, 4, 1.0), ball_points(rng, 4, 1.0)
     for traj in run_spectral_batch(OutputSpec(kind=kind), params, x0s, xh0s, cfg):
         level = 1.0 - 0.5 * traj.eps_norm[0] ** 2
-        r_park = brentq(lambda s: bessel_j(0, s) - level, 0.0, find_zeros().j0) / params.mu
+        r_park = brentq(lambda s: bessel_j(0, s) - level, 0.0, J0_ZERO) / params.mu
         assert convergence_metrics(traj)["trailing_max_x"] == pytest.approx(r_park, rel=1e-2)
 
 

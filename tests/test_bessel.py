@@ -6,10 +6,12 @@ import pytest
 
 from unobs_stab import bessel, cli, spectral
 from unobs_stab.bessel import (
+    J0_ZERO,
+    J1_ARGMAX,
+    J1_MAX,
     bessel_j,
     bessel_j_all,
     bessel_j_prime,
-    find_zeros,
     inv_j1,
 )
 
@@ -91,8 +93,7 @@ def test_domain_error():
 def test_prime_values():
     assert bessel_j_prime(1, 0.0) == pytest.approx(0.5, abs=1e-15)
     assert bessel_j_prime(0, 0.0) == pytest.approx(0.0, abs=1e-15)
-    z = find_zeros()
-    assert abs(bessel_j_prime(1, z.j1)) < 1e-12
+    assert abs(bessel_j_prime(1, J1_ARGMAX)) < 1e-12
 
 
 def test_prime_consistent_with_central_difference():
@@ -104,22 +105,20 @@ def test_prime_consistent_with_central_difference():
 
 
 def test_zeros_against_series_oracle():
-    z = find_zeros()
-    assert z.j1 == pytest.approx(j1_zero_of_derivative(), abs=1e-12)
-    assert z.j0 == pytest.approx(j0_first_zero(), abs=1e-12)
-    assert z.j1 == pytest.approx(1.84118378, abs=1e-8)
-    assert z.j0 == pytest.approx(2.40482556, abs=1e-8)
-    assert 0.0 < z.j1 < z.j0
-    assert abs(bessel_j(0, z.j0)) < 1e-12
+    assert J1_ARGMAX == pytest.approx(j1_zero_of_derivative(), abs=1e-12)
+    assert J0_ZERO == pytest.approx(j0_first_zero(), abs=1e-12)
+    assert J1_ARGMAX == pytest.approx(1.84118378, abs=1e-8)
+    assert J0_ZERO == pytest.approx(2.40482556, abs=1e-8)
+    assert 0.0 < J1_ARGMAX < J0_ZERO
+    assert abs(bessel_j(0, J0_ZERO)) < 1e-12
 
 
 def test_zeros_against_mpmath():
     # j0 is the correctly rounded zero; j1 is 1.55e-14 above the zero, within
     # the 1e-13 it was first located to (every spectral digest holds its bits)
     mpmath = pytest.importorskip("mpmath")
-    z = find_zeros()
-    assert z.j0 == float(mpmath.besseljzero(0, 1))
-    assert abs(z.j1 - float(mpmath.besseljzero(1, 1, derivative=1))) < 1e-13
+    assert J0_ZERO == float(mpmath.besseljzero(0, 1))
+    assert abs(J1_ARGMAX - float(mpmath.besseljzero(1, 1, derivative=1))) < 1e-13
 
 
 def test_normalization_identity():
@@ -138,29 +137,31 @@ def test_magnitude_bound():
 
 
 def test_inv_j1_basics():
-    z = find_zeros()
-    assert inv_j1(0.0, z.j1) == 0.0
+    assert inv_j1(0.0) == 0.0
     y = bessel_j(1, 1.0)
-    assert inv_j1(y, z.j1) == pytest.approx(1.0, abs=1e-10)
+    assert inv_j1(y) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_inv_j1_domain_errors():
-    z = find_zeros()
     with pytest.raises(ValueError):
-        inv_j1(bessel_j(1, z.j1) + 0.1, z.j1)
+        inv_j1(bessel_j(1, J1_ARGMAX) + 0.1)
     with pytest.raises(ValueError):
-        inv_j1(-0.05, z.j1)
-    with pytest.raises(ValueError):
-        inv_j1(0.1, cap=z.j1 + 0.2)
+        inv_j1(-0.05)
+
+
+def test_inv_j1_accepts_rounding_slack_above_its_range():
+    # a y within 1e-12 above J1(j1) is read as J1(j1): r = j1 to within 4e-11
+    top = inv_j1(J1_MAX)
+    assert inv_j1(J1_MAX + 5e-13) == top
+    assert abs(top - J1_ARGMAX) < 4e-11
 
 
 def test_inv_j1_monotone_and_left_inverse():
-    z = find_zeros()
-    rs = np.linspace(0.0, z.j1, 80)
+    rs = np.linspace(0.0, J1_ARGMAX, 80)
     ys = [bessel_j(1, float(r)) for r in rs]
     # J1 strictly increasing on [0, j1]
     assert all(b > a for a, b in zip(ys[:-1], ys[1:]))
-    inv = [inv_j1(y, z.j1) for y in ys]
+    inv = [inv_j1(y) for y in ys]
     assert np.max(np.abs(np.asarray(inv) - rs)) < 1e-10
     assert all(b > a for a, b in zip(inv[:-1], inv[1:]))
 
@@ -175,10 +176,10 @@ def test_kernel_bytes_match_reference(kmax, r):
 
 @pytest.mark.parametrize("frac", [1.0, 0.9])
 def test_inv_j1_bytes_match_reference(frac):
-    cap = frac * find_zeros().j1
+    cap = frac * J1_ARGMAX
     ys = np.linspace(0.0, bessel_j(1, cap), 41)
-    assert inv_j1(ys, cap).tobytes() == inv_j1_reference(ys, cap).tobytes()
-    assert all(inv_j1(float(y), cap) == inv_j1_reference(float(y), cap) for y in ys[::8])
+    assert inv_j1(ys).tobytes() == inv_j1_reference(ys).tobytes()
+    assert all(inv_j1(float(y)) == inv_j1_reference(float(y)) for y in ys[::8])
 
 
 def test_inv_j1_reversion_coefficients_and_threshold():
@@ -188,7 +189,7 @@ def test_inv_j1_reversion_coefficients_and_threshold():
     exact = j1_reversion_coefficients(21)
     assert bessel._REVERSION == tuple(float(b) for b in exact[:10])
     assert bessel._Y_REV == REVERSION_MAX_Y
-    ratio = 1.0 / bessel_j(1, find_zeros().j1) ** 2
+    ratio = 1.0 / bessel_j(1, J1_ARGMAX) ** 2
     rises = [exact[k + 1] / exact[k] for k in range(10, 20)]
     assert rises == sorted(rises) and rises[-1] < ratio
     y = bessel._Y_REV
@@ -198,7 +199,7 @@ def test_inv_j1_reversion_coefficients_and_threshold():
 def test_inv_j1_within_two_ulp_on_the_reversion():
     mpmath = pytest.importorskip("mpmath")
     ys = np.linspace(0.0, REVERSION_MAX_Y, 201)[1:]
-    got = inv_j1(ys, find_zeros().j1)
+    got = inv_j1(ys)
     with mpmath.workdps(40):
         for y, r in zip(ys, got):
             true = mpmath.findroot(lambda t: mpmath.besselj(1, t) - float(y), 2.0 * float(y))
@@ -218,12 +219,11 @@ def test_inv_j1_answers_the_hold_loop_without_bessel_rows(tmp_path, monkeypatch)
                       encoding="utf-8")
     cfg = cli.parse_config(str(config))
     inputs, rows, series_rows = [], [], bessel._series_rows
-    monkeypatch.setattr(spectral, "inv_j1",
-                        lambda y, cap: inputs.append((y, cap)) or inv_j1(y, cap))
+    monkeypatch.setattr(spectral, "inv_j1", lambda y: inputs.append(y) or inv_j1(y))
     cli._run_batch(cfg, *cli.draw_initial_conditions(cfg))
     monkeypatch.setattr(bessel, "_series_rows",
                         lambda *args: rows.append(args) or series_rows(*args))
-    for y, cap in inputs:
-        inv_j1(y, cap)
-    assert len(inputs) == 193 and max(float(np.max(y)) for y, _ in inputs) < 0.05
+    for y in inputs:
+        inv_j1(y)
+    assert len(inputs) == 193 and max(float(np.max(y)) for y in inputs) < 0.05
     assert rows == []

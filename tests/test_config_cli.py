@@ -6,12 +6,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import unobs_stab
-from unobs_stab.bessel import find_zeros
+from unobs_stab.bessel import J1_ARGMAX
 from unobs_stab.cli import (
     analyze,
     build_finite,
@@ -193,6 +194,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, text))
         assert any(p.startswith(f"{key}:") for p in err.value.problems), err.value.problems
+
+    def test_large_N_refused_without_building_it(self, tmp_path):
+        # the sub-step and record caps are checked from N alone: an output
+        # vector and observer operator of N = 2e5 held 44.8 MB at their peak
+        path = write(tmp_path, SPECTRAL_CFG.replace("params.N = 12", "params.N = 200000"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                parse_config(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.problems == [
+            "analyze.u_grid: 2.74e+03 Taylor sub-steps per step of 0.015708, above the cap 1000",
+            "params.alpha: 8.72e+03 Taylor sub-steps per step of 0.05, above the cap 1000",
+            "integrator.horizon: 200 steps and 161601616 recorded floats, "
+            "caps 100000000 and 134217728"]
+        assert peak < 5 * 2 ** 20
 
     def test_key_table_matches_fields_and_readme(self):
         fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -508,7 +527,7 @@ class TestAnalyze:
         text = SPECTRAL_CFG + "params.j_frac = 0.5\nanalyze.trials = 5\nanalyze.u_grid = 0.0\n"
         cfg = parse_config(write(tmp_path, text))
         report = read_report(analyze(cfg, str(tmp_path / "out")))
-        bounds = choose_radii(cfg.analyze_R0, kappa=0.2, j=0.5 * find_zeros().j1)
+        bounds = choose_radii(cfg.analyze_R0, kappa=0.2, j=0.5 * J1_ARGMAX)
         assert float(report["bounds.mu"]) == bounds.mu == pytest.approx(0.07897, abs=1e-5)
 
 

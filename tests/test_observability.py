@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from unobs_stab.bessel import bessel_j, find_zeros
+from unobs_stab.bessel import J0_ZERO, J1_ARGMAX, bessel_j
 from unobs_stab.observability import (
     BoundParams,
     check_bound_inequalities,
@@ -14,7 +14,7 @@ from unobs_stab.observability import (
     observability_gramian,
     working_disc_inverse_lipschitz,
 )
-from unobs_stab.spectral import embedded_target, generator_matrix, weak_norm_bound
+from unobs_stab.spectral import WEAK_NORM_BOUND, embedded_target, generator_matrix
 
 
 class TestGramian:
@@ -92,7 +92,7 @@ class TestObstructionSums:
         # for the single mode {0: 1} the sums F_ell(r) = sum_k d_k J_{k+ell}(r)
         # reduce to J_ell(r): none vanishes on (0, j0), the premise of
         # max_control_bound's mu u_max < j0 rule
-        j0 = find_zeros().j0
+        j0 = J0_ZERO
         for ell in range(-8, 9):
             for r in np.linspace(0.05, j0 - 0.05, 40):
                 assert abs(bessel_j(ell, float(r))) > 0.0
@@ -115,21 +115,21 @@ class TestControlBound:
         assert value == 0.0
 
     def test_delta_scaling(self):
-        nu = weak_norm_bound()
+        nu = WEAK_NORM_BOUND
         v1, _ = max_control_bound(0.1, 1.0, 0.5, 0.01)
         v2, _ = max_control_bound(0.1, 1.0, 0.5, 0.02)
         assert v2 - v1 == pytest.approx(16.0 * nu ** 2 * 0.01, abs=1e-12)
 
     def test_applicability_flag(self):
-        j = 0.9 * find_zeros().j1
+        j = 0.9 * J1_ARGMAX
         value, ok = max_control_bound(0.1, j, 0.1, 0.001)
-        assert value == pytest.approx(0.1 * j / 0.1 + 16.0 * weak_norm_bound() ** 2 * 0.001)
-        assert ok == (0.1 * value < find_zeros().j0)
+        assert value == pytest.approx(0.1 * j / 0.1 + 16.0 * WEAK_NORM_BOUND ** 2 * 0.001)
+        assert ok == (0.1 * value < J0_ZERO)
 
 
 def make_bounds(**kw):
     base = dict(R0=0.5, R1=1.0, R2=2.9, mu=0.1, delta=1e-3, Delta=0.05,
-                kappa=0.2, nu=weak_norm_bound(), M=1.0,
+                kappa=0.2, nu=WEAK_NORM_BOUND, M=1.0,
                 ell_pi=working_disc_inverse_lipschitz(0.1, 2.9),
                 ell_tau=0.1 / math.sqrt(2.0))
     base.update(kw)
@@ -176,7 +176,7 @@ class TestChooseRadii:
 
     def test_inversion_ball_constraint(self):
         p = choose_radii(1.0)
-        assert p.mu * p.R2 < 0.9 * find_zeros().j1
+        assert p.mu * p.R2 < 0.9 * J1_ARGMAX
 
     def test_fixed_mu(self):
         p = choose_radii(1.0, mu=0.1)

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from unobs_stab import bessel, spectral
-from unobs_stab.bessel import bessel_j, find_zeros, inv_j1
+from unobs_stab.bessel import J1_ARGMAX, bessel_j, inv_j1
 from unobs_stab.observability import GRAMIAN_STEPS, working_disc_inverse_lipschitz
 from unobs_stab.spectral import (
     J0_RADIAL,
@@ -14,6 +14,7 @@ from unobs_stab.spectral import (
     NORM,
     NORM_SQ,
     BESSEL_SERIES,
+    WEAK_NORM_BOUND,
     ObserverOperator,
     OutputSpec,
     SpectralParams,
@@ -32,7 +33,6 @@ from unobs_stab.spectral import (
     taylor_plan,
     truncation_tail_bound,
     weak_norm,
-    weak_norm_bound,
 )
 
 from oracles import bessel_series_per_order, bessel_tail_energy
@@ -282,7 +282,7 @@ class TestPropagation:
         gramian = ObserverOperator(self.MU, 0.0, embedded_target(self.N))
         cases += [(gramian, e, u == 0.0) for e in np.eye(2 * self.N + 1)[[0, -1]]]
         for op, z, tight in cases:
-            subs, theta = taylor_plan(op, h, u)
+            subs, theta = taylor_plan(op.n, op.mu, op.load, h, u)
             degree = 1
             while theta ** (degree + 1) / math.factorial(degree + 1) > 2.0 ** -53:
                 degree += 1
@@ -393,7 +393,7 @@ class TestWeakNorm:
         assert weak_norm(e1) == pytest.approx(1.0 / math.sqrt(2.0))
 
     def test_constant_value(self):
-        nu = weak_norm_bound()
+        nu = WEAK_NORM_BOUND
         assert nu == pytest.approx(1.7758, abs=1e-4)
         # direct summation with integral tail correction
         k = np.arange(1, 1_000_001, dtype=float)
@@ -402,7 +402,7 @@ class TestWeakNorm:
 
     def test_dominated_by_norm(self):
         rng = np.random.default_rng(4)
-        nu = weak_norm_bound()
+        nu = WEAK_NORM_BOUND
         for _ in range(20):
             n = int(rng.integers(1, 30))
             z = rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1)
@@ -422,7 +422,7 @@ class TestInverse:
 
     def test_clamped_branch(self):
         mu, j = 0.3, default_j()
-        j1 = find_zeros().j1
+        j1 = J1_ARGMAX
         big = 2.0 * bessel_j(1, j1)
         x = left_inverse(at_e1(big + 0.0j), mu, j)[0]
         assert np.linalg.norm(x) == pytest.approx(j1 / mu, abs=1e-12)
@@ -440,7 +440,7 @@ class TestInverse:
 
     def test_blend_is_c1_and_monotone(self):
         mu, j = 1.0, default_j()
-        j1 = find_zeros().j1
+        j1 = J1_ARGMAX
         y0, y1 = bessel_j(1, j), bessel_j(1, j1)
         h = 1e-7
         for y_edge in (y0, y1):
@@ -485,8 +485,8 @@ class TestInverse:
                   for theta in np.linspace(0.0, 2.0 * math.pi, 9)]
         zs = np.array([embed(x, mu, n) for x in points])
         # clamped branch and blend region of the radius map
-        for a in (50.0 - 12.0j, 2.0 * bessel_j(1, find_zeros().j1),
-                  0.5 * (bessel_j(1, j) + bessel_j(1, find_zeros().j1))):
+        for a in (50.0 - 12.0j, 2.0 * bessel_j(1, J1_ARGMAX),
+                  0.5 * (bessel_j(1, j) + bessel_j(1, J1_ARGMAX))):
             z = embedded_target(n)
             z[n + 1] = a
             zs = np.vstack([zs, z])
@@ -496,20 +496,29 @@ class TestInverse:
         assert flags.tolist() == [bool(flag) for _, flag in rows]
         ys = np.abs(zs[:, n + 1])
         ys = ys[ys <= bessel_j(1, j)]
-        assert np.array_equal(inv_j1(ys, j), np.array([inv_j1(float(y), j) for y in ys]))
+        assert np.array_equal(inv_j1(ys), np.array([inv_j1(float(y)) for y in ys]))
+
+    def test_smallest_normal_coefficient_keeps_its_phase(self):
+        # |c| = the smallest normal float is divided out of the phase: the
+        # point is i conj(c) / |c| times the radius 2|c| / mu, not the product
+        # i conj(c) * radius, which underflows to the origin
+        tiny = np.finfo(float).tiny
+        x = left_inverse(at_e1(tiny), 0.1, 0.9 * J1_ARGMAX)[0]
+        assert x[0] == 0.0 and x[1] == inv_j1(tiny) / 0.1
+        assert x[1] == pytest.approx(4.45e-307, rel=1e-3)
 
     def test_huge_coefficient_clamped(self):
         mu, j, n = 0.5, default_j(), 8
         z = np.zeros(2 * n + 1, dtype=complex)
         z[n + 1] = 50.0 - 12.0j
         assert np.linalg.norm(left_inverse(z, mu, j)[0]) == pytest.approx(
-            find_zeros().j1 / mu, abs=1e-12)
+            J1_ARGMAX / mu, abs=1e-12)
 
     def test_clamped_rows_skip_the_inverse(self, monkeypatch):
         # rows past J1(j) take the blend alone, so once the caches are warm
         # they evaluate no Bessel series row (Newton at y = J1(j) took 10 per
         # call when every row went through the inverse)
-        mu, j, n = 0.1, 0.9 * find_zeros().j1, 24
+        mu, j, n = 0.1, 0.9 * J1_ARGMAX, 24
         a = np.geomspace(np.nextafter(bessel_j(1, j), 1.0), 50.0, 12)
         zhat = at_e1(a * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 12)), n)
         left_inverse(zhat, mu, j)  # fill the caches first
@@ -525,7 +534,7 @@ class TestInverse:
 # run tests the same examples
 PROPERTIES = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 _J = default_j()
-_Y0, _Y1 = bessel_j(1, _J), bessel_j(1, find_zeros().j1)
+_Y0, _Y1 = bessel_j(1, _J), bessel_j(1, J1_ARGMAX)
 # |c| anywhere in the kernel's range, or at either end of the blend
 MAGNITUDES = st.one_of(
     st.floats(0.0, 50.0),
@@ -549,7 +558,7 @@ def test_left_inverse_recovers_states_inside_the_ball(frac, theta, mu, n):
 def test_left_inverse_clamp_flag_and_radius(coefs, mu):
     # the flag is exact; the radius |xhat| carries the unit phase
     # i conj(c) / |c|, rounded to about 2 ulp (rel below)
-    j1, rel = find_zeros().j1, 1e-15
+    j1, rel = J1_ARGMAX, 1e-15
     c = np.array([a * np.exp(1j * theta) for a, theta in coefs])
     a = np.abs(c)
     xhat, clamped = left_inverse(at_e1(c, 3), mu, _J)
