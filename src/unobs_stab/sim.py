@@ -17,19 +17,24 @@ measurements.  Both apply the batch's one spectral.ObserverOperator.
 
 The batch drivers are the only drivers: a single run is their one-row case,
 run_*_batch(...)[0].  Each strategy supplies only its step and what it
-records; one loop (_drive) does the rest for both.  It freezes a run at its
-last valid step when it leaves the region where it can be evaluated (by one
-rule for both, _bounded: x or zhat not finite or past DIVERGENCE_NORM; for
-the spectral loop also mu |x| >= VALID_MU_R) and ends its records there, the
-other runs carrying on; it counts the per-step dissipativity violations; and
-it builds the trajectories.  run_*_batch and the config parser share one time
-grid, hold_grid, which refuses a horizon off the grid instead of rounding it,
-and one threshold, VALID_MU_R, inside which every run starts.  Both loops step
-the configured step itself, so records fall at k * record_every * step.
+records; one loop (_drive) does the rest for both, a block of steps per
+iteration: the finite loop's blocks are _BLOCK_STEPS steps, the spectral
+loop's a hold interval (in pieces of _BLOCK_STEPS beyond that many).  It
+freezes a run at its last valid step when it leaves the region where it can
+be evaluated (by one rule for both, _bounded: x or zhat not finite or past
+DIVERGENCE_NORM; for the spectral loop also mu |x| >= VALID_MU_R) and ends
+its records there, the other runs carrying on; it counts the per-step
+dissipativity violations; and it builds the trajectories, each of these once
+per block, vectorized over its steps.  run_*_batch and the config parser
+share one time grid, hold_grid, which refuses a horizon off the grid instead
+of rounding it, and one threshold, VALID_MU_R, inside which every run
+starts.  Both loops step the configured step itself, so records fall at
+k * record_every * step.
 
 Everything is deterministic: fixed steps, no adaptivity, no hidden state.
 The batched loops combine runs only elementwise (no matrix products across
-runs), so a run's trajectory is bitwise the same whatever batch it is in.
+runs), so a run's trajectory is bitwise the same whatever batch it is in,
+and the same whatever the blocks it is stepped in.
 """
 
 from __future__ import annotations
@@ -64,10 +69,10 @@ METHODS = ("rk4_coupled", "exact_linear")
 # the Bessel argument limit less a margin, which covers outputs that square
 # the radius and take the root again.
 VALID_MU_R = MAX_ARG * (1.0 - 1e-12)
-# Steps of a hold interval the rk4_coupled loop plans at once: the whole
-# interval up to this many, in pieces of it beyond, so a plan's memory does
-# not grow with the substep count.
-_PLAN_STEPS = 64
+# Steps a loop takes per iteration of _drive: the finite loop's block, and
+# for the spectral loop the whole hold interval up to this many, in pieces of
+# it beyond, so a block's memory does not grow with the step count.
+_BLOCK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -143,17 +148,24 @@ _RECORDED = ("x", "zhat", "u", "eps_norm", "c_eps_abs", "weak_eps")
 
 
 def _drive(state, eps0, advance, sample, steps: int, cfg: IntegratorConfig) -> list[Trajectory]:
-    """The loop both strategies share: step, freeze, count, record.
+    """The loop both strategies share: step, freeze, count, record, one block
+    of steps per iteration.
 
     state is a sequence of per-run arrays (runs first) and eps0 the error
     norms of the runs, every run starting inside the valid region.
-    advance(state, active, i) takes step i and returns the new state, the new
-    error norms and the active rows whose new state is valid; any other row
-    is frozen at its last valid state, its diverged_at set on the step it
-    leaves and its records ended there.  sample(state, eps) returns the
-    recorded fields in _RECORDED order.  The error norm is checked every
-    step: a rise past EPS_STEP_TOL counts as a dissipativity violation, and
-    the largest rise is kept.
+    advance(state, active, i) takes the next block of steps i, i+1, ... (at
+    least one, none past the horizon) and returns their states, every array
+    with a leading step axis, their error norms and their validity, both of
+    shape (steps, runs), a row that is not active being valid on no step.  A
+    row is frozen at its last valid state before its first invalid step: its
+    diverged_at is set on that step, its records end there and the block's
+    later values of the row are discarded (advance keeps their floating-point
+    overflow quiet), the other runs carrying on.  sample(states, eps)
+    returns the recorded fields in _RECORDED order for states and norms with
+    a leading instant axis; it is called once per block, on the block's
+    record instants.  The error norm is checked every step: a rise past
+    EPS_STEP_TOL counts as a dissipativity violation, and the largest rise is
+    kept; a frozen row's norm no longer moves.
     """
     stride, h = cfg.record_every, cfg.step
     if steps % stride:
@@ -161,39 +173,50 @@ def _drive(state, eps0, advance, sample, steps: int, cfg: IntegratorConfig) -> l
     nb = eps0.shape[0]
     active = np.ones(nb, dtype=bool)
     diverged_at = np.full(nb, np.nan)
-    # run-major records, so each run's trajectory is a view
+    # run-major records, so each run's trajectory is a view, written through
+    # instant-major views of them
     n_rec = steps // stride + 1
     rec_t = np.arange(n_rec) * stride * h
-    fields = sample(state, eps0)
-    rec = [np.empty((nb, n_rec) + f.shape[1:], dtype=f.dtype) for f in fields]
-    for r, f in zip(rec, fields):
-        r[:, 0] = f
+    fields = sample([a[None] for a in state], eps0[None])
+    rec = [np.empty((nb, n_rec) + f.shape[2:], dtype=f.dtype) for f in fields]
+    by_instant = [r.swapaxes(0, 1) for r in rec]
+    for r, f in zip(by_instant, fields):
+        r[:1] = f
     lengths = np.ones(nb, dtype=int)
     violations = np.zeros(nb, dtype=int)
     max_inc = np.zeros(nb)
     eps = eps0
 
-    for i in range(steps):
+    i = 0
+    while i < steps:
         new, cur, ok = advance(state, active, i)
-        if ok.all():
-            # no row leaves (ok is within active): nothing to freeze
-            state = new
-        else:
-            diverged_at[active & ~ok] = (i + 1) * h
-            active = ok
-            keep = active[:, None]
-            state = [np.where(keep if a.ndim > 1 else active, a, b)
-                     for a, b in zip(new, state)]
-            cur = np.where(active, cur, eps)
+        b = ok.shape[0]
+        valid_steps = b  # per row: the block's steps before its first invalid one
+        freezing = not ok.all()
+        if freezing:
+            ok = np.logical_and.accumulate(ok)
+            valid_steps = np.add.reduce(ok)
+            left = active & (valid_steps < b)
+            diverged_at[left] = (i + 1 + valid_steps[left]) * h
+            active = ok[-1]
+            # a row's values after its last valid step are that step's (or,
+            # with none, those before the block)
+            pick = (np.minimum(np.arange(1, b + 1)[:, None], valid_steps), np.arange(nb))
+            new = [np.concatenate([s[None], a])[pick] for s, a in zip(state, new)]
+            cur = np.concatenate([eps[None], cur])[pick]
         inc = cur - eps
-        violations += inc > EPS_STEP_TOL
-        max_inc = np.maximum(max_inc, inc)
-        eps = cur
-        if (i + 1) % stride == 0:
-            for r, f in zip(rec, sample(state, eps)):
-                r[:, (i + 1) // stride] = f
-            lengths[active] += 1
-        if not active.any():
+        np.subtract(cur[1:], cur[:-1], out=inc[1:])
+        violations += np.add.reduce(inc > EPS_STEP_TOL)
+        max_inc = np.maximum(max_inc, np.maximum.reduce(inc))
+        state, eps = [a[-1] for a in new], cur[-1]
+        first = (-i - 1) % stride  # the block's first step ending on a record instant
+        if first < b:
+            at, col = slice(first, b, stride), (i + first + 1) // stride
+            for r, f in zip(by_instant, sample([a[at] for a in new], cur[at])):
+                r[col:col + f.shape[0]] = f
+            lengths += (i + valid_steps) // stride - i // stride
+        i += b
+        if freezing and not active.any():
             break
 
     return [Trajectory(
@@ -214,12 +237,13 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     timings pass it.
 
     The state of a run is the packed row (x, zhat), stepped by RK4 on
-    finite.closed_loop_rhs.  Its error is eps = zhat - finite.embed(x), as
-    the spectral loop measures it: |eps| is checked every step and
-    |C eps| = |eps_last| recorded.  A run whose x or zhat stops being finite
-    or exceeds DIVERGENCE_NORM (_bounded) is frozen at its last valid step
-    and reported as diverged, its records ending there; the other runs carry
-    on unaffected.
+    finite.closed_loop_rhs in blocks of _BLOCK_STEPS steps, the error and the
+    stop rule then taken over the block at once.  Its error is
+    eps = zhat - finite.embed(x), as the spectral loop measures it: |eps| is
+    checked every step and |C eps| = |eps_last| recorded.  A run whose x or
+    zhat stops being finite or exceeds DIVERGENCE_NORM (_bounded) is frozen
+    at its last valid step and reported as diverged, its records ending
+    there; the other runs carry on unaffected.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     zhat0s = np.atleast_2d(np.asarray(zhat0s, dtype=float))
@@ -234,18 +258,25 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     rhs = partial(closed_loop_rhs, params=params)
 
     def error(s):
-        eps = s[:, 2:] - embed_fin(s[:, :2])
+        eps = s[..., 2:] - embed_fin(s[..., :2])
         return eps, np.sqrt(np.add.reduce(eps * eps, axis=-1))
 
     def advance(state, active, i):
-        s = rk4_step(rhs, state[0], cfg.step)
-        eps, eps_norm = error(s)
-        return (s, eps), eps_norm, active & _bounded(s[:, :2], s[:, 2:])
+        # RK4 steps one after the other, then the block's errors and stop rule
+        # at once; a row that leaves the bounded region is stepped on to the
+        # block's end, where it may overflow, and those steps are discarded
+        s = np.empty((min(_BLOCK_STEPS, steps - i),) + state[0].shape)
+        prev = state[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(s.shape[0]):
+                prev = s[k] = rk4_step(rhs, prev, cfg.step)
+            eps, eps_norm = error(s)
+            return (s, eps), eps_norm, active & _bounded(s[..., :2], s[..., 2:])
 
     def sample(state, eps_norm):
         s, eps = state
-        return (s[:, :2], s[:, 2:], perturbed_feedback(s[:, 2:], params.K, params.delta),
-                eps_norm, np.abs(eps[:, -1]))
+        return (s[..., :2], s[..., 2:], perturbed_feedback(s[..., 2:], params.K, params.delta),
+                eps_norm, np.abs(eps[..., -1]))
 
     s = np.concatenate([x0s, zhat0s], axis=1)
     eps, eps_norm = error(s)
@@ -259,8 +290,10 @@ def rotation_step(x, u, h: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     ch, sh = math.cos(h), math.sin(h)
-    return np.stack([ch * x[..., 0] - sh * x[..., 1] + u * (ch - 1.0),
-                     sh * x[..., 0] + ch * x[..., 1] + u * sh], axis=-1)
+    out = np.empty(x.shape)
+    out[..., 0] = ch * x[..., 0] - sh * x[..., 1] + u * (ch - 1.0)
+    out[..., 1] = sh * x[..., 0] + ch * x[..., 1] + u * sh
+    return out
 
 
 def hold_grid(period: float, step: float, horizon: float) -> tuple[int, int]:
@@ -297,7 +330,7 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     matrix exponential of the (frozen-input) error system.  method
     "rk4_coupled": plant and observer stepped by rk4_step, the observer fed
     by the transformed measurement.  At the start of each hold interval (or
-    every _PLAN_STEPS steps of it) the plant alone is stepped ahead under the
+    every _BLOCK_STEPS steps of it) the plant alone is stepped ahead under the
     held control; all its stage points are measured in one output_value
     call and all its step ends embedded in one embed call, a step whose
     stages or end fall outside the valid region at radius 0.  Each step then
@@ -336,59 +369,64 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
         clamp_count[active & clamped] += 1
         return u
 
-    def exact_linear(x, eps, zhat, u, active, i):
-        x_new = rotation_step(x, u, h)
-        ok = active & _valid(np.hypot(*x_new.T), mu)
-        eps_new = observer_propagate(op, eps, u, h)
-        return x_new, eps_new, embed(np.where(ok[:, None], x_new, 0.0), mu, n) + eps_new, ok
+    def exact_linear(x, eps, zhat, u, active, b):
+        # the plant by its closed-form step and the error by the action of the
+        # exponential, step by step; every step end embedded in one call.
+        # Under the held u neither grows past a valid start by much, so a row
+        # stepped past its first invalid step does not overflow
+        xs, epss = np.empty((b,) + x.shape), np.empty((b,) + eps.shape, dtype=complex)
+        for k in range(b):
+            x = xs[k] = rotation_step(x, u, h)
+            eps = epss[k] = observer_propagate(op, eps, u, h)
+        ok = active & _valid(np.hypot(xs[..., 0], xs[..., 1]), mu)
+        zhats = embed(np.where(ok[..., None], xs, 0.0), mu, n) + epss
+        return xs, epss, zhats, ok & _bounded(xs, zhats), _row_norm(epss)
 
-    plan = {}
-
-    def plan_plant(x, u, steps):
+    def rk4_coupled(x, eps, zhat, u, active, b):
         # the plant never reads the observer, so under the held u its RK4
-        # path over the next steps is known: every stage is measured in one
-        # output call, a point outside at radius 0, and every step end whose
-        # stages and end are inside is embedded in one call (the others at 0)
-        stages, ends = [], []
+        # path over the block is known: every stage is measured in one output
+        # call, a point outside at radius 0, and every step end whose stages
+        # and end are inside is embedded in one call (the others at 0); the
+        # observer is then stepped alone by rk4_step on those measurements
+        stages, xs = [], np.empty((b,) + x.shape)
 
-        def plant_rhs(xs):
-            stages.append(xs)
-            return _rotation_field(xs, u, np.empty_like(xs))
+        def plant_rhs(p):
+            stages.append(p)
+            return _rotation_field(p, u, np.empty_like(p))
 
-        for _ in range(steps):
-            x = rk4_step(plant_rhs, x, h)
-            ends.append(x)
-        ends = np.array(ends)
+        for k in range(b):
+            x = xs[k] = rk4_step(plant_rhs, x, h)
         r, theta = polar(np.array(stages))
         inside = _valid(r, mu)
         fy = linearized_output(spec, mu, output_value(spec, mu, np.where(inside, r, 0.0), theta))
-        ok = inside.reshape(steps, 4, nb).all(axis=1) \
-            & _valid(np.hypot(ends[..., 0], ends[..., 1]), mu)
-        plan.update(x=ends, fy=fy.reshape(steps, 4, nb), ok=ok, c=op.offdiag(u),
-                    z=embed(np.where(ok[..., None], ends, 0.0), mu, n))
-
-    def rk4_coupled(x, eps, zhat, u, active, i):
-        # the observer alone by rk4_step, fed the planned measurements; a plan
-        # covers at most _PLAN_STEPS steps of one hold interval
-        k = i % n_sub % _PLAN_STEPS
-        if k == 0:
-            plan_plant(x, u, min(_PLAN_STEPS, n_sub - i % n_sub))
-        fy, c = iter(plan["fy"][k]), plan["c"]
-        zhat_new = rk4_step(lambda z: op.apply(z, c, next(fy)), zhat, h)
-        return plan["x"][k], zhat_new - plan["z"][k], zhat_new, active & plan["ok"][k]
+        fy = fy.reshape(b, 4, nb)
+        ok = active & inside.reshape(b, 4, nb).all(axis=1) \
+            & _valid(np.hypot(xs[..., 0], xs[..., 1]), mu)
+        c, zhats = op.offdiag(u), np.empty((b,) + zhat.shape, dtype=complex)
+        # a row whose observer passes the norm bound is stepped on to the
+        # block's end, where it may overflow, and those steps are discarded
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(b):
+                stage = iter(fy[k])
+                zhat = zhats[k] = rk4_step(lambda z: op.apply(z, c, next(stage)), zhat, h)
+            epss = zhats - embed(np.where(ok[..., None], xs, 0.0), mu, n)
+            return xs, epss, zhats, ok & _bounded(xs, zhats), _row_norm(epss)
 
     step = exact_linear if cfg.method == "exact_linear" else rk4_coupled
 
     def advance(state, active, i):
         x, eps, zhat, u = state
-        x_new, eps_new, zhat_new, ok = step(x, eps, zhat, u, active, i)
-        ok &= _bounded(x_new, zhat_new)
-        if (i + 1) % n_sub == 0:
-            # before the boundary record: u is right-continuous, each sample
-            # carries the value just applied
-            zhat_new = np.where(ok[:, None], zhat_new, zhat)
-            u = np.where(ok, feedback(zhat_new, ok), u)
-        return (x_new, eps_new, zhat_new, u), _row_norm(eps_new), ok
+        b = min(_BLOCK_STEPS, n_sub - i % n_sub)
+        xs, epss, zhats, ok, eps_norm = step(x, eps, zhat, u, active, b)
+        us = np.empty(ok.shape)
+        us[:] = u
+        if (i + b) % n_sub == 0:
+            # the interval's last step carries the next hold value (u is
+            # right-continuous), read from the rows valid through the block;
+            # the others get their zhat before it, a valid one
+            alive = np.logical_and.reduce(ok)
+            us[-1] = np.where(alive, feedback(np.where(alive[:, None], zhats[-1], zhat), alive), u)
+        return (xs, epss, zhats, us), eps_norm, ok
 
     def sample(state, eps):
         x, eps_vec, zhat, u = state

@@ -206,7 +206,9 @@ def observer_propagate(op: ObserverOperator, z, u, h: float) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     rows = z.reshape(-1, z.shape[-1])
-    u = np.broadcast_to(np.asarray(u, dtype=float).reshape(-1), rows.shape[:1])
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape != rows.shape[:1]:  # one u for all rows
+        u = np.broadcast_to(u, rows.shape[:1])
     c = op.offdiag(u)
     subs, theta = taylor_plan(op.n, op.mu, op.load, h, u)
     orders = np.arange(1, 19)[:, None]
@@ -357,7 +359,9 @@ def left_inverse(z, mu: float, j: float):
         blend = (h00 * j + h10 * w * s0 + h01 * J1_ARGMAX) / mu
         radius = np.where(clamped, np.where(a >= J1_MAX, J1_ARGMAX / mu, blend), radius)
     p = 1j * np.conj(c) / np.where(a >= _TINY, a, 1.0) * radius
-    return np.stack([p.real, p.imag], axis=-1), clamped
+    xhat = np.empty(p.shape + (2,))
+    xhat[..., 0], xhat[..., 1] = p.real, p.imag
+    return xhat, clamped
 
 
 @dataclass(frozen=True)

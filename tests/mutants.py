@@ -29,6 +29,9 @@ ROOT = HERE.parent
 MUTANTS = [
     ("src/unobs_stab/sim.py", "EPS_STEP_TOL = 1e-8", "EPS_STEP_TOL = 1e-6"),
     ("src/unobs_stab/sim.py", "inc > EPS_STEP_TOL", "inc >= EPS_STEP_TOL"),
+    ("src/unobs_stab/sim.py", "active & (valid_steps < b)", "active & (valid_steps <= b)"),
+    ("src/unobs_stab/sim.py", "ok = np.logical_and.accumulate(ok)", "ok = ok"),
+    ("src/unobs_stab/sim.py", "first = (-i - 1) % stride", "first = -i % stride"),
     ("src/unobs_stab/sim.py", "mu * r < VALID_MU_R", "mu * r <= VALID_MU_R"),
     ("src/unobs_stab/bessel.py", "_SERIES_TOL = 1e-20", "_SERIES_TOL = 1e-17"),
     ("src/unobs_stab/spectral.py", "clamped = a > y0", "clamped = a >= y0"),

@@ -12,9 +12,11 @@ budget was cut (a term-count loop and the near/far masks on every call, a
 truncation index that falls back to the last term), kept to pin the bytes of
 the leaner kernel.  The reference inv_j1 derives the reversion of J_1's
 series in exact fractions for small y and runs the Newton iteration on that
-reference kernel above, to pin inv_j1's bytes.  The packed spectral driver
-is run_spectral_batch's rk4_coupled loop as it stood before the plant was
-planned per hold interval, kept to pin the planned loop's bits.
+reference kernel above, to pin inv_j1's bytes.  The per-step loop is
+sim._drive as it stood before it took a block of steps per iteration, and
+the packed spectral driver, which runs on it, is run_spectral_batch's
+rk4_coupled loop as it stood before the plant was planned per hold interval,
+kept to pin the block loop's and the planned loop's bits.
 """
 
 from __future__ import annotations
@@ -327,10 +329,63 @@ def inv_j1_reference(y):
     return float(x[0]) if ys.ndim == 0 else x.reshape(ys.shape)
 
 
+def drive_per_step(state, eps0, advance, sample, steps: int, cfg):
+    """sim._drive one step per iteration: advance(state, active, i) returns
+    step i's state (runs first), error norms and valid rows (within active),
+    and sample(state, eps) the recorded fields of one instant."""
+    stride, h = cfg.record_every, cfg.step
+    if steps % stride:
+        raise ValueError(f"record_every={stride} must divide the {steps} steps to the horizon")
+    nb = eps0.shape[0]
+    active = np.ones(nb, dtype=bool)
+    diverged_at = np.full(nb, np.nan)
+    n_rec = steps // stride + 1
+    rec_t = np.arange(n_rec) * stride * h
+    fields = sample(state, eps0)
+    rec = [np.empty((nb, n_rec) + f.shape[1:], dtype=f.dtype) for f in fields]
+    for r, f in zip(rec, fields):
+        r[:, 0] = f
+    lengths = np.ones(nb, dtype=int)
+    violations = np.zeros(nb, dtype=int)
+    max_inc = np.zeros(nb)
+    eps = eps0
+
+    for i in range(steps):
+        new, cur, ok = advance(state, active, i)
+        if ok.all():
+            state = new
+        else:
+            diverged_at[active & ~ok] = (i + 1) * h
+            active = ok
+            keep = active[:, None]
+            state = [np.where(keep if a.ndim > 1 else active, a, b)
+                     for a, b in zip(new, state)]
+            cur = np.where(active, cur, eps)
+        inc = cur - eps
+        violations += inc > sim.EPS_STEP_TOL
+        max_inc = np.maximum(max_inc, inc)
+        eps = cur
+        if (i + 1) % stride == 0:
+            for r, f in zip(rec, sample(state, eps)):
+                r[:, (i + 1) // stride] = f
+            lengths[active] += 1
+        if not active.any():
+            break
+
+    return [sim.Trajectory(
+        times=rec_t[:m],
+        **{name: r[run, :m] for name, r in zip(sim._RECORDED, rec)},
+        dissipativity_violations=int(violations[run]),
+        max_eps_increase=float(max_inc[run]),
+        diverged_at=None if np.isnan(diverged_at[run]) else float(diverged_at[run]),
+    ) for run, m in enumerate(lengths)]
+
+
 def run_spectral_packed(spec, params, x0s, xhat0s, cfg):
     """run_spectral_batch with cfg.method "rk4_coupled", stepping the packed
     complex rows (x, zhat) of plant and observer through one rk4_step per
-    step: every stage measures its own point, every step embeds its own end."""
+    step on the per-step loop: every stage measures its own point, every step
+    embeds its own end."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     xhat0s = np.atleast_2d(np.asarray(xhat0s, dtype=float))
     nb = x0s.shape[0]
@@ -378,7 +433,7 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg):
     zhat = spectral.embed(xhat0s, mu, n)
     eps = zhat - spectral.embed(x0s, mu, n)
     state = (x0s, eps, zhat, feedback(zhat, True))
-    trajs = sim._drive(state, sim._row_norm(eps), advance, sample, n_int * n_sub, cfg)
+    trajs = drive_per_step(state, sim._row_norm(eps), advance, sample, n_int * n_sub, cfg)
     for traj, count in zip(trajs, clamp_count):
         traj.clamp_count = int(count)
     return trajs

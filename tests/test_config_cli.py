@@ -548,6 +548,25 @@ class TestMain:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("j0=2.40482555769577")
 
+    def test_diverging_finite_run_writes_no_stderr(self, tmp_path):
+        # the second run leaves the bounded region at t = 1.69, inside a block
+        # of steps, and the rest of that block overflows: the run is reported
+        # as diverged, and the discarded values print no RuntimeWarning
+        text = ("strategy = finite\nseed = 1\ninit.x0 = 0.0, 0.0, 1.0, 0.0\n"
+                "init.xhat0 = 0.0, 0.0, 0.0, 0.0\nparams.K = 0.0, 3.0\nparams.delta = 0.5\n"
+                "params.alpha = 1.0\nintegrator.step = 1e-2\nintegrator.horizon = 40.0\n"
+                "integrator.record_every = 10\n")
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(unobs_stab.__file__)))
+        done = subprocess.run([sys.executable, "-m", "unobs_stab", "simulate", "--config",
+                               write(tmp_path, text), "--out", str(out)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (1, "")
+        summary = read_report(out / "summary.txt")
+        assert (summary["run_000.diverged"], summary["run_001.diverged"]) == ("0", "1")
+        assert float(summary["run_001.diverged_at"]) == 1.69
+
     def test_simulate_subcommand(self, tmp_path):
         path = write(tmp_path, FINITE_CFG)
         out = tmp_path / "cli_out"
