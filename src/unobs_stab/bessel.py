@@ -5,7 +5,8 @@ integer k (possibly negative), three fixed numbers stated once as module
 constants (J0_ZERO, the first positive zero j0 of J_0; J1_ARGMAX, the first
 positive zero j1 of J_1', where J_1 peaks; and J1_MAX = J_1(j1)), and the
 inverse of J_1 on its increasing branch [0, j1]: the reversion of J_1's
-series for y <= 0.11 (within 2 ulp), Newton on the series above.
+series for y <= 0.11 (within 2 ulp) and two polynomials in sqrt(J1_MAX - y)
+above, with no loop and no Bessel series.
 
 Evaluation is done by the ascending power series for small arguments and by
 Miller's backward recurrence with the standard normalization
@@ -140,12 +141,10 @@ def bessel_j_prime(k: int, r: float) -> float:
     return 0.5 * (bessel_j(k - 1, r) - bessel_j(k + 1, r))
 
 
-# J0_ZERO is the correctly rounded zero; J1_ARGMAX is 1.55e-14 above the true
-# zero of J_1' (a 1e-13 bisection left it there) and every spectral digest is
-# pinned to it.
+# j0, j1 and J_1(j1), correctly rounded
 J0_ZERO = float.fromhex("0x1.33d152e971b40p+1")
-J1_ARGMAX = float.fromhex("0x1.d757d1fec8a80p+0")
-J1_MAX = bessel_j(1, J1_ARGMAX)
+J1_ARGMAX = 1.8411837813406593
+J1_MAX = 0.5818652242815964
 
 
 # With s = r/2, J_1(r) = sum_m (-1)^m s^{2m+1} / (m!(m+1)!) inverts to
@@ -158,6 +157,24 @@ _REVERSION = (1 / 1, 1 / 2, 2 / 3, 169 / 144, 6799 / 2880, 443821 / 86400,
               14239171 / 1209600, 1137478541 / 40642560,
               1000663219979 / 14631321600, 224809697103661 / 1316818944000)
 _Y_REV = 0.11
+# Above _Y_REV, J_1(r) = J1_MAX - s^2 near J_1's peak makes r analytic in
+# s = sqrt(J1_MAX - y), with r = j1 at s = 0.  s in [0, _S_TOP] is split at
+# its midpoint: r is a degree-17 polynomial in s below it and in s - _S_TOP
+# above it (exact there, by Sterbenz).  Row 0 and row 1 hold their
+# coefficients, lowest power first, interpolated at Chebyshev nodes in mpmath
+# (tests/oracles.py); both are within 1.3e-15 relative of r up to r = 1.83.
+_S_TOP = math.sqrt(J1_MAX - _Y_REV)
+_S_PIECES = np.array([
+    [1.8411837813406593, -2.2080343672753324, 0.07200962807917054, -0.3680589358820383,
+     0.049910556205226254, -0.16468606637176741, 0.03970868482529793, -0.09823338306860648,
+     0.03360260876472159, -0.0677192806889842, 0.03012630753494528, -0.05446833544559247,
+     0.041265623869766864, -0.08531099984274801, 0.12159259364722287, -0.17891743666222726,
+     0.1539167965687956, -0.07773635199024907],
+    [0.22135294230847793, -2.7989508378651795, -1.3793843879069279, -2.0867690421232044,
+     -3.260953883230438, -5.907676056666783, -11.327598049343797, -22.77392911974581,
+     -47.210586855314844, -99.63667808569144, -209.62055355754026, -424.2933841410764,
+     -784.7194744614472, -1245.064454944885, -1577.5880172225227, -1462.7032622681536,
+     -868.9185486414641, -245.80198528866373]])
 
 
 def inv_j1(y):
@@ -165,12 +182,11 @@ def inv_j1(y):
 
     J_1 is strictly increasing on [0, j1] (j1 = J1_ARGMAX), so the inverse is
     well defined there.  An entry with y <= 0.11 is the reversion of J_1's
-    series, r = 2y P(y^2), within 2 ulp of the true r.  An entry above that
-    takes a safeguarded Newton iteration on the series from r = 2y with a
-    bisection fallback, within 3e-15 up to r = 1.83; as r nears j1, J_1' -> 0
-    and the error grows to 4e-11 at r = j1.  y may be a scalar or an array:
-    each entry is answered on its own, so it takes the same value as it would
-    alone.
+    series, r = 2y P(y^2), within 2 ulp of the true r; an entry above it is
+    one of two polynomials in s = sqrt(J1_MAX - y), within 1.3e-15 relative up
+    to r = 1.83 and exactly j1 at y = J1_MAX.  Neither runs a Bessel series.
+    y may be a scalar or an array: each entry is answered on its own, so it
+    takes the same value as it would alone.
     """
     ys = np.asarray(y, dtype=float)
     target = ys.reshape(-1)
@@ -178,37 +194,19 @@ def inv_j1(y):
     if bad.any():
         raise ValueError(f"inv_j1: y={target[bad][0]} outside [0, J1(j1)] = [0, {J1_MAX}]")
     target = np.minimum(target, J1_MAX)
-    y2 = target * target
-    poly = np.full_like(target, _REVERSION[-1])
-    for b in _REVERSION[-2::-1]:
-        poly = poly * y2 + b
-    x = 2.0 * target * poly
+    x = 2.0 * target * _horner(_REVERSION, target * target)
     far = np.flatnonzero(target > _Y_REV)
     if far.size:
-        x[far] = _newton_j1(target[far])
+        s = np.sqrt(J1_MAX - target[far])
+        high = s > 0.5 * _S_TOP
+        x[far] = _horner(_S_PIECES[high.astype(np.intp)].T, np.where(high, s - _S_TOP, s))
     return float(x[0]) if ys.ndim == 0 else x.reshape(ys.shape)
 
 
-def _newton_j1(target: np.ndarray) -> np.ndarray:
-    """inv_j1 of entries 0 < target <= J1_MAX, each frozen once it has converged."""
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, J1_ARGMAX)
-    x = np.minimum(2.0 * target, J1_ARGMAX)  # J_1(r) ~ r/2 near 0
-    live = np.ones(target.shape, dtype=bool)
-    for _ in range(100):
-        # x stays in [0, j1], inside the series range
-        jv = _series_rows(x, 2, J1_ARGMAX)
-        fx = jv[:, 1] - target
-        above = fx > 0.0
-        hi = np.where(live & above, x, hi)
-        lo = np.where(live & ~above, x, lo)
-        live &= ~((np.abs(fx) < 1e-16) | (hi - lo < 1e-15))
-        if not live.any():
-            break
-        dfx = 0.5 * (jv[:, 0] - jv[:, 2])
-        mid = 0.5 * (lo + hi)
-        steep = dfx > 1e-12
-        x_new = np.where(steep, x - fx / np.where(steep, dfx, 1.0), mid)
-        x_new = np.where((lo < x_new) & (x_new < hi), x_new, mid)
-        x = np.where(live, x_new, x)
-    return x
+def _horner(coefs, t):
+    """sum_k coefs[k] t^k by Horner, coefs lowest power first (rows of
+    coefficients, one per entry of t, for a 2-D coefs)."""
+    poly = coefs[-1]
+    for b in coefs[-2::-1]:
+        poly = poly * t + b
+    return poly

@@ -52,9 +52,6 @@ J_FRAC = 0.9
 # nu with weak_norm <= nu ||.||: sqrt(sum_k 1/(k^2+1)) over all integers k,
 # i.e. sqrt(pi coth(pi))
 WEAK_NORM_BOUND = math.sqrt(math.pi / math.tanh(math.pi))
-# 1/|c| overflows below the smallest normal float, so left_inverse leaves such
-# a row's phase unnormalized: its point, about 2|c|^2 / mu, rounds to the origin
-_TINY = np.finfo(float).tiny
 
 
 def truncation_order(z) -> int:
@@ -358,9 +355,10 @@ def left_inverse(z, mu: float, j: float):
         h01 = t * t * (3.0 - 2.0 * t)
         blend = (h00 * j + h10 * w * s0 + h01 * J1_ARGMAX) / mu
         radius = np.where(clamped, np.where(a >= J1_MAX, J1_ARGMAX / mu, blend), radius)
-    p = 1j * np.conj(c) / np.where(a >= _TINY, a, 1.0) * radius
-    xhat = np.empty(p.shape + (2,))
-    xhat[..., 0], xhat[..., 1] = p.real, p.imag
+    # x = radius (Im c, Re c) / |c|, each part divided as a float: exact on the axes
+    a = np.where(a > 0.0, a, 1.0)
+    xhat = np.empty(c.shape + (2,))
+    xhat[..., 0], xhat[..., 1] = c.imag / a * radius, c.real / a * radius
     return xhat, clamped
 
 

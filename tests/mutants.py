@@ -35,9 +35,10 @@ MUTANTS = [
     ("src/unobs_stab/sim.py", "mu * r < VALID_MU_R", "mu * r <= VALID_MU_R"),
     ("src/unobs_stab/bessel.py", "_SERIES_TOL = 1e-20", "_SERIES_TOL = 1e-17"),
     ("src/unobs_stab/spectral.py", "clamped = a > y0", "clamped = a >= y0"),
-    ("src/unobs_stab/spectral.py", "a >= _TINY", "a > _TINY"),
-    ("src/unobs_stab/bessel.py", "steep = dfx > 1e-12", "steep = dfx > 1e-3"),
-    ("src/unobs_stab/bessel.py", "hi - lo < 1e-15", "hi - lo < 1e-13"),
+    ("src/unobs_stab/spectral.py", "np.where(a > 0.0, a, 1.0)", "np.where(a >= 0.0, a, 1.0)"),
+    ("src/unobs_stab/bessel.py", "high = s > 0.5 * _S_TOP", "high = s > 0.55 * _S_TOP"),
+    ("src/unobs_stab/bessel.py", "target > _Y_REV", "target >= _Y_REV"),
+    ("src/unobs_stab/bessel.py", "-245.80198528866373", "-245.8019852886637"),
     ("src/unobs_stab/bessel.py", "target <= J1_MAX + 1e-12", "target <= J1_MAX"),
 ]
 # what the copy leaves out: version control, caches, build and run outputs

@@ -11,8 +11,9 @@ reference Bessel kernel is the array kernel as it stood before its call
 budget was cut (a term-count loop and the near/far masks on every call, a
 truncation index that falls back to the last term), kept to pin the bytes of
 the leaner kernel.  The reference inv_j1 derives the reversion of J_1's
-series in exact fractions for small y and runs the Newton iteration on that
-reference kernel above, to pin inv_j1's bytes.  The per-step loop is
+series in exact fractions for small y and, above, the polynomials in
+sqrt(J_1(j1) - y) by interpolation in mpmath, and evaluates each entry in
+Python floats, to pin inv_j1's bytes.  The per-step loop is
 sim._drive as it stood before it took a block of steps per iteration, and
 the packed spectral driver, which runs on it, is run_spectral_batch's
 rk4_coupled loop as it stood before the plant was planned per hold interval,
@@ -23,14 +24,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 
 from unobs_stab import sim, spectral
 from unobs_stab.artifacts import _FMT, _HEIGHT, _PALETTE, _WIDTH, _thin, _ticks
-from unobs_stab.bessel import (_SERIES_MAX_R, J1_ARGMAX, MAX_ARG, _miller_orders, bessel_j,
-                               bessel_j_all)
+from unobs_stab.bessel import _SERIES_MAX_R, MAX_ARG, _miller_orders, bessel_j, bessel_j_all
 
 
 def bessel_j_series(k: int, r: float, dps: int = 30) -> float:
@@ -287,46 +288,73 @@ def j1_reversion_coefficients(count: int) -> list:
 
 
 # inv_j1_reference answers y <= REVERSION_MAX_Y from the reversion's first
-# ten coefficients, rounded to float
+# ten coefficients, rounded to float, and y above it from two polynomials of
+# degree TOP_DEGREE in s = sqrt(J_1(j1) - y)
 REVERSION_MAX_Y = 0.11
+TOP_DEGREE = 17
+
+
+@lru_cache(maxsize=1)
+def j1_peak() -> tuple:
+    """(j1, J_1(j1)): the first zero of J_1' and J_1's peak, in 50-digit mpmath."""
+    with mp.workdps(50):
+        j1 = mp.besseljzero(1, 1, derivative=1)
+        return j1, mp.besselj(1, j1)
+
+
+@lru_cache(maxsize=1)
+def j1_top_pieces() -> tuple:
+    """(s_top, low, high) for the root r in [0, j1] of J_1(r) = J_1(j1) - s^2,
+    s in [0, s_top], s_top = sqrt(float(J_1(j1)) - REVERSION_MAX_Y) in floats.
+
+    low holds, rounded to float, the coefficients of r's interpolant at the
+    TOP_DEGREE + 1 Chebyshev nodes of [0, s_top / 2] in powers of s, high
+    those on [s_top / 2, s_top] in powers of s - s_top.  The nodes' radii
+    are roots in 50-digit arithmetic, and each interpolant's monomial
+    coefficients solve its Vandermonde system there."""
+    j1, peak = j1_peak()
+    s_top = math.sqrt(float(peak) - REVERSION_MAX_Y)
+    n = TOP_DEGREE + 1
+    pieces = []
+    with mp.workdps(50):
+        for lo, hi, base in ((0.0, 0.5 * s_top, 0.0), (0.5 * s_top, s_top, s_top)):
+            mid, half = (mp.mpf(lo) + hi) / 2, (mp.mpf(hi) - lo) / 2
+            nodes = [mid + half * mp.cos(mp.pi * (2 * i + 1) / (2 * n)) for i in range(n)]
+            radii = [mp.findroot(lambda r, y=peak - s * s: mp.besselj(1, r) - y,
+                                 (mp.mpf(0.05), j1), solver="anderson") for s in nodes]
+            vandermonde = mp.matrix([[(s - base) ** k for k in range(n)] for s in nodes])
+            coef = mp.lu_solve(vandermonde, mp.matrix(radii))
+            pieces.append(tuple(float(c) for c in coef))
+    return (s_top, *pieces)
+
+
+def _horner(coeffs, u: float) -> float:
+    poly = coeffs[-1]
+    for b in coeffs[-2::-1]:
+        poly = poly * u + b
+    return poly
 
 
 def inv_j1_reference(y):
-    """The r in [0, j1] with J_1(r) = y; each entry of y alone.
+    """The r in [0, j1] with J_1(r) = y; each entry of y alone, in Python floats.
 
     An entry y <= REVERSION_MAX_Y is 2y P(y^2), P the reversion polynomial of
-    j1_reversion_coefficients(10) by Horner in float; an entry above it takes
-    inv_j1's safeguarded Newton iteration on bessel_j_all_reference from 2y."""
-    ymax = float(bessel_j_all_reference(1, J1_ARGMAX)[1])
+    j1_reversion_coefficients(10) by Horner; an entry above it is, with
+    s = sqrt(J_1(j1) - y), the low polynomial of j1_top_pieces at s for
+    s <= s_top / 2 and the high one at s - s_top above."""
+    ymax = float(j1_peak()[1])
+    s_top, low, high = j1_top_pieces()
+    reversion = [float(b) for b in j1_reversion_coefficients(10)]
     ys = np.asarray(y, dtype=float)
-    target = np.minimum(ys.reshape(-1), ymax)
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, J1_ARGMAX)
-    x = np.minimum(2.0 * target, J1_ARGMAX)
-    live = target > REVERSION_MAX_Y
-    for _ in range(100):
-        if not live.any():
-            break
-        jv = bessel_j_all_reference(2, x)
-        fx = jv[:, 1] - target
-        above = fx > 0.0
-        hi = np.where(live & above, x, hi)
-        lo = np.where(live & ~above, x, lo)
-        live &= ~((np.abs(fx) < 1e-16) | (hi - lo < 1e-15))
-        dfx = 0.5 * (jv[:, 0] - jv[:, 2])
-        mid = 0.5 * (lo + hi)
-        steep = dfx > 1e-12
-        x_new = np.where(steep, x - fx / np.where(steep, dfx, 1.0), mid)
-        x_new = np.where((lo < x_new) & (x_new < hi), x_new, mid)
-        x = np.where(live, x_new, x)
-    coeffs = [float(b) for b in j1_reversion_coefficients(10)]
-    for i, t in enumerate(target.tolist()):
+    out = []
+    for t in ys.reshape(-1).tolist():
+        t = min(t, ymax)
         if t <= REVERSION_MAX_Y:
-            poly = coeffs[-1]
-            for b in coeffs[-2::-1]:
-                poly = poly * (t * t) + b
-            x[i] = 2.0 * t * poly
-    return float(x[0]) if ys.ndim == 0 else x.reshape(ys.shape)
+            out.append(2.0 * t * _horner(reversion, t * t))
+            continue
+        s = math.sqrt(ymax - t)
+        out.append(_horner(low, s) if s <= 0.5 * s_top else _horner(high, s - s_top))
+    return out[0] if ys.ndim == 0 else np.array(out).reshape(ys.shape)
 
 
 def drive_per_step(state, eps0, advance, sample, steps: int, cfg):

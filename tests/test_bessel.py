@@ -22,6 +22,7 @@ from oracles import (
     inv_j1_reference,
     j0_first_zero,
     j1_reversion_coefficients,
+    j1_top_pieces,
     j1_zero_of_derivative,
 )
 
@@ -114,11 +115,13 @@ def test_zeros_against_series_oracle():
 
 
 def test_zeros_against_mpmath():
-    # j0 is the correctly rounded zero; j1 is 1.55e-14 above the zero, within
-    # the 1e-13 it was first located to (every spectral digest holds its bits)
+    # j0, j1 and J1(j1) are correctly rounded
     mpmath = pytest.importorskip("mpmath")
-    assert J0_ZERO == float(mpmath.besseljzero(0, 1))
-    assert abs(J1_ARGMAX - float(mpmath.besseljzero(1, 1, derivative=1))) < 1e-13
+    with mpmath.workdps(40):
+        j1 = mpmath.besseljzero(1, 1, derivative=1)
+        assert J0_ZERO == float(mpmath.besseljzero(0, 1))
+        assert J1_ARGMAX == float(j1)
+        assert J1_MAX == float(mpmath.besselj(1, j1))
 
 
 def test_normalization_identity():
@@ -150,10 +153,8 @@ def test_inv_j1_domain_errors():
 
 
 def test_inv_j1_accepts_rounding_slack_above_its_range():
-    # a y within 1e-12 above J1(j1) is read as J1(j1): r = j1 to within 4e-11
-    top = inv_j1(J1_MAX)
-    assert inv_j1(J1_MAX + 5e-13) == top
-    assert abs(top - J1_ARGMAX) < 4e-11
+    # a y within 1e-12 above J1(j1) is read as J1(j1), which maps to j1
+    assert inv_j1(J1_MAX + 5e-13) == inv_j1(J1_MAX) == J1_ARGMAX
 
 
 def test_inv_j1_monotone_and_left_inverse():
@@ -194,6 +195,39 @@ def test_inv_j1_reversion_coefficients_and_threshold():
     assert rises == sorted(rises) and rises[-1] < ratio
     y = bessel._Y_REV
     assert float(exact[10]) * y ** 20 / (1.0 - ratio * y * y) < 2.0 ** -54
+
+
+def test_inv_j1_top_pieces_match_oracle():
+    # bessel's two polynomials in sqrt(J1(j1) - y) are the oracle's
+    # interpolants rounded to float, on the same split of s's range
+    s_top, low, high = j1_top_pieces()
+    assert bessel._S_TOP == s_top
+    assert bessel._S_PIECES.tolist() == [list(low), list(high)]
+
+
+def test_inv_j1_within_3e_15_above_the_reversion():
+    # relative to the root in 40-digit arithmetic, up to r = 1.83; nearer the
+    # flat top at j1 the root moves by more than 1e-15 per ulp of y
+    mpmath = pytest.importorskip("mpmath")
+    ys = np.linspace(REVERSION_MAX_Y, bessel_j(1, 1.83), 1501)[1:]
+    got = inv_j1(ys)
+    with mpmath.workdps(40):
+        j1 = mpmath.besseljzero(1, 1, derivative=1)
+        for y, r in zip(ys.tolist(), got.tolist()):
+            true = mpmath.findroot(lambda t: mpmath.besselj(1, t) - y, (0.1, j1),
+                                   solver="illinois")
+            assert abs(r - true) <= 3e-15 * true, y
+
+
+def test_inv_j1_runs_no_series_and_is_monotone(monkeypatch):
+    # on a dense grid of its whole range: strictly increasing, and not one
+    # Bessel series row (Newton above y = 0.11 made up to 8 per entry)
+    rows, series_rows = [], bessel._series_rows
+    monkeypatch.setattr(bessel, "_series_rows",
+                        lambda *args: rows.append(args) or series_rows(*args))
+    r = inv_j1(np.linspace(0.0, J1_MAX, 200001))
+    assert rows == []
+    assert np.all(np.diff(r) > 0.0)
 
 
 def test_inv_j1_within_two_ulp_on_the_reversion():

@@ -536,7 +536,7 @@ class TestMain:
         assert main(["zeros"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("j0=2.40482555769577")
-        assert "j1=1.84118378134067" in out
+        assert "j1=1.8411837813406593" in out
         assert "nu=1.775766" in out
 
     def test_module_entry(self):

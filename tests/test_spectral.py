@@ -499,13 +499,25 @@ class TestInverse:
         assert np.array_equal(inv_j1(ys), np.array([inv_j1(float(y)) for y in ys]))
 
     def test_smallest_normal_coefficient_keeps_its_phase(self):
-        # |c| = the smallest normal float is divided out of the phase: the
-        # point is i conj(c) / |c| times the radius 2|c| / mu, not the product
-        # i conj(c) * radius, which underflows to the origin
+        # |c| at or below the smallest normal float is divided out of the
+        # phase: the point is (Im c, Re c) / |c| times the radius 2|c| / mu,
+        # not the product of c and the radius, which underflows to the origin
         tiny = np.finfo(float).tiny
-        x = left_inverse(at_e1(tiny), 0.1, 0.9 * J1_ARGMAX)[0]
-        assert x[0] == 0.0 and x[1] == inv_j1(tiny) / 0.1
-        assert x[1] == pytest.approx(4.45e-307, rel=1e-3)
+        for c in (tiny, tiny / 4):
+            x = left_inverse(at_e1(c), 0.1, 0.9 * J1_ARGMAX)[0]
+            assert x[0] == 0.0 and x[1] == inv_j1(c) / 0.1
+            assert x[1] == pytest.approx(20.0 * c, rel=1e-3)
+
+    def test_coefficient_on_an_axis_reads_its_radius_exactly(self):
+        # Re c / |c| or Im c / |c| is +-1 exactly on an axis, so x-hat is the
+        # radius itself on one axis (multiplying by 1/|c| missed it by an ulp
+        # at |c| = 0.09, 0.18 and 0.36)
+        mu, j = 0.3, default_j()
+        for a in (0.09, 0.18, 0.36, 2.0):
+            radius = J1_ARGMAX / mu if a >= bessel_j(1, J1_ARGMAX) else inv_j1(a) / mu
+            for c, want in ((a, [0.0, radius]), (-a, [0.0, -radius]),
+                            (1j * a, [radius, 0.0]), (-1j * a, [-radius, 0.0])):
+                assert left_inverse(at_e1(c), mu, j)[0].tolist() == want, c
 
     def test_huge_coefficient_clamped(self):
         mu, j, n = 0.5, default_j(), 8
@@ -557,7 +569,7 @@ def test_left_inverse_recovers_states_inside_the_ball(frac, theta, mu, n):
 @given(coefs=st.lists(st.tuples(MAGNITUDES, ANGLES), min_size=2, max_size=8), mu=MUS)
 def test_left_inverse_clamp_flag_and_radius(coefs, mu):
     # the flag is exact; the radius |xhat| carries the unit phase
-    # i conj(c) / |c|, rounded to about 2 ulp (rel below)
+    # (Im c, Re c) / |c|, rounded to about 2 ulp (rel below)
     j1, rel = J1_ARGMAX, 1e-15
     c = np.array([a * np.exp(1j * theta) for a, theta in coefs])
     a = np.abs(c)
