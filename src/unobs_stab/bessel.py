@@ -8,8 +8,9 @@ inverse of J_1 on its increasing branch [0, j1]: the reversion of J_1's
 series for y <= 0.11 (within 2 ulp) and two polynomials in sqrt(J1_MAX - y)
 above, with no loop and no Bessel series.
 
-Evaluation is done by the ascending power series for small arguments and by
-Miller's backward recurrence with the standard normalization
+Evaluation is done by the ascending power series for small arguments, as a
+polynomial in (r/2)^2 whose term count each radius reads from a fixed table,
+and by Miller's backward recurrence with the standard normalization
 J_0 + 2*sum_m J_{2m} = 1 for moderate ones.  Arguments are restricted to
 |r| < 50, far beyond anything the simulations produce.
 """
@@ -17,6 +18,7 @@ J_0 + 2*sum_m J_{2m} = 1 for moderate ones.  Arguments are restricted to
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -26,47 +28,73 @@ import numpy as np
 # Beyond that, Miller's recurrence is the accurate route.
 _SERIES_MAX_R = 8.0
 MAX_ARG = 50.0
-# a series row ends at its first term below this, and its table reaches one
+# With q = (r/2)^2, J_k(r) = (r/2)^k / k! sum_m a[m, k] q^m, whose m-th term
+# is at most e^{r/2} q^m / (m!)^2 in every order.  A row sums the terms
+# before the first one whose bound is below _SERIES_TOL: n terms when
+# _SERIES_Q[n-2] < q <= _SERIES_Q[n-1], _SERIES_Q[n-1] being the largest
+# float q at which the bound on term n is below it (tests/oracles.py derives
+# them in mpmath).  The last one passes q = 16, r = 8.
 _SERIES_TOL = 1e-20
+_SERIES_Q = (
+    9.999999999e-21, 1.9999858579643753e-10, 7.111787171103947e-07, 4.890422136987925e-05,
+    0.0006751737478456073, 0.004115921714829218, 0.015593620893129824, 0.04365535444390033,
+    0.09955320562035656, 0.19620740769395878, 0.34720228387414, 0.5660151756142641,
+    0.8655081039772002, 1.2576380761997024, 1.7533249259468466, 2.362422463159691,
+    3.0937520808649515, 3.955170650904091, 4.953654420912475, 6.0953876298062415,
+    7.38584925456125, 8.829894326279648, 10.431828138100705, 12.195472801070242,
+    14.124226256195128, 16.221114201355043)
+_SERIES_Q_ARRAY = np.array(_SERIES_Q)
+# the term index m on a table's term axis
+_TERM_INDEX = np.arange(len(_SERIES_Q))[:, None, None]
 
 
 def _series_rows(r: np.ndarray, kmax: int, largest: float) -> np.ndarray:
     """Rows [J_0(r_i)..J_kmax(r_i)] by the ascending series, 0 <= r_i <= largest <= 8.
 
-    Row i sums the terms up to and including its first one below _SERIES_TOL
-    (in every order), in sequence, so a row's value does not depend on the
-    other rows it is evaluated with.
+    Row i is (r_i/2)^k / k! times sum_m a[m, k] q_i^m, q_i = (r_i/2)^2, over
+    the terms _SERIES_Q gives q_i: the powers of q_i by a running product,
+    those past the row's own last term zeroed, and the terms added in order
+    of m, so a row's value does not depend on the other rows it is evaluated
+    with.
     """
     half = 0.5 * r
-    orders, neg_denominators = _series_tables(kmax, math.frexp((0.5 * largest) ** 2)[1])
-    # seq[:, 0] is the leading term (r/2)^k / k!, seq[:, m] the m-th term
-    seq = np.empty((r.shape[0], neg_denominators.shape[0] + 1, kmax + 1))
-    seq[:, 0, 0] = 1.0
-    np.divide(half[:, None], orders, out=seq[:, 0, 1:])
-    np.divide((half * half)[:, None, None], neg_denominators, out=seq[:, 1:])
-    np.multiply.accumulate(seq[:, 0], axis=1, out=seq[:, 0])
-    np.multiply.accumulate(seq, axis=1, out=seq)
-    # the leading term of order 0 is 1, so the first small term has m >= 1
-    last = (np.abs(seq).max(axis=2) < _SERIES_TOL).argmax(axis=1)
-    np.add.accumulate(seq, axis=1, out=seq)
-    return seq[np.arange(r.shape[0]), last]
+    q = half * half
+    last = np.searchsorted(_SERIES_Q_ARRAY, q)
+    # the terms up to the largest radius's last, on axes (term, order, row);
+    # np.add.reduce adds the term planes in order of m unless the term axis
+    # is the fastest in memory (one row and one order), which numpy sums
+    # pairwise, so J_1 is always evaluated
+    half_top = 0.5 * largest
+    size = bisect_left(_SERIES_Q, half_top * half_top) + 1
+    table, orders = _series_coefficients(max(kmax, 1))
+    powers = np.empty((size, 1, r.shape[0]))
+    powers[0] = 1.0
+    powers[1:] = q
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    powers *= _TERM_INDEX[:size] <= last
+    rows = np.add.reduce(table[:size] * powers, axis=0)
+    # times (r/2)^k / k!, a running product of (r/2) / k from k = 1
+    lead = np.divide(half, orders)
+    np.multiply.accumulate(lead, axis=0, out=lead)
+    rows[1:] *= lead
+    return rows[:kmax + 1].T.copy()
 
 
-@lru_cache(maxsize=64)
-def _series_tables(kmax: int, exponent: int):
-    """Orders 1..kmax and the denominators -m (m + k) for m = 1..terms (read-only),
-    terms enough to reach one below _SERIES_TOL in every row with (r/2)^2 < 2**exponent:
-    |term_{m,k}| <= e^{r/2} (r/2)^{2m} / (m!)^2, a bound that grows with r."""
-    h2, terms = 2.0 ** exponent, 0
-    bound = math.exp(math.sqrt(h2))
-    while bound >= _SERIES_TOL:
-        terms += 1
-        bound *= h2 / (terms * terms)
-    k = np.arange(kmax + 1, dtype=float)
-    m = np.arange(1, terms + 1, dtype=float)[:, None]
-    tables = (k[1:], -(m * (m + k)))
-    for table in tables:
-        table.flags.writeable = False
+@lru_cache(maxsize=16)
+def _series_coefficients(kmax: int):
+    """The coefficients a[m, k] = prod_{i=1..m} -1 / (i (i + k)) for k <= kmax
+    and m below the largest term count, each the exact ratio correctly
+    rounded, on axes (m, k, 1); and the orders 1..kmax on axes (k, 1).  Both
+    are read-only."""
+    table = np.empty((len(_SERIES_Q), kmax + 1, 1))
+    table[0] = 1.0
+    den = [1] * (kmax + 1)
+    for m in range(1, len(_SERIES_Q)):
+        den = [-d * m * (m + k) for k, d in enumerate(den)]
+        table[m, :, 0] = [1 / d for d in den]
+    tables = (table, np.arange(1.0, kmax + 1)[:, None])
+    for t in tables:
+        t.flags.writeable = False
     return tables
 
 

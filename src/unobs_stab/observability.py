@@ -10,6 +10,7 @@ triples.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,31 +80,33 @@ def determinant_identity_check(trials: int, rng_seed: int) -> DeterminantCheckRe
     """Randomized check of det(certificate) = -delta^2 alpha Delta P(-alpha).
 
     Draws skew-symmetric invertible A (n in {2, 4}), an observable gain K and
-    positive delta, alpha; compares the LU determinant of the certificate
-    matrix with the closed form (Delta = observability determinant of
-    (KA, A), P = characteristic polynomial of A).  The sign is fixed by the
+    positive delta, alpha from random.Random(rng_seed) (so that analyze
+    does not import numpy.random for a few numbers per trial); compares the
+    LU determinant of the certificate matrix with the closed form (Delta =
+    observability determinant of (KA, A), P = characteristic polynomial of
+    A).  The sign is fixed by the
     row-permutation parity in the cofactor reduction; only |det| > 0 matters
     for invertibility.  Also verifies that delta = 0 makes the certificate
     rank deficient.
     """
     if trials < 1:
         raise ValueError("determinant_identity_check: trials must be >= 1")
-    rng = np.random.default_rng(rng_seed)
+    rng = random.Random(rng_seed)
     max_rel = 0.0
     singular_ok = True
     done = 0
     while done < trials:
-        n = int(rng.choice([2, 4]))
-        s = rng.normal(size=(n, n))
+        n = rng.choice((2, 4))
+        s = np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)])
         a = 0.5 * (s - s.T)
         if abs(np.linalg.det(a)) < 1e-3:
             continue
-        k = rng.normal(size=n)
+        k = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
         _, rank = kalman_matrix(k, a)
         if rank < n:
             continue
-        delta = float(rng.uniform(0.05, 1.0))
-        alpha = float(rng.uniform(0.1, 3.0))
+        delta = rng.uniform(0.05, 1.0)
+        alpha = rng.uniform(0.1, 3.0)
         # a is skew-symmetric and invertible by construction
         q = _certificate(k, a, delta, alpha)
         det_direct = np.linalg.det(q)

@@ -10,10 +10,12 @@ exact up to roundoff), while the plant state follows the closed-form
 rotation-with-constant-input solution.  An independent path, for
 cross-validation, integrates plant and observer with the same RK4 step
 (rk4_step), the observer fed by the transformed measurement.  The plant
-never reads the observer, so under the held control its path over a hold
-interval is planned first: its stage points measured and its step ends
-embedded in one call each, then the observer stepped alone on those
-measurements.  Both apply the batch's one spectral.ObserverOperator.
+never reads the observer, and under the held control its RK4 step is affine
+in (x, u), so its path over a block of steps is fixed maps of the block's
+start (plant_maps, read off rk4_step once per batch): its stage points are
+measured and its step ends embedded in one call each, then the observer is
+stepped alone on those measurements.  Both apply the batch's one
+spectral.ObserverOperator.
 
 The batch drivers are the only drivers: a single run is their one-row case,
 run_*_batch(...)[0].  Each strategy supplies only its step and what it
@@ -296,6 +298,50 @@ def rotation_step(x, u, h: float) -> np.ndarray:
     return out
 
 
+def plant_maps(h: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The plant's RK4 path under a held input, as affine maps of a block's
+    start (x, u), for a block of up to `steps` steps of size h.
+
+    The RK4 step of the plant's field is affine in (x, u): its end is
+    R x + r u and its four stage points (where rk4_step evaluates the field)
+    are P_j x + p_j u.  One rk4_step on the basis rows (e1, 0), (e2, 0) and
+    (0, 1) reads them off, and they compose into maps from the block's start:
+    ends[k] takes it to the end of its k-th step (ends[0] is the identity, k
+    up to steps) and stages[k, j] to the j-th stage point of step k (k below
+    steps).  Apply a map with _affine; each is stored by coefficient, on
+    axes (..., 3, 1, 2): the coefficient of x0, x1 and u in each coordinate.
+    """
+    rows = np.eye(3, 2)
+    u = np.array([0.0, 0.0, 1.0])
+    points = []
+
+    def field(p):
+        points.append(p)
+        return _rotation_field(p, u, np.empty_like(p))
+
+    end = rk4_step(field, rows, h)
+    # the step and stage maps as 3x3 matrices acting on columns (x0, x1, u)
+    lift = np.zeros((5, 3, 3))
+    lift[:, 2, 2] = 1.0
+    lift[:4, :2] = np.swapaxes(points, 1, 2)
+    lift[4, :2] = end.T
+    ends = np.empty((steps + 1, 3, 3))
+    ends[0] = np.eye(3)
+    for k in range(steps):
+        ends[k + 1] = lift[4] @ ends[k]
+    stages = lift[:4] @ ends[:steps, None]
+    # (..., coefficient, 1, coordinate)
+    return (np.swapaxes(ends[:, :2], -1, -2)[..., None, :],
+            np.swapaxes(stages[..., :2, :], -1, -2)[..., None, :])
+
+
+def _affine(maps, x, u) -> np.ndarray:
+    """The points maps[...] x + maps[...] u of rows x, u, for maps of
+    plant_maps: shape maps.shape[:-3] + (runs, 2), elementwise in the runs."""
+    return maps[..., 0, :, :] * x[:, :1] + maps[..., 1, :, :] * x[:, 1:] \
+        + maps[..., 2, :, :] * u[:, None]
+
+
 def hold_grid(period: float, step: float, horizon: float) -> tuple[int, int]:
     """The time grid: steps per period and periods to the horizon, each 0
     unless it is a whole number (to 1e-9 relative).  The spectral period is
@@ -328,14 +374,15 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     method "exact_linear": plant state by the closed-form rotation solution,
     embedded state analytically, estimation error by the action of the
     matrix exponential of the (frozen-input) error system.  method
-    "rk4_coupled": plant and observer stepped by rk4_step, the observer fed
-    by the transformed measurement.  At the start of each hold interval (or
-    every _BLOCK_STEPS steps of it) the plant alone is stepped ahead under the
-    held control; all its stage points are measured in one output_value
-    call and all its step ends embedded in one embed call, a step whose
-    stages or end fall outside the valid region at radius 0.  Each step then
-    steps zhat alone.  The runs are bitwise those of stepping the packed
-    complex rows (x, zhat) together, as x's imaginary parts were +0.
+    "rk4_coupled": plant and observer by RK4, the observer fed by the
+    transformed measurement.  Under the held control the plant's RK4 path
+    over a block (the hold interval, in pieces of _BLOCK_STEPS steps) is
+    plant_maps of the block's start, built once per batch: its stage points
+    and step ends are two elementwise expressions in the start's x and u.
+    All stage points are measured in one output_value call and all step ends
+    embedded in one embed call, a step whose stages or end fall outside the
+    valid region at radius 0; each step then steps zhat alone by rk4_step.
+    The maps follow rk4_step on the plant's field to a few ulp a step.
     The control is refreshed at every sample instant from the left limit of
     the observer state and held in between.
 
@@ -384,24 +431,17 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
 
     def rk4_coupled(x, eps, zhat, u, active, b):
         # the plant never reads the observer, so under the held u its RK4
-        # path over the block is known: every stage is measured in one output
-        # call, a point outside at radius 0, and every step end whose stages
-        # and end are inside is embedded in one call (the others at 0); the
-        # observer is then stepped alone by rk4_step on those measurements
-        stages, xs = [], np.empty((b,) + x.shape)
-
-        def plant_rhs(p):
-            stages.append(p)
-            return _rotation_field(p, u, np.empty_like(p))
-
-        for k in range(b):
-            x = xs[k] = rk4_step(plant_rhs, x, h)
-        r, theta = polar(np.array(stages))
+        # path over the block is two affine maps of the block's start: every
+        # stage is measured in one output call, a point outside at radius 0,
+        # and every step end whose stages and end are inside is embedded in
+        # one call (the others at 0); the observer is then stepped alone by
+        # rk4_step on those measurements
+        ends, stages = maps
+        xs = _affine(ends[1:b + 1], x, u)
+        r, theta = polar(_affine(stages[:b], x, u))
         inside = _valid(r, mu)
         fy = linearized_output(spec, mu, output_value(spec, mu, np.where(inside, r, 0.0), theta))
-        fy = fy.reshape(b, 4, nb)
-        ok = active & inside.reshape(b, 4, nb).all(axis=1) \
-            & _valid(np.hypot(xs[..., 0], xs[..., 1]), mu)
+        ok = active & inside.all(axis=1) & _valid(np.hypot(xs[..., 0], xs[..., 1]), mu)
         c, zhats = op.offdiag(u), np.empty((b,) + zhat.shape, dtype=complex)
         # a row whose observer passes the norm bound is stepped on to the
         # block's end, where it may overflow, and those steps are discarded
@@ -412,7 +452,10 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
             epss = zhats - embed(np.where(ok[..., None], xs, 0.0), mu, n)
             return xs, epss, zhats, ok & _bounded(xs, zhats), _row_norm(epss)
 
-    step = exact_linear if cfg.method == "exact_linear" else rk4_coupled
+    if cfg.method == "exact_linear":
+        step = exact_linear
+    else:
+        step, maps = rk4_coupled, plant_maps(h, min(_BLOCK_STEPS, n_sub))
 
     def advance(state, active, i):
         x, eps, zhat, u = state

@@ -7,7 +7,9 @@ directories), applies the substitution and runs `python -m pytest -q -x`
 there on every test file but test_acceptance.py, one process at a time.  It
 first runs the unmutated copy, which must pass, so that a kill means the
 mutant and nothing else.  It prints `killed` or `survived` per mutant and
-exits 1 if any mutant survived (2 if the unmutated copy fails).
+exits 1 if any mutant survived (2 if the unmutated copy fails).  A SIGTERM
+(from `timeout`, say) ends it as SystemExit does, so the running pytest is
+killed and the copy removed.
 
     python tests/mutants.py
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -40,6 +43,13 @@ MUTANTS = [
     ("src/unobs_stab/bessel.py", "target > _Y_REV", "target >= _Y_REV"),
     ("src/unobs_stab/bessel.py", "-245.80198528866373", "-245.8019852886637"),
     ("src/unobs_stab/bessel.py", "target <= J1_MAX + 1e-12", "target <= J1_MAX"),
+    ("src/unobs_stab/bessel.py", "np.searchsorted(_SERIES_Q_ARRAY, q)",
+     "np.searchsorted(_SERIES_Q_ARRAY, 0.5 * q)"),
+    ("src/unobs_stab/bessel.py", "_TERM_INDEX[:size] <= last",
+     "_TERM_INDEX[:size] <= last.max(initial=0)"),
+    ("src/unobs_stab/bessel.py", "_series_coefficients(max(kmax, 1))",
+     "_series_coefficients(kmax)"),
+    ("src/unobs_stab/sim.py", "_affine(ends[1:b + 1], x, u)", "_affine(ends[:b], x, u)"),
 ]
 # what the copy leaves out: version control, caches, build and run outputs
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
@@ -77,7 +87,12 @@ def run(mutant, work: pathlib.Path) -> tuple[bool, float]:
     return passes(copy), time.perf_counter() - t0
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, _terminate)
     with tempfile.TemporaryDirectory(prefix="unobs-stab-mutants-") as tmp:
         work = pathlib.Path(tmp)
         ok, seconds = run(None, work)

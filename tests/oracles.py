@@ -7,17 +7,18 @@ the truncated generator built and propagated in high-precision arithmetic.
 The artifact writers are the per-value loops the package's CSV and SVG
 writers replaced, kept to pin their bytes, and the Bessel-series measurement
 is the per-order loop that spectral.output_value's series arm replaced.  The
-reference Bessel kernel is the array kernel as it stood before its call
-budget was cut (a term-count loop and the near/far masks on every call, a
-truncation index that falls back to the last term), kept to pin the bytes of
-the leaner kernel.  The reference inv_j1 derives the reversion of J_1's
-series in exact fractions for small y and, above, the polynomials in
-sqrt(J_1(j1) - y) by interpolation in mpmath, and evaluates each entry in
-Python floats, to pin inv_j1's bytes.  The per-step loop is
+reference Bessel kernel evaluates each series row alone in Python floats, its
+term count from thresholds derived in mpmath and its polynomial from exact
+fractions, to pin the bytes of the array kernel.  The reference inv_j1
+derives the reversion of J_1's series in exact fractions for small y and,
+above, the polynomials in sqrt(J_1(j1) - y) by interpolation in mpmath, and
+evaluates each entry in Python floats, to pin inv_j1's bytes.  The per-step
+loop is
 sim._drive as it stood before it took a block of steps per iteration, and
 the packed spectral driver, which runs on it, is run_spectral_batch's
-rk4_coupled loop as it stood before the plant was planned per hold interval,
-kept to pin the block loop's and the planned loop's bits.
+rk4_coupled loop one step at a time, its plant either read from the block
+maps (pinning the block loop's bits) or stepped by RK4 together with the
+observer as the loop did before the maps.
 """
 
 from __future__ import annotations
@@ -219,28 +220,69 @@ def bessel_series_per_order(coeffs: dict, mu: float, x) -> np.ndarray:
     return total
 
 
+# a series row's terms are cut where the bound e^{r/2} q^m / (m!)^2 on the
+# m-th one, q = (r/2)^2, falls below SERIES_TOL
+SERIES_TOL = mp.mpf("1e-20")
+
+
+def series_term_bound(m: int, q) -> mp.mpf:
+    """e^{sqrt q} q^m / (m!)^2, at least |a[m, k] q^m| in every order k."""
+    with mp.workdps(40):
+        q = mp.mpf(q)
+        return mp.exp(mp.sqrt(q)) * q ** m / mp.factorial(m) ** 2
+
+
+@lru_cache(maxsize=1)
+def series_thresholds() -> tuple:
+    """Q_1, Q_2, ...: Q_n is the largest float q at which term n's bound is
+    below SERIES_TOL, so a row with Q_{n-1} < q <= Q_n sums terms 0..n-1;
+    up to the first Q_n >= 16, which covers r <= 8.  Each is the root of
+    sqrt(q) + n log q = log(SERIES_TOL (n!)^2) in 40-digit mpmath, rounded
+    down to a float."""
+    out = []
+    with mp.workdps(40):
+        while not out or out[-1] < 16.0:
+            n = len(out) + 1
+            log_q = mp.findroot(lambda t: mp.exp(t / 2) + n * t
+                                - mp.log(SERIES_TOL * mp.factorial(n) ** 2), mp.mpf(-20))
+            q = float(mp.exp(log_q))
+            while series_term_bound(n, q) >= SERIES_TOL:
+                q = math.nextafter(q, 0.0)
+            out.append(q)
+    return tuple(out)
+
+
+def series_coefficients(terms: int, kmax: int) -> list:
+    """a[m][k] = prod_{i=1..m} -1 / (i (i + k)) as exact fractions, m < terms."""
+    rows = [[Fraction(1)] * (kmax + 1)]
+    for m in range(1, terms):
+        rows.append([a * Fraction(-1, m * (m + k)) for k, a in enumerate(rows[-1])])
+    return rows
+
+
 def _reference_series_rows(r: np.ndarray, kmax: int) -> np.ndarray:
-    """Rows [J_0(r_i)..J_kmax(r_i)] by the ascending series, 0 <= r_i <= 8, each
-    row summed up to and including its first term below 1e-20 (in every order)."""
-    half = 0.5 * r
-    h2_max = float(half.max(initial=0.0)) ** 2
-    bound, terms = math.exp(math.sqrt(h2_max)), 0
-    while bound >= 1e-20 and terms < 119:
-        terms += 1
-        bound *= h2_max / (terms * terms)
-    k = np.arange(kmax + 1, dtype=float)
-    m = np.arange(1, terms + 1, dtype=float)[:, None]
-    orders, denominators = k[1:], m * (m + k)
-    seq = np.empty((r.shape[0], terms + 1, kmax + 1))
-    seq[:, 0, 0] = 1.0
-    seq[:, 0, 1:] = half[:, None] / orders
-    seq[:, 1:] = -(half * half)[:, None, None] / denominators
-    seq[:, 0].cumprod(axis=1, out=seq[:, 0])
-    seq.cumprod(axis=1, out=seq)
-    small = np.abs(seq[:, 1:]).max(axis=2) < 1e-20
-    last = np.where(small.any(axis=1), small.argmax(axis=1) + 1, terms)
-    seq.cumsum(axis=1, out=seq)
-    return seq[np.arange(r.shape[0]), last]
+    """Rows [J_0(r_i)..J_kmax(r_i)] by the ascending series, 0 <= r_i <= 8, in
+    Python floats one row and one order at a time: (r/2)^k / k! (a running
+    product of (r/2) / k) times sum_m c_m q^m, q = (r/2)^2, over the terms
+    series_thresholds gives q, added in order of m, each power of q the last
+    one times q and each c_m the correctly rounded exact coefficient."""
+    thresholds = series_thresholds()
+    table = [[float(a) for a in row] for row in series_coefficients(len(thresholds), kmax)]
+    out = np.empty((r.shape[0], kmax + 1))
+    for i, x in enumerate(r.tolist()):
+        half = 0.5 * x
+        q = half * half
+        terms = 1 + sum(t < q for t in thresholds)
+        lead = 1.0
+        for k in range(kmax + 1):
+            if k:
+                lead = lead * (half / k)
+            total, power = table[0][k], 1.0
+            for m in range(1, terms):
+                power = power * q
+                total = total + table[m][k] * power
+            out[i, k] = total * lead
+    return out
 
 
 def bessel_j_all_reference(kmax: int, r) -> np.ndarray:
@@ -409,11 +451,16 @@ def drive_per_step(state, eps0, advance, sample, steps: int, cfg):
     ) for run, m in enumerate(lengths)]
 
 
-def run_spectral_packed(spec, params, x0s, xhat0s, cfg):
-    """run_spectral_batch with cfg.method "rk4_coupled", stepping the packed
-    complex rows (x, zhat) of plant and observer through one rk4_step per
-    step on the per-step loop: every stage measures its own point, every step
-    embeds its own end."""
+def run_spectral_packed(spec, params, x0s, xhat0s, cfg, plant="maps"):
+    """run_spectral_batch with cfg.method "rk4_coupled" on the per-step loop:
+    every stage measures its own point, every step embeds its own end.
+
+    plant "maps" takes the plant from sim.plant_maps one step at a time, from
+    the start of its block (the hold interval in pieces of sim._BLOCK_STEPS
+    steps), and steps zhat alone through one rk4_step per step; plant "rk4"
+    steps the packed complex rows (x, zhat) of plant and observer together
+    through one rk4_step per step, as the loop did before its plant was a
+    map of the block's start."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     xhat0s = np.atleast_2d(np.asarray(xhat0s, dtype=float))
     nb = x0s.shape[0]
@@ -422,29 +469,44 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg):
     op = spectral.ObserverOperator(mu, params.alpha, spectral.output_vector(spec, n))
     clamp_level = bessel_j(1, params.j)
     clamp_count = np.zeros(nb, dtype=int)
+    ends, stages = sim.plant_maps(h, min(sim._BLOCK_STEPS, n_sub))
+    block_start = {}
 
     def feedback(zhat, active):
         clamp_count[active & (np.abs(zhat[:, n + 1]) > clamp_level)] += 1
         return spectral.sample_hold_feedback(zhat, params)[0]
 
+    def measure(xs, stages_inside):
+        r, theta = spectral.polar(xs)
+        inside = sim._valid(r, mu)
+        stages_inside.append(inside)
+        fy = spectral.output_value(spec, mu, np.where(inside, r, 0.0), theta)
+        if spec.kind in (spectral.NORM_SQ, spectral.NORM, spectral.J0_RADIAL):
+            fy = spectral.linearized_output(spec, mu, fy)
+        return fy
+
     def advance(state, active, i):
         x, _, zhat, u = state
         stages_inside = []
         c = op.offdiag(u)
+        if plant == "maps":
+            k = i % n_sub % sim._BLOCK_STEPS
+            if k == 0:
+                block_start["x"] = x
+            x0 = block_start["x"]
+            points = iter(sim._affine(stages[k], x0, u))
+            zhat_new = sim.rk4_step(lambda z: op.apply(z, c, measure(next(points), stages_inside)),
+                                    zhat, h)
+            x_new = sim._affine(ends[k + 1], x0, u)
+        else:
+            def rhs(s):
+                xs = s[:, :2].real
+                return np.concatenate([-xs[:, 1:], (xs[:, 0] + u)[:, None],
+                                       op.apply(s[:, 2:], c, measure(xs, stages_inside))],
+                                      axis=-1)
 
-        def rhs(s):
-            xs = s[:, :2].real
-            r, theta = spectral.polar(xs)
-            inside = sim._valid(r, mu)
-            stages_inside.append(inside)
-            fy = spectral.output_value(spec, mu, np.where(inside, r, 0.0), theta)
-            if spec.kind in (spectral.NORM_SQ, spectral.NORM, spectral.J0_RADIAL):
-                fy = spectral.linearized_output(spec, mu, fy)
-            return np.concatenate([-xs[:, 1:], (xs[:, 0] + u)[:, None],
-                                   op.apply(s[:, 2:], c, fy)], axis=-1)
-
-        s_new = sim.rk4_step(rhs, np.concatenate([x, zhat], axis=-1), h)
-        x_new, zhat_new = s_new[:, :2].real, s_new[:, 2:]
+            s_new = sim.rk4_step(rhs, np.concatenate([x, zhat], axis=-1), h)
+            x_new, zhat_new = s_new[:, :2].real, s_new[:, 2:]
         ok = active & np.logical_and.reduce(stages_inside) & sim._valid(np.hypot(*x_new.T), mu)
         eps_new = zhat_new - spectral.embed(np.where(ok[:, None], x_new, 0.0), mu, n)
         ok &= (np.linalg.norm(x_new, axis=-1) <= sim.DIVERGENCE_NORM) \

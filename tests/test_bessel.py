@@ -17,6 +17,7 @@ from unobs_stab.bessel import (
 
 from oracles import (
     REVERSION_MAX_Y,
+    SERIES_TOL,
     bessel_j_all_reference,
     bessel_j_series,
     inv_j1_reference,
@@ -24,6 +25,9 @@ from oracles import (
     j1_reversion_coefficients,
     j1_top_pieces,
     j1_zero_of_derivative,
+    series_coefficients,
+    series_term_bound,
+    series_thresholds,
 )
 
 # radii at the series ends (0, the smallest normal scale, the largest near
@@ -173,6 +177,71 @@ def test_kernel_bytes_match_reference(kmax, r):
     # the leaner kernel keeps every row's truncation and summation order
     got, want = bessel_j_all(kmax, r), bessel_j_all_reference(kmax, r)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_series_coefficients_are_the_exact_ratios_rounded():
+    # a[m, k] = prod_{i<=m} -1/(i(i+k)), correctly rounded, for every term
+    # count a row can take
+    terms = len(bessel._SERIES_Q)
+    table, orders = bessel._series_coefficients(30)
+    exact = series_coefficients(terms, 30)
+    assert table.shape == (terms, 31, 1)
+    assert table[:, :, 0].tolist() == [[float(a) for a in row] for row in exact]
+    assert orders[:, 0].tolist() == list(range(1, 31))
+
+
+def test_series_thresholds_bound_the_first_omitted_term():
+    # a row with q <= Q_n sums n terms: at Q_n the bound e^{sqrt q} q^n / (n!)^2
+    # on term n is below the tolerance, one float above it it is not, and the
+    # last threshold covers r = 8
+    assert bessel._SERIES_Q == series_thresholds()
+    assert bessel._SERIES_TOL == float(SERIES_TOL)
+    for n, q in enumerate(bessel._SERIES_Q, start=1):
+        assert series_term_bound(n, q) < SERIES_TOL
+        assert series_term_bound(n, math.nextafter(q, math.inf)) >= SERIES_TOL
+    assert bessel._SERIES_Q[-2] < (0.5 * bessel._SERIES_MAX_R) ** 2 <= bessel._SERIES_Q[-1]
+
+
+def test_series_rows_sum_the_terms_their_thresholds_give(monkeypatch):
+    # with every coefficient 1 a row sums 1 + q + ... + q^(n-1): n terms just
+    # below Q_n and n + 1 just above it, for the thresholds where q^n shows,
+    # alone and in one batch (the real term at a threshold is below 1e-20,
+    # too small to show in a sum near 1)
+    table, orders = bessel._series_coefficients(0)
+    monkeypatch.setattr(bessel, "_series_coefficients", lambda kmax: (np.ones_like(table), orders))
+    radii, want = [], []
+    for n, q_n in enumerate(bessel._SERIES_Q[9:25], start=10):
+        for factor, terms in ((1.0 - 1e-9, n), (1.0 + 1e-9, n + 1)):
+            r = 2.0 * math.sqrt(q_n) * factor
+            q = (0.5 * r) ** 2
+            radii.append(r)
+            want.append(sum(q ** m for m in range(terms)))
+    for r, total in zip(radii, want):
+        assert bessel._series_rows(np.array([r]), 0, r)[0, 0] == pytest.approx(total, rel=1e-13)
+    batch = bessel._series_rows(np.array(radii), 0, max(radii))[:, 0]
+    assert batch == pytest.approx(want, rel=1e-13)
+
+
+def test_series_kernel_against_mpmath():
+    # every order 0..30 on a grid of [0, 8] within 5e-14 of 40-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    radii = np.linspace(0.0, 8.0, 161)
+    got = bessel_j_all(30, radii)
+    with mpmath.workdps(40):
+        want = np.array([[float(mpmath.besselj(k, mpmath.mpf(float(r)))) for k in range(31)]
+                         for r in radii])
+    assert np.max(np.abs(got - want)) < 5e-14
+
+
+def test_series_rows_do_not_depend_on_their_batch():
+    # a row alone, among rows of other term counts, and in any order of them
+    radii = np.concatenate([[0.0, 1e-300, 1e-10], np.random.default_rng(8).uniform(0.0, 8.0, 40)])
+    for kmax in (0, 2, 24):
+        batch = bessel_j_all(kmax, radii)
+        perm = np.random.default_rng(kmax).permutation(radii.shape[0])
+        assert bessel_j_all(kmax, radii[perm]).tobytes() == batch[perm].tobytes()
+        for r, row in zip(radii, batch):
+            assert bessel_j_all(kmax, np.array([r])).tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("frac", [1.0, 0.9])

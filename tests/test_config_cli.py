@@ -548,6 +548,24 @@ class TestMain:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("j0=2.40482555769577")
 
+    def test_analyze_and_explicit_starts_leave_numpy_random_unimported(self, tmp_path):
+        # analyze draws its determinant trials from random.Random and a run
+        # from explicit starts draws nothing: importing numpy.random would cost
+        # a process about 6 MB and 10 ms
+        path = write(tmp_path, SPECTRAL_CFG + "init.x0 = 0.5, 0.0\ninit.xhat0 = 0.0, 0.2\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(unobs_stab.__file__)))
+        script = ("import sys\nfrom unobs_stab.cli import main\n"
+                  f"main(['analyze', '--config', {path!r}, '--out', {str(tmp_path / 'a')!r}])\n"
+                  f"main(['simulate', '--config', {path!r}, '--out', {str(tmp_path / 's')!r}])\n"
+                  "print('numpy.random' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "a" / "analysis.txt").exists()
+        assert (tmp_path / "s" / "summary.txt").exists()
+        assert done.stdout.splitlines()[-1] == "False"
+
     def test_diverging_finite_run_writes_no_stderr(self, tmp_path):
         # the second run leaves the bounded region at t = 1.69, inside a block
         # of steps, and the rest of that block overflows: the run is reported

@@ -1,15 +1,18 @@
 """The scripts outside the package that call its public API run: each demo
 exits 0, and perfbench's micro timings run and report every key.  Each runs
 in a fresh process on the package under src/, writing only under tmp_path.
-The mutation script's list still applies to the tree (no pytest is run)."""
+The mutation script's list still applies to the tree (no pytest is run), and
+a SIGTERM leaves no copy of the checkout behind."""
 
 import json
 import math
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from mutants import MUTANTS
@@ -50,3 +53,22 @@ def test_mutant_applies_once(mutant):
     path, old, new = mutant
     assert old != new
     assert (ROOT / path).read_text(encoding="utf-8").count(old) == 1
+
+
+def test_mutants_removes_its_copy_on_sigterm(tmp_path):
+    # the copy of the checkout is made under TMPDIR; a SIGTERM while the
+    # unmutated copy's tests run ends the script and removes it
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.Popen([sys.executable, str(ROOT / "tests" / "mutants.py")], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not list(tmp_path.glob("unobs-stab-mutants-*/checkout/tests")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(tmp_path.glob("unobs-stab-mutants-*")) == []

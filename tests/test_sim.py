@@ -8,17 +8,21 @@ import numpy as np
 import pytest
 from oracles import drive_per_step, run_spectral_packed
 
+from unobs_stab import sim
 from unobs_stab.bessel import bessel_j
-from unobs_stab.finite import FinParams, delta_margin, embed as embed_fin, rotation_plant
+from unobs_stab.finite import (FinParams, _rotation_field, delta_margin, embed as embed_fin,
+                               rotation_plant)
 from unobs_stab.linalg import place_poles
 from unobs_stab.sim import (
     DIVERGENCE_NORM,
     VALID_MU_R,
     IntegratorConfig,
     Trajectory,
+    _affine,
     _drive,
     _valid,
     convergence_metrics,
+    plant_maps,
     rk4_step,
     rotation_step,
     run_finite_batch,
@@ -478,15 +482,15 @@ class TestSpectralBatch:
 
 
 class TestPlannedPlant:
-    # rk4_coupled steps the plant alone over each hold interval first, then
-    # the observer alone on the planned measurements: every run stays
-    # bitwise the one the packed (x, zhat) rows gave
+    # rk4_coupled takes the plant's path over each block of a hold interval
+    # from the block maps of its start, then steps the observer alone on the
+    # measured stages: every run is bitwise the per-step loop's on the same
+    # maps, and within 1e-12 of stepping the packed (x, zhat) rows by RK4
     SPECS = [OutputSpec(kind=NORM_SQ), OutputSpec(kind=J2_COS2THETA),
              OutputSpec(kind=BESSEL_SERIES, coeffs={-1: 0.7, 2: 0.3})]
 
-    @pytest.mark.parametrize("n_sub", [1, 3, 8, 80])
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
-    def test_matches_packed_stepper(self, spec, n_sub):
+    @staticmethod
+    def case(n_sub):
         # row 1 runs into mu |x| = 50; row 2 starts on -0.0 coordinates; row
         # 3's estimate starts past the clamp (mu |xhat| = 2 > j); an interval
         # of 80 steps is planned in two pieces
@@ -495,6 +499,12 @@ class TestPlannedPlant:
         cfg = IntegratorConfig(method="rk4_coupled", step=0.01, horizon=2.4)
         x0s = np.array([[0.6, 0.2], [211.1, 452.7], [0.4, -0.0], [0.5, -0.3]])
         xh0s = np.array([[0.1, -0.4], [3.0, 0.0], [-0.0, 0.3], [20.0, 0.0]])
+        return params, x0s, xh0s, cfg
+
+    @pytest.mark.parametrize("n_sub", [1, 3, 8, 80])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_matches_packed_stepper(self, spec, n_sub):
+        params, x0s, xh0s, cfg = self.case(n_sub)
         planned = run_spectral_batch(spec, params, x0s, xh0s, cfg)
         for want, got in zip(run_spectral_packed(spec, params, x0s, xh0s, cfg), planned):
             assert_same_run(want, got)
@@ -515,6 +525,53 @@ class TestPlannedPlant:
             stages.append(rk4_step(plant_rhs, left.x[-1], cfg.step))
             radii = 0.1 * np.linalg.norm(np.array(stages), axis=-1)
             assert list(radii < 50.0) == [True, False, True, True, True]
+
+    @pytest.mark.parametrize("n_sub", [1, 3, 8, 80])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_within_1e_12_of_packed_rk4(self, spec, n_sub):
+        # the same runs against the plant stepped by rk4_step with the
+        # observer: the same freezes, records and clamps, every value within
+        # 1e-12 (relative past 1; the maps move x by at most 6.3e-12 at |x| = 500)
+        params, x0s, xh0s, cfg = self.case(n_sub)
+        planned = run_spectral_batch(spec, params, x0s, xh0s, cfg)
+        for want, got in zip(run_spectral_packed(spec, params, x0s, xh0s, cfg, plant="rk4"),
+                             planned):
+            assert (got.diverged_at, got.clamp_count) == (want.diverged_at, want.clamp_count)
+            assert got.times.tobytes() == want.times.tobytes()
+            for name in ("x", "zhat", "u", "eps_norm", "c_eps_abs", "weak_eps"):
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                           rtol=1e-12, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("h", [1 / 256, 0.01, 1 / 32, 1.0])
+    def test_maps_match_rk4_step_by_step(self, h):
+        # from each map's step end, one rk4_step on the plant's field gives the
+        # next step end and that step's four stage points within 8 ulp of
+        # max|x0| + |u|
+        ends, stages = plant_maps(h, 64)
+        rng = np.random.default_rng(3)
+        x0, u = rng.uniform(-3.0, 3.0, (50, 2)), rng.uniform(-2.0, 2.0, 50)
+        ulp = np.spacing(np.abs(x0).max(axis=1, keepdims=True) + np.abs(u)[:, None])
+        assert np.array_equal(_affine(ends[0], x0, u), x0)
+        for k in range(64):
+            points = []
+
+            def field(p):
+                points.append(p)
+                return _rotation_field(p, u, np.empty_like(p))
+
+            end = rk4_step(field, _affine(ends[k], x0, u), h)
+            assert np.all(np.abs(_affine(ends[k + 1], x0, u) - end) <= 8 * ulp)
+            assert np.all(np.abs(_affine(stages[k], x0, u) - np.array(points)) <= 8 * ulp)
+
+    def test_plant_path_makes_no_per_step_rk4_step_call(self, monkeypatch):
+        # one rk4_step per step for the observer and one per batch to read the
+        # maps off (the plant took one more per step before)
+        calls = []
+        step = sim.rk4_step
+        monkeypatch.setattr(sim, "rk4_step", lambda *args: calls.append(0) or step(*args))
+        params, x0s, xh0s, cfg = self.case(8)
+        run_spectral_batch(OutputSpec(kind=J2_COS2THETA), params, x0s[[0, 2]], xh0s[[0, 2]], cfg)
+        assert len(calls) == 240 + 1
 
     def test_plan_memory_is_bounded(self):
         # one hold interval of 4096 steps on 16 rows: planned whole, its step
@@ -560,7 +617,8 @@ class TestCallBudget:
         # stage, 102 and 0.30 with the plant planned per hold interval (one
         # output and one embed call per interval) and inv_j1 on the series,
         # 94 with inv_j1 on the reversion of J1's series for small y, 70 with
-        # the loop's bookkeeping done once per planned block of steps
+        # the loop's bookkeeping done once per planned block of steps, 53 with
+        # the plant's path read off the block maps instead of stepped by RK4
         spec = OutputSpec(kind=J2_COS2THETA)
         params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
                                 Delta=0.03125, mu=0.1, j=default_j(), N=24)
@@ -574,7 +632,7 @@ class TestCallBudget:
                   pstats.Stats(prof).stats.items()]
         steps = 64
         assert sum(calls for name, calls in counts if name == "bessel_j_all") / steps <= 1.0
-        assert sum(calls for _, calls in counts) / steps <= 76
+        assert sum(calls for _, calls in counts) / steps <= 60
 
     def test_exact_linear_terms_per_interval(self):
         # the loop's error vectors stop their Taylor series on its measured
