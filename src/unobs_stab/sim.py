@@ -5,17 +5,22 @@ steps the packed rows (x, zhat) of the coupled plant/observer ODE
 (finite.closed_loop_rhs, continuous feedback) with classical fixed-step RK4.
 The spectral strategy is sampled: the control is held constant on each
 interval, so the truncated error system is linear time-invariant there and
-is propagated by the action of its exponential (spectral.observer_propagate,
-exact up to roundoff), while the plant state follows the closed-form
-rotation-with-constant-input solution.  An independent path, for
-cross-validation, integrates plant and observer with the same RK4 step
-(rk4_step), the observer fed by the transformed measurement.  The plant
-never reads the observer, and under the held control its RK4 step is affine
-in (x, u), so its path over a block of steps is fixed maps of the block's
-start (plant_maps, read off rk4_step once per batch): its stage points are
-measured and its step ends embedded in one call each, then the observer is
-stepped alone on those measurements.  Both apply the batch's one
-spectral.ObserverOperator.
+is propagated by the action of its exponential (spectral.expm_action under
+one Taylor plan per block, exact up to roundoff), while the plant state
+follows the closed-form rotation-with-constant-input solution.  An
+independent path, for cross-validation, integrates plant and observer with
+the same RK4 step (rk4_step), the observer fed by the transformed
+measurement.  Under the held control both RK4 steps are fixed maps, each
+read off one rk4_step per batch.  The plant never reads the observer and
+its step is affine in (x, u), so its path over a block of steps is affine
+maps of the block's start (plant_maps): its stage points are measured and
+its step ends embedded in one call each.  The observer's step is linear in
+(zhat, y) and a polynomial of degree 4 in c = u mu / 2 (observer_maps).
+Where that pays (steps_by_maps: small N, several steps per hold interval)
+each row's step map and input weights are formed in its c once per block
+(held_maps) and every step is one per-row matrix-vector product plus that
+step's input (observer_steps); elsewhere the observer is stepped by
+rk4_step.  Both methods apply the batch's one spectral.ObserverOperator.
 
 The batch drivers are the only drivers: a single run is their one-row case,
 run_*_batch(...)[0].  Each strategy supplies only its step and what it
@@ -55,8 +60,9 @@ from .spectral import (
     OutputSpec,
     SpectralParams,
     embed,
+    expm_action,
+    expm_plan,
     linearized_output,
-    observer_propagate,
     output_value,
     output_vector,
     polar,
@@ -75,6 +81,15 @@ VALID_MU_R = MAX_ARG * (1.0 - 1e-12)
 # for the spectral loop the whole hold interval up to this many, in pieces of
 # it beyond, so a block's memory does not grow with the step count.
 _BLOCK_STEPS = 64
+# rk4_coupled steps the observer by its dense step maps (observer_maps), which
+# cost O(N^2) a row and step and are formed once per block, only where they
+# were timed no slower than rk4_step on ObserverOperator.apply (O(N) a row
+# and step, in some 50 numpy calls) at 1 to 1000 rows: at N = 24 and 8 steps
+# a block 0.13x on 1 row, 0.31x on 10 and 0.92x on 100 and 1000.  At N = 32,
+# or at 4 steps a block, they are slower on 100 rows, at one step a block
+# 3x slower.  Their rows go in pieces of _MAP_ROWS (about 1.3 MB of maps at
+# N = 24), so their memory does not grow with the batch.
+_MAP_MAX_N, _MAP_MIN_STEPS, _MAP_ROWS = 24, 8, 32
 
 
 @dataclass(frozen=True)
@@ -342,6 +357,91 @@ def _affine(maps, x, u) -> np.ndarray:
         + maps[..., 2, :, :] * u[:, None]
 
 
+def observer_maps(op: ObserverOperator, h: float) -> np.ndarray:
+    """The observer's RK4 step of size h under a held input, as polynomials
+    in the off-diagonal weight c = op.offdiag(u): a step from zhat with stage
+    measurements y_1..y_4 is T(c) zhat + sum_j y_j W(c)[j], T(c) of shape
+    (2N+1, 2N+1) and W(c) of shape (4, 2N+1), each entry
+    sum_p c^p coef[., p].  Returned as the (K, 5) float matrix coef, Fortran
+    ordered, whose rows are the real and imaginary parts of T's entries
+    (row-major) and then of W's; held_maps forms the maps at a row's c.
+
+    The observer's field G(u) z - alpha zeta (<z, zeta> - y) is linear in
+    (z, y) and G(u) = G(0) + c S is affine in c, so the step is a polynomial
+    of degree at most 4 in c, one degree per stage.  One rk4_step reads it
+    off, on the basis rows z = e_i with no input and z = 0 with input 1 at
+    stage j alone, each row a polynomial in c held by its coefficients: the
+    field is op.apply at c = 0 on every coefficient plus op.add_shift of
+    each coefficient into the next degree up."""
+    m = 2 * op.n + 1
+    rows = np.zeros((m + 4, 5, m), dtype=complex)
+    rows[np.arange(m), 0, np.arange(m)] = 1.0
+    y = np.zeros((m + 4, 5))
+    stages = iter(range(m, m + 4))
+
+    def field(p):
+        y[m:] = 0.0
+        y[next(stages), 0] = 1.0
+        out = op.apply(p, 0.0, y)
+        # a stage point's degree is below 4, so its top coefficient is 0
+        op.add_shift(out[:, 1:], p[:, :-1])
+        return out
+
+    step = rk4_step(field, rows, h)
+    # coefficient p of T[k, i] is step[i, p, k], of W[j, k] step[m + j, p, k]
+    coef = np.concatenate([np.moveaxis(step[:m], 0, -1).reshape(5, -1),
+                           np.swapaxes(step[m:], 0, 1).reshape(5, -1)], axis=1)
+    return coef.view(float).T
+
+
+def held_maps(coef, c, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The step maps of observer_maps' coef for each row's c = op.offdiag(u),
+    m = 2N+1: T(c) of shape (rows, m, m) and W(c) of shape (rows, 4, m).
+    Each row's maps are one matrix-vector product of coef
+    with (1, c, c^2, c^3, c^4), so every row is computed on its own."""
+    c = c.reshape(-1)
+    powers = np.empty(c.shape + (5,))
+    powers[:, 0] = 1.0
+    powers[:, 1] = c
+    np.multiply(c, c, out=powers[:, 2])
+    np.multiply(powers[:, 2], c, out=powers[:, 3])
+    np.multiply(powers[:, 3], c, out=powers[:, 4])
+    maps = np.matvec(coef, powers)
+    return (maps[:, :2 * m * m].view(complex).reshape(-1, m, m),
+            maps[:, 2 * m * m:].view(complex).reshape(-1, 4, m))
+
+
+def observer_steps(coef, c, fy, zhat) -> np.ndarray:
+    """The observer's RK4 steps from the rows zhat under held c = op.offdiag(u)
+    by the maps of observer_maps' coef, fy of shape (steps, 4, rows) the
+    measurements at each step's stages: each step's input
+    sum_j y_j W(c)[j] is formed elementwise, four products added in stage
+    order, and each step is then T(c) zhat, one per-row matrix-vector
+    product, plus its input.  Rows are taken in pieces of _MAP_ROWS, so a
+    piece's maps stay small whatever the batch."""
+    b, m = fy.shape[0], zhat.shape[-1]
+    zhats = np.empty((b,) + zhat.shape, dtype=complex)
+    for start in range(0, zhat.shape[0], _MAP_ROWS):
+        rows = slice(start, start + _MAP_ROWS)
+        t, w = held_maps(coef, c[rows], m)
+        inputs = zhats[:, rows]
+        np.multiply(w[:, 0], fy[:, 0, rows, None], out=inputs)
+        inputs += w[:, 1] * fy[:, 1, rows, None]
+        inputs += w[:, 2] * fy[:, 2, rows, None]
+        inputs += w[:, 3] * fy[:, 3, rows, None]
+        z = zhat[rows]
+        for k in range(b):
+            z = np.add(np.matvec(t, z), zhats[k, rows], out=zhats[k, rows])
+    return zhats
+
+
+def steps_by_maps(n: int, n_sub: int) -> bool:
+    """Whether rk4_coupled steps the observer by observer_maps (else by
+    rk4_step on ObserverOperator.apply): at N <= _MAP_MAX_N with at least
+    _MAP_MIN_STEPS steps per hold interval."""
+    return n <= _MAP_MAX_N and n_sub >= _MAP_MIN_STEPS
+
+
 def hold_grid(period: float, step: float, horizon: float) -> tuple[int, int]:
     """The time grid: steps per period and periods to the horizon, each 0
     unless it is a whole number (to 1e-9 relative).  The spectral period is
@@ -381,8 +481,12 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     and step ends are two elementwise expressions in the start's x and u.
     All stage points are measured in one output_value call and all step ends
     embedded in one embed call, a step whose stages or end fall outside the
-    valid region at radius 0; each step then steps zhat alone by rk4_step.
-    The maps follow rk4_step on the plant's field to a few ulp a step.
+    valid region at radius 0.  The observer is then stepped alone on those
+    measurements: where steps_by_maps holds, by observer_steps on the step
+    maps T(c) zhat + sum_j y_j W(c)[j] of observer_maps, built once per
+    batch, and elsewhere by rk4_step on ObserverOperator.apply.  The maps
+    follow rk4_step on the plant's field and on ObserverOperator.apply to a
+    few ulp a step.
     The control is refreshed at every sample instant from the left limit of
     the observer state and held in between.
 
@@ -418,13 +522,15 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
 
     def exact_linear(x, eps, zhat, u, active, b):
         # the plant by its closed-form step and the error by the action of the
-        # exponential, step by step; every step end embedded in one call.
-        # Under the held u neither grows past a valid start by much, so a row
-        # stepped past its first invalid step does not overflow
+        # exponential, step by step under the block's one Taylor plan; every
+        # step end embedded in one call.  Under the held u neither grows past
+        # a valid start by much, so a row stepped past its first invalid step
+        # does not overflow
         xs, epss = np.empty((b,) + x.shape), np.empty((b,) + eps.shape, dtype=complex)
+        plan = expm_plan(op, u, h)
         for k in range(b):
             x = xs[k] = rotation_step(x, u, h)
-            eps = epss[k] = observer_propagate(op, eps, u, h)
+            eps = epss[k] = expm_action(op, eps, plan)
         ok = active & _valid(np.hypot(xs[..., 0], xs[..., 1]), mu)
         zhats = embed(np.where(ok[..., None], xs, 0.0), mu, n) + epss
         return xs, epss, zhats, ok & _bounded(xs, zhats), _row_norm(epss)
@@ -434,21 +540,25 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
         # path over the block is two affine maps of the block's start: every
         # stage is measured in one output call, a point outside at radius 0,
         # and every step end whose stages and end are inside is embedded in
-        # one call (the others at 0); the observer is then stepped alone by
-        # rk4_step on those measurements
+        # one call (the others at 0).  The observer is then stepped alone on
+        # those measurements, by its step maps or by rk4_step
         ends, stages = maps
         xs = _affine(ends[1:b + 1], x, u)
         r, theta = polar(_affine(stages[:b], x, u))
         inside = _valid(r, mu)
         fy = linearized_output(spec, mu, output_value(spec, mu, np.where(inside, r, 0.0), theta))
         ok = active & inside.all(axis=1) & _valid(np.hypot(xs[..., 0], xs[..., 1]), mu)
-        c, zhats = op.offdiag(u), np.empty((b,) + zhat.shape, dtype=complex)
+        c = op.offdiag(u)
         # a row whose observer passes the norm bound is stepped on to the
         # block's end, where it may overflow, and those steps are discarded
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(b):
-                stage = iter(fy[k])
-                zhat = zhats[k] = rk4_step(lambda z: op.apply(z, c, next(stage)), zhat, h)
+            if coef is not None:
+                zhats = observer_steps(coef, c, fy, zhat)
+            else:
+                zhats = np.empty((b,) + zhat.shape, dtype=complex)
+                for k in range(b):
+                    stage = iter(fy[k])
+                    zhat = zhats[k] = rk4_step(lambda z: op.apply(z, c, next(stage)), zhat, h)
             epss = zhats - embed(np.where(ok[..., None], xs, 0.0), mu, n)
             return xs, epss, zhats, ok & _bounded(xs, zhats), _row_norm(epss)
 
@@ -456,6 +566,7 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
         step = exact_linear
     else:
         step, maps = rk4_coupled, plant_maps(h, min(_BLOCK_STEPS, n_sub))
+        coef = observer_maps(op, h) if steps_by_maps(n, n_sub) else None
 
     def advance(state, active, i):
         x, eps, zhat, u = state

@@ -129,8 +129,11 @@ class ObserverOperator:
     where alpha zeta is nonzero (span, empty at alpha = 0), conj(zeta) and
     alpha zeta on it (zeta_conj, azeta) and load = alpha ||zeta||^2, the
     rank-one share of taylor_plan's bound.  apply is the one statement of the
-    observer dynamics: observer_propagate's Taylor terms, the rk4_coupled
-    stage and, at alpha = 0, the Gramian use it."""
+    observer dynamics, add_shift its off-diagonal part S in
+    G(u) = G(0) + c S: observer_propagate's Taylor terms, the rk4_coupled
+    stage and, at alpha = 0, the Gramian apply it, and sim.observer_maps
+    reads the rk4_coupled loop's step maps, where it takes them, off one RK4
+    step of apply at c = 0 plus add_shift, the step expanded in c."""
 
     mu: float
     alpha: float
@@ -151,17 +154,22 @@ class ObserverOperator:
 
     def inner(self, z):
         """<z, zeta> for each row of z, summed over span."""
-        return (self.zeta_conj * z[..., self.span]).sum(axis=-1)
+        return np.add.reduce(self.zeta_conj * z[..., self.span], axis=-1)
+
+    @staticmethod
+    def add_shift(out, w):
+        """out + S w, written into out, for rows w: (S w)_k = w_{k-1} - w_{k+1},
+        the off-diagonals of G(u) = G(0) + c S."""
+        out[..., 1:] += w[..., :-1]
+        out[..., :-1] -= w[..., 1:]
+        return out
 
     def apply(self, z, c, y):
         """(G(u) - alpha zeta zeta^*) z + alpha y zeta = G z - alpha zeta (<z, zeta> - y)
         for rows z, c = offdiag(u) and y each row's measurement (0: the bare
         operator), where (G(u) z)_k = -ik z_k + c (z_{k-1} - z_{k+1})."""
         d = self.inner(z) - y
-        out = z * self.diag
-        cz = c * z
-        out[..., 1:] += cz[..., :-1]
-        out[..., :-1] -= cz[..., 1:]
+        out = self.add_shift(z * self.diag, c * z)
         out[..., self.span] -= self.azeta * d[..., None]
         return out
 
@@ -184,14 +192,44 @@ def taylor_plan(n: int, mu: float, load: float, h: float, u):
 
 
 def observer_propagate(op: ObserverOperator, z, u, h: float) -> np.ndarray:
-    """Action of expm(h * observer_matrix(u, op.mu, op.alpha, op.zeta)) on z.
+    """Action of expm(h * observer_matrix(u, op.mu, op.alpha, op.zeta)) on z:
+    expm_action on the rows of z under expm_plan of their u (one value per
+    row, or one for all rows)."""
+    z = np.asarray(z, dtype=complex)
+    rows = z.reshape(-1, z.shape[-1])
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape != rows.shape[:1]:  # one u for all rows
+        u = np.broadcast_to(u, rows.shape[:1])
+    return expm_action(op, rows, expm_plan(op, u, h)).reshape(z.shape)
+
+
+# the Taylor terms m = 1..18 expm_action may take, as a column
+_ORDERS = np.arange(1, 19)[:, None]
+
+
+def expm_plan(op: ObserverOperator, u, h: float):
+    """expm_action's plan for a step h under one held u per row: the
+    off-diagonal weight c, the sub-steps and norm bound theta per sub-step
+    (taylor_plan), the sub-step count of the longest row, and per term m
+    (row m - 1) and row the scale h_s / m and the stop bound on
+    |term_m|^2 / |v|^2.  It depends on u and h alone, so a loop that steps
+    several times under one u works it out once."""
+    subs, theta = taylor_plan(op.n, op.mu, op.load, h, u)
+    scales = ((h / subs) / _ORDERS)[..., None]
+    stop = ((_ORDERS + 1) * _TAIL_TOL / np.expm1(theta)) ** 2
+    return op.offdiag(u), subs, int(subs.max()), scales, stop
+
+
+def expm_action(op: ObserverOperator, rows, plan) -> np.ndarray:
+    """Action of expm(h * observer_matrix(u, ...)) on complex rows, each under
+    its own u, by expm_plan(op, u, h).
 
     Truncated Taylor series whose terms are op.apply's structured products
     (diagonal, the two off-diagonals and the rank-one term on span), after
     Al-Mohy and Higham, "Computing the action of the matrix exponential"
-    (SIAM J. Sci. Comput. 33(2), 2011).  Each row takes its own u, which fixes
-    its sub-steps and its norm bound theta per sub-step (taylor_plan).  The one
-    stop rule is the measured tail: a row stops a sub-step after term m once
+    (SIAM J. Sci. Comput. 33(2), 2011).  Each row's u fixes its sub-steps and
+    its norm bound theta per sub-step (taylor_plan).  The one stop rule is the
+    measured tail: a row stops a sub-step after term m once
     |term_m| (e^theta - 1) / (m + 1) <= e^{theta_max} 2^-53 |v|, v the sub-step's
     input.  As term_{m+j} = (h_s M)^j term_m m! / (m+j)! and m! / (m+j)! <=
     1 / ((m+1) j!), the whole tail is then below e^{theta_max} 2^-53 |v| ~ 3.5e-16 |v|.
@@ -201,25 +239,15 @@ def observer_propagate(op: ObserverOperator, z, u, h: float) -> np.ndarray:
     (1 - e^{-theta_max}) ~ 1.68 that roundoff cannot close: 18 terms bound the
     loop.  The loop's error vectors (N = 24, Delta = 1/32) stop after 8 terms (m* = 16).
     """
-    z = np.asarray(z, dtype=complex)
-    rows = z.reshape(-1, z.shape[-1])
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape != rows.shape[:1]:  # one u for all rows
-        u = np.broadcast_to(u, rows.shape[:1])
-    c = op.offdiag(u)
-    subs, theta = taylor_plan(op.n, op.mu, op.load, h, u)
-    orders = np.arange(1, 19)[:, None]
-    # per term m (row m - 1) and row: the scale h_s / m and the stop bound on |term_m|^2 / |v|^2
-    scales = ((h / subs) / orders)[..., None]
-    stop = ((orders + 1) * _TAIL_TOL / np.expm1(theta)) ** 2
+    c, subs, count, scales, stop = plan
     out = rows.copy()
-    for sub in range(int(subs.max())):
+    for sub in range(count):
         live = sub < subs
         keep = live[:, None]  # a view, so it follows live's updates
         limit = stop * _sq_norms(out)
         term = out
         total = out.copy()
-        for i in range(orders.shape[0]):
+        for i in range(_ORDERS.shape[0]):
             term = op.apply(term, c, 0.0)
             term *= scales[i]
             np.add(total, term, out=total, where=keep)
@@ -227,7 +255,7 @@ def observer_propagate(op: ObserverOperator, z, u, h: float) -> np.ndarray:
             if not live.any():
                 break
         out = total
-    return out.reshape(z.shape)
+    return out
 
 
 def _sq_norms(rows: np.ndarray) -> np.ndarray:

@@ -16,9 +16,10 @@ evaluates each entry in Python floats, to pin inv_j1's bytes.  The per-step
 loop is
 sim._drive as it stood before it took a block of steps per iteration, and
 the packed spectral driver, which runs on it, is run_spectral_batch's
-rk4_coupled loop one step at a time, its plant either read from the block
-maps (pinning the block loop's bits) or stepped by RK4 together with the
-observer as the loop did before the maps.
+rk4_coupled loop one step at a time, either on the plant's block maps and,
+where the loop takes them, the observer's step maps (pinning the block
+loop's bits) or with plant and observer stepped by RK4 together, as the
+loop did before the maps.
 """
 
 from __future__ import annotations
@@ -457,10 +458,11 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg, plant="maps"):
 
     plant "maps" takes the plant from sim.plant_maps one step at a time, from
     the start of its block (the hold interval in pieces of sim._BLOCK_STEPS
-    steps), and steps zhat alone through one rk4_step per step; plant "rk4"
-    steps the packed complex rows (x, zhat) of plant and observer together
-    through one rk4_step per step, as the loop did before its plant was a
-    map of the block's start."""
+    steps), and steps zhat alone, where sim.steps_by_maps holds by the step
+    maps of sim.observer_maps summed in c per step and elsewhere through one
+    rk4_step on op.apply; plant "rk4" steps the packed complex rows
+    (x, zhat) of plant and observer together through one rk4_step per step
+    on op.apply, as the loop did before either side was a map."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     xhat0s = np.atleast_2d(np.asarray(xhat0s, dtype=float))
     nb = x0s.shape[0]
@@ -470,6 +472,7 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg, plant="maps"):
     clamp_level = bessel_j(1, params.j)
     clamp_count = np.zeros(nb, dtype=int)
     ends, stages = sim.plant_maps(h, min(sim._BLOCK_STEPS, n_sub))
+    coef = sim.observer_maps(op, h) if sim.steps_by_maps(n, n_sub) else None
     block_start = {}
 
     def feedback(zhat, active):
@@ -494,9 +497,15 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg, plant="maps"):
             if k == 0:
                 block_start["x"] = x
             x0 = block_start["x"]
-            points = iter(sim._affine(stages[k], x0, u))
-            zhat_new = sim.rk4_step(lambda z: op.apply(z, c, measure(next(points), stages_inside)),
-                                    zhat, h)
+            fy = [measure(p, stages_inside) for p in sim._affine(stages[k], x0, u)]
+            if coef is None:
+                stage = iter(fy)
+                zhat_new = sim.rk4_step(lambda z: op.apply(z, c, next(stage)), zhat, h)
+            else:
+                t, w = sim.held_maps(coef, c, 2 * n + 1)
+                inputs = w[:, 0] * fy[0][:, None] + w[:, 1] * fy[1][:, None] \
+                    + w[:, 2] * fy[2][:, None] + w[:, 3] * fy[3][:, None]
+                zhat_new = np.matvec(t, zhat) + inputs
             x_new = sim._affine(ends[k + 1], x0, u)
         else:
             def rhs(s):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import drive_per_step, run_spectral_packed
 
-from unobs_stab import sim
+from unobs_stab import sim, spectral
 from unobs_stab.bessel import bessel_j
 from unobs_stab.finite import (FinParams, _rotation_field, delta_margin, embed as embed_fin,
                                rotation_plant)
@@ -22,6 +22,9 @@ from unobs_stab.sim import (
     _drive,
     _valid,
     convergence_metrics,
+    held_maps,
+    observer_maps,
+    observer_steps,
     plant_maps,
     rk4_step,
     rotation_step,
@@ -31,6 +34,7 @@ from unobs_stab.sim import (
 from unobs_stab.spectral import (
     BESSEL_SERIES,
     J2_COS2THETA,
+    KINDS,
     NORM_SQ,
     ObserverOperator,
     OutputSpec,
@@ -39,6 +43,7 @@ from unobs_stab.spectral import (
     embed,
     embedded_target,
     observer_propagate,
+    output_vector,
 )
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -564,14 +569,18 @@ class TestPlannedPlant:
             assert np.all(np.abs(_affine(stages[k], x0, u) - np.array(points)) <= 8 * ulp)
 
     def test_plant_path_makes_no_per_step_rk4_step_call(self, monkeypatch):
-        # one rk4_step per step for the observer and one per batch to read the
-        # maps off (the plant took one more per step before)
+        # 240 steps: one rk4_step per batch reads the plant maps off and one
+        # the observer maps, whose four stages are the only op.apply calls
+        # (the observer took one rk4_step and four op.apply calls per step
+        # before, and the plant one more rk4_step per step before that)
         calls = []
-        step = sim.rk4_step
-        monkeypatch.setattr(sim, "rk4_step", lambda *args: calls.append(0) or step(*args))
+        step, apply = sim.rk4_step, ObserverOperator.apply
+        monkeypatch.setattr(sim, "rk4_step", lambda *args: calls.append("rk4_step") or step(*args))
+        monkeypatch.setattr(ObserverOperator, "apply",
+                            lambda *args: calls.append("apply") or apply(*args))
         params, x0s, xh0s, cfg = self.case(8)
         run_spectral_batch(OutputSpec(kind=J2_COS2THETA), params, x0s[[0, 2]], xh0s[[0, 2]], cfg)
-        assert len(calls) == 240 + 1
+        assert (calls.count("rk4_step"), calls.count("apply")) == (2, 4)
 
     def test_plan_memory_is_bounded(self):
         # one hold interval of 4096 steps on 16 rows: planned whole, its step
@@ -590,6 +599,71 @@ class TestPlannedPlant:
             tracemalloc.stop()
         assert traj.times[-1] == 1.0
         assert peak < 8 * 2 ** 20
+
+
+class TestObserverMaps:
+    # under a held u the observer's RK4 step is T(c) zhat + sum_j y_j W(c)[j],
+    # T and W polynomials in c = u mu / 2 read off one rk4_step per batch
+    SPECS = [OutputSpec(kind=kind) for kind in KINDS if kind != BESSEL_SERIES] \
+        + [OutputSpec(kind=BESSEL_SERIES, coeffs={-1: 0.7, 2: 0.3})]
+
+    @pytest.mark.parametrize("alpha", [1.0, 3.0])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("h", [1 / 256, 1 / 32, 0.05])
+    def test_step_matches_rk4_step_on_apply(self, h, spec, alpha):
+        # from random zhat and stage inputs, one map step is within 4 ulp of
+        # max|zhat| + max|y| of rk4_step on op.apply, for c across [-5, 5]
+        op = ObserverOperator(0.1, alpha, output_vector(spec, 24))
+        coef = observer_maps(op, h)
+        rng = np.random.default_rng(6)
+        u = np.concatenate([[-100.0, 0.0, 100.0], rng.uniform(-100.0, 100.0, 37)])
+        c = op.offdiag(u)
+        z = rng.standard_normal((40, 49)) + 1j * rng.standard_normal((40, 49))
+        y = rng.standard_normal((4, 40)) + 1j * rng.standard_normal((4, 40))
+        stage = iter(y)
+        want = rk4_step(lambda v: op.apply(v, c, next(stage)), z, h)
+        got = observer_steps(coef, c, y[None], z)[0]
+        ulp = np.spacing(np.abs(z).max(axis=1) + np.abs(y).max(axis=0))
+        assert np.abs(c).max() == 5.0
+        assert np.all(np.abs(got - want) <= 4 * ulp[:, None])
+
+    def test_row_alone_and_in_a_batch_of_six(self, monkeypatch):
+        # a row's held maps and its whole run are bitwise the same alone and
+        # as one of six rows with other held inputs, the six mapped in
+        # pieces of four rows and two
+        monkeypatch.setattr(sim, "_MAP_ROWS", 4)
+        spec = OutputSpec(kind=J2_COS2THETA)
+        params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=3.0,
+                                Delta=1 / 32, mu=0.1, j=default_j(), N=24)
+        op = ObserverOperator(params.mu, params.alpha, output_vector(spec, params.N))
+        coef = observer_maps(op, 1 / 256)
+        c = op.offdiag(np.linspace(-100.0, 100.0, 6))
+        batch = held_maps(coef, c, 49)
+        for i in range(6):
+            for alone, maps in zip(held_maps(coef, c[i:i + 1], 49), batch):
+                assert alone[0].tobytes() == maps[i].tobytes()
+        cfg = IntegratorConfig(method="rk4_coupled", step=1 / 256, horizon=1.0, record_every=2)
+        x0s, xh0s = np.random.default_rng(7).uniform(-3.0, 3.0, (2, 6, 2))
+        batch = run_spectral_batch(spec, params, x0s, xh0s, cfg)
+        assert len({t.u[1] for t in batch}) == 6
+        for x0, xh0, traj in zip(x0s, xh0s, batch):
+            assert_same_run(run_spectral_batch(spec, params, x0, xh0, cfg)[0], traj)
+
+    @pytest.mark.parametrize("n,n_sub", [(24, 4), (24, 1), (25, 8), (400, 8)])
+    def test_apply_steps_where_the_maps_do_not_pay(self, monkeypatch, n, n_sub):
+        # below 8 steps per hold interval, or past N = 24, the observer is
+        # stepped by rk4_step on op.apply: no step maps are built (at
+        # N = 400 they would take 41 MB a row), and the run is bitwise the
+        # per-step loop's
+        monkeypatch.setattr(sim, "observer_maps", None)
+        spec = OutputSpec(kind=J2_COS2THETA)
+        params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
+                                Delta=n_sub / 256, mu=0.1, j=default_j(), N=n)
+        cfg = IntegratorConfig(method="rk4_coupled", step=1 / 256, horizon=n_sub / 16)
+        x0s, xh0s = [[0.6, 0.2], [-0.5, 0.3]], [[0.1, -0.4], [0.2, 0.2]]
+        planned = run_spectral_batch(spec, params, x0s, xh0s, cfg)
+        for want, got in zip(run_spectral_packed(spec, params, x0s, xh0s, cfg), planned):
+            assert_same_run(want, got)
 
 
 class TestCallBudget:
@@ -618,7 +692,9 @@ class TestCallBudget:
         # output and one embed call per interval) and inv_j1 on the series,
         # 94 with inv_j1 on the reversion of J1's series for small y, 70 with
         # the loop's bookkeeping done once per planned block of steps, 53 with
-        # the plant's path read off the block maps instead of stepped by RK4
+        # the plant's path read off the block maps instead of stepped by RK4,
+        # 25 with the observer's step a per-row map instead of four op.apply
+        # stages
         spec = OutputSpec(kind=J2_COS2THETA)
         params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
                                 Delta=0.03125, mu=0.1, j=default_j(), N=24)
@@ -632,7 +708,7 @@ class TestCallBudget:
                   pstats.Stats(prof).stats.items()]
         steps = 64
         assert sum(calls for name, calls in counts if name == "bessel_j_all") / steps <= 1.0
-        assert sum(calls for _, calls in counts) / steps <= 60
+        assert sum(calls for _, calls in counts) / steps <= 30
 
     def test_exact_linear_terms_per_interval(self):
         # the loop's error vectors stop their Taylor series on its measured
@@ -646,7 +722,9 @@ class TestCallBudget:
         # plant step and the left inverse writing one output array each
         # instead of np.stack and observer_propagate broadcasting u only when
         # it is one value for every row (a one-step block's bookkeeping costs
-        # what a step's did)
+        # what a step's did), 203 with the Taylor plan worked out apart from
+        # its action (expm_plan, expm_action) and <z, zeta> summed by one
+        # np.add.reduce
         params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
                                 Delta=0.03125, mu=0.1, j=default_j(), N=24)
         cfg = IntegratorConfig(method="exact_linear", step=0.03125, horizon=1.0)
@@ -659,9 +737,32 @@ class TestCallBudget:
         counts = [(name, calls) for (_, _, name), (_, calls, _, _, _) in
                   pstats.Stats(prof).stats.items()]
         calls = dict(counts)
-        assert calls["observer_propagate"] == 32
-        assert calls["apply"] <= 9 * calls["observer_propagate"]
-        assert sum(calls for _, calls in counts) / 32 <= 222
+        assert calls["expm_plan"] == calls["expm_action"] == 32
+        assert calls["apply"] <= 9 * calls["expm_action"]
+        assert sum(calls for _, calls in counts) / 32 <= 205
+
+    def test_exact_linear_plans_once_per_block(self, monkeypatch):
+        # at step = Delta / 8 an interval's 8 steps share one held u, so its
+        # Taylor plan is worked out once per block, not once per step, and
+        # every bit stays that of planning each step anew (observer_propagate)
+        plans = []
+        plan = spectral.taylor_plan
+        monkeypatch.setattr(spectral, "taylor_plan",
+                            lambda *args: plans.append(0) or plan(*args))
+        spec, params = spectral_setup(Delta=1 / 32, n=24)
+        cfg = IntegratorConfig(method="exact_linear", step=1 / 256, horizon=0.5)
+        x0s = np.array([[0.6, 0.2], [-0.9, 0.4], [0.3, -0.7]])
+        xh0s = np.array([[0.1, -0.4], [0.3, 0.3], [20.0, 0.0]])
+        trajs = run_spectral_batch(spec, params, x0s, xh0s, cfg)
+        assert len(plans) == 16
+        op = ObserverOperator(params.mu, params.alpha, output_vector(spec, params.N))
+        eps = embed(xh0s, params.mu, params.N) - embed(x0s, params.mu, params.N)
+        u = np.array([traj.u[0] for traj in trajs])
+        for k in range(1, 9):
+            eps = observer_propagate(op, eps, u, cfg.step)
+            x = np.array([traj.x[k] for traj in trajs])
+            got = np.array([traj.zhat[k] for traj in trajs])
+            assert got.tobytes() == (embed(x, params.mu, params.N) + eps).tobytes()
 
 
 class TestPropagator:
