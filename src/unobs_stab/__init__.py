@@ -22,8 +22,9 @@ dissipativity violations and keeps the records.  What a scenario means (the
 gain, the finite perturbation, the admissible starts) is settled once, by
 ``config.parse_config``.
 
-Supporting modules: ``bessel`` (series/recurrence Bessel evaluation, zeros,
-local inverse of J1), ``linalg`` (matrix exponential, Lyapunov, Ackermann),
+Supporting modules: ``bessel`` (series/recurrence Bessel evaluation, its
+fixed zeros as constants, the inverse of J1 on [0, j1]), ``linalg`` (matrix
+exponential, Kalman stack, the quarter-turn plant's gain in closed form),
 ``observability`` (Gramians, determinant identity, parameter budgets),
 ``artifacts``/``config``/``cli`` (batch harness).
 """

@@ -11,11 +11,10 @@ on packed rows (x, zhat); sim.run_finite_batch steps those rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import solve_lyapunov
 
 _A = np.array([[0.0, -1.0], [1.0, 0.0]])
 _B = np.array([0.0, 1.0])
@@ -25,10 +24,11 @@ _B.setflags(write=False)
 
 @dataclass(frozen=True)
 class Plant:
-    """The plant x' = A x + b u the loop runs, as the matrices the synthesis
-    reads (place_poles, delta_margin, the certificate): A the quarter-turn
-    generator and b = (0, 1), the only plant closed_loop_rhs states.  Any
-    other A or b is refused."""
+    """The plant x' = A x + b u the loop runs: A the quarter-turn generator
+    and b = (0, 1), the only plant closed_loop_rhs states.  Any other A or b
+    is refused, here and by place_poles, which builds a Plant of its (A, b);
+    the certificate reads A, and place_poles and delta_margin state their
+    results for this plant in closed form."""
 
     A: np.ndarray
     b: np.ndarray
@@ -115,14 +115,21 @@ def closed_loop_rhs(s, params: FinParams) -> np.ndarray:
 def delta_margin(K, rho: float, plant: Plant) -> float:
     """Largest feedback perturbation 1/(rho |P b|) that keeps every initial
     condition in the ball of radius rho inside the basin of the perturbed
-    state feedback.  P solves (A+bK)'P + P(A+bK) = -2I.
+    state feedback.  P solves F'P + P F = -2I for F = A + bK = [[0, -1], [a, c]],
+    a = 1 + K0 and c = K1, which is Hurwitz exactly when a > 0 and c < 0;
+    its column P b is (q, r) with q = -1/a and r = (q - 1)/c.  plant is not
+    read (the loop runs only the quarter turn): it is kept for the calls of
+    perfbench/child.py --micro.
     """
     if rho <= 0.0:
         raise ValueError("delta_margin: rho must be positive")
-    K = np.asarray(K, dtype=float).reshape(-1)
-    # solve_lyapunov raises when A + bK is not Hurwitz
-    p = solve_lyapunov(plant.A + np.outer(plant.b, K), 2.0 * np.eye(2))
-    return 1.0 / (rho * float(np.linalg.norm(p @ plant.b)))
+    k0, k1 = np.asarray(K, dtype=float).reshape(2).tolist()
+    a, c = 1.0 + k0, k1
+    if not (a > 0.0 and c < 0.0):
+        raise ValueError("delta_margin: A + bK is not Hurwitz (it needs 1 + K0 > 0 and K1 < 0)")
+    q = -1.0 / a
+    r = (q - 1.0) / c
+    return 1.0 / (rho * math.hypot(q, r))
 
 
 def observability_certificate(K, A, delta: float, alpha: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .bessel import J0_ZERO, bessel_j, bessel_j_prime
 from .finite import _certificate
 from .linalg import kalman_matrix
-from .spectral import WEAK_NORM_BOUND, ObserverOperator, default_j, observer_propagate
+from .spectral import WEAK_NORM_BOUND, ObserverOperator, default_j, expm_action, expm_plan
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,15 @@ def observability_gramian(u: float, T: float, zeta, mu: float) -> GramianReport:
         raise ValueError("observability_gramian: T must be positive")
     op = ObserverOperator(mu, 0.0, zeta)
     dt = T / GRAMIAN_STEPS
+    size = 2 * op.n + 1
     # row i of the propagated identity is expm(dt G) e_i, so the rows form
-    # expm(dt G)^T and their conjugate is the one-step adjoint expm(dt G)^*
-    step_h = observer_propagate(op, np.eye(2 * op.n + 1), u, dt).conj()
+    # expm(dt G)^T and their conjugate is the one-step adjoint expm(dt G)^*;
+    # expm_plan takes one u per row
+    plan = expm_plan(op, np.full(size, u), dt)
+    step_h = expm_action(op, np.eye(size, dtype=complex), plan).conj()
     # samples[i] = step_h^i zeta, by doubling: rows [m, 2m) are rows [0, m)
     # advanced by step_h^m, and power_t holds (step_h^m)^T
-    samples = np.empty((GRAMIAN_STEPS + 1, 2 * op.n + 1), dtype=complex)
+    samples = np.empty((GRAMIAN_STEPS + 1, size), dtype=complex)
     samples[0] = op.zeta
     power_t, m = step_h.T, 1
     while m <= GRAMIAN_STEPS:

@@ -130,7 +130,7 @@ class ObserverOperator:
     alpha zeta on it (zeta_conj, azeta) and load = alpha ||zeta||^2, the
     rank-one share of taylor_plan's bound.  apply is the one statement of the
     observer dynamics, add_shift its off-diagonal part S in
-    G(u) = G(0) + c S: observer_propagate's Taylor terms, the rk4_coupled
+    G(u) = G(0) + c S: expm_action's Taylor terms, the rk4_coupled
     stage and, at alpha = 0, the Gramian apply it, and sim.observer_maps
     reads the rk4_coupled loop's step maps, where it takes them, off one RK4
     step of apply at c = 0 plus add_shift, the step expanded in c."""
@@ -174,7 +174,7 @@ class ObserverOperator:
         return out
 
 
-# observer_propagate's largest sub-step norm bound theta_max ~ 1.15, at which
+# expm_action's largest sub-step norm bound theta_max ~ 1.15, at which
 # the first term the degree-18 Taylor polynomial leaves out, theta^19 / 19!, is
 # 2^-53, and its tail guarantee relative to a sub-step's input
 _THETA_MAX = (2.0 ** -53 * math.factorial(19)) ** (1.0 / 19)
@@ -182,25 +182,13 @@ _TAIL_TOL = math.exp(_THETA_MAX) * 2.0 ** -53
 
 
 def taylor_plan(n: int, mu: float, load: float, h: float, u):
-    """Sub-steps q and sub-step norm bound theta of observer_propagate's step
+    """Sub-steps q and sub-step norm bound theta of expm_action's step
     h, per value of u, for an operator of truncation order n, frequency mu and
     rank-one load alpha ||zeta||^2: with ||h M|| <= h (n + |u| mu + load), q
     keeps theta = that bound / q at most _THETA_MAX ~ 1.15."""
     bound = h * (n + np.abs(u) * mu + load)
     subs = np.maximum(1.0, np.ceil(bound / _THETA_MAX))
     return subs, bound / subs
-
-
-def observer_propagate(op: ObserverOperator, z, u, h: float) -> np.ndarray:
-    """Action of expm(h * observer_matrix(u, op.mu, op.alpha, op.zeta)) on z:
-    expm_action on the rows of z under expm_plan of their u (one value per
-    row, or one for all rows)."""
-    z = np.asarray(z, dtype=complex)
-    rows = z.reshape(-1, z.shape[-1])
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape != rows.shape[:1]:  # one u for all rows
-        u = np.broadcast_to(u, rows.shape[:1])
-    return expm_action(op, rows, expm_plan(op, u, h)).reshape(z.shape)
 
 
 # the Taylor terms m = 1..18 expm_action may take, as a column

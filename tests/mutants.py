@@ -57,6 +57,10 @@ MUTANTS = [
      "inputs += w[:, 1] * fy[:, 2, rows, None]"),
     ("src/unobs_stab/sim.py", "np.matvec(t, z), zhats[k, rows]",
      "np.matvec(t, z), zhats[k - 1, rows]"),
+    ("src/unobs_stab/linalg.py", "p1 * p2 - 1.0", "p1 * p2 + 1.0"),
+    ("src/unobs_stab/finite.py", "(q - 1.0)", "(q + 1.0)"),
+    ("src/unobs_stab/finite.py", "a > 0.0", "a >= 0.0"),
+    ("src/unobs_stab/finite.py", "c < 0.0", "c <= 0.0"),
 ]
 # what the copy leaves out: version control, caches, build and run outputs
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

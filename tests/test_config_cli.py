@@ -104,9 +104,11 @@ BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
     ("delta_frac-without-radius",
      FINITE_CFG.replace("init.rho = 3.0", "init.x0 = 1.0, 0.0\ninit.xhat0 = 0.5, 0.0"),
      "params.delta_frac"),
-    # A + bK is not Hurwitz, so delta_margin has no value
+    # A + bK is not Hurwitz, so delta_margin has no value: K1 > 0, and 1 + K0 = 0
     ("K-not-Hurwitz", FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.K = 1.0, 1.0"),
      "params.K"),
+    ("K-not-Hurwitz-a-zero",
+     FINITE_CFG.replace("params.poles = -1.0, -2.0", "params.K = -1.0, -2.0"), "params.K"),
     # mu |p| = 0.1 * 600 = 60 and 0.1 * 500 = 50: at or past the Bessel argument limit
     ("spectral-x0-outside", SPECTRAL_CFG + "init.x0 = 0.5, 0.0, 600.0, 0.0\n"
      "init.xhat0 = 0.0, 0.2, 0.0, 0.0\n", "init.x0"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from unobs_stab.finite import (
     FinParams,
@@ -11,7 +12,7 @@ from unobs_stab.finite import (
     perturbed_feedback,
     rotation_plant,
 )
-from unobs_stab.linalg import place_poles, solve_lyapunov
+from unobs_stab.linalg import place_poles
 
 
 @pytest.fixture
@@ -121,19 +122,32 @@ def test_rhs_is_the_matrix_form(plant, gain):
 
 
 def test_delta_margin_formula(plant, gain):
-    rho = 3.0
-    margin = delta_margin(gain, rho, plant)
-    f = plant.A + np.outer(plant.b, gain)
-    p = solve_lyapunov(f, 2.0 * np.eye(2))
-    assert margin == pytest.approx(1.0 / (rho * np.linalg.norm(p @ plant.b)), abs=1e-12)
-    assert margin > 0.0
-    # 1/rho scaling
-    assert delta_margin(gain, 2.0 * rho, plant) == pytest.approx(0.5 * margin, abs=1e-12)
+    # the closed form against scipy's Lyapunov solver, as the oracle, at the
+    # configs' gain and at 2000 random real pole pairs, one in four repeated
+    rng = np.random.default_rng(5)
+    pairs = -rng.uniform(0.01, 20.0, size=(2000, 2))
+    pairs[::4, 1] = pairs[::4, 0]
+    cases = [(gain, 3.0)] + [(place_poles(plant.A, plant.b, p), rng.uniform(0.5, 5.0))
+                             for p in pairs]
+    for k, rho in cases:
+        f = plant.A + np.outer(plant.b, k)
+        p = scipy.linalg.solve_continuous_lyapunov(f.T, -2.0 * np.eye(2))
+        want = 1.0 / (rho * np.linalg.norm(p @ plant.b))
+        assert delta_margin(k, rho, plant) == pytest.approx(want, rel=1e-12, abs=0.0)
+    margin = delta_margin(gain, 3.0, plant)
+    assert margin == 0.4714045207910316
+    # 1/rho scaling, and only a positive radius
+    assert delta_margin(gain, 6.0, plant) == pytest.approx(0.5 * margin, abs=1e-12)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        delta_margin(gain, 0.0, plant)
 
 
 def test_delta_margin_requires_hurwitz(plant):
-    with pytest.raises(ValueError):
-        delta_margin(np.array([0.0, 0.0]), 1.0, plant)
+    # A + bK = [[0, -1], [1 + K0, K1]] is Hurwitz exactly when 1 + K0 > 0 and
+    # K1 < 0: refused at K = 0, at 1 + K0 = 0 and below, at K1 = 0 and above
+    for K in ([0.0, 0.0], [-1.0, -3.0], [-1.5, -3.0], [1.0, 0.0], [1.0, 0.5]):
+        with pytest.raises(ValueError, match="not Hurwitz"):
+            delta_margin(np.array(K), 1.0, plant)
 
 
 def test_certificate_structure(plant, gain):

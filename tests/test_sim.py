@@ -42,7 +42,8 @@ from unobs_stab.spectral import (
     default_j,
     embed,
     embedded_target,
-    observer_propagate,
+    expm_action,
+    expm_plan,
     output_vector,
 )
 
@@ -744,7 +745,7 @@ class TestCallBudget:
     def test_exact_linear_plans_once_per_block(self, monkeypatch):
         # at step = Delta / 8 an interval's 8 steps share one held u, so its
         # Taylor plan is worked out once per block, not once per step, and
-        # every bit stays that of planning each step anew (observer_propagate)
+        # every bit stays that of planning each step anew
         plans = []
         plan = spectral.taylor_plan
         monkeypatch.setattr(spectral, "taylor_plan",
@@ -759,7 +760,7 @@ class TestCallBudget:
         eps = embed(xh0s, params.mu, params.N) - embed(x0s, params.mu, params.N)
         u = np.array([traj.u[0] for traj in trajs])
         for k in range(1, 9):
-            eps = observer_propagate(op, eps, u, cfg.step)
+            eps = expm_action(op, eps, expm_plan(op, u, cfg.step))
             x = np.array([traj.x[k] for traj in trajs])
             got = np.array([traj.zhat[k] for traj in trajs])
             assert got.tobytes() == (embed(x, params.mu, params.N) + eps).tobytes()
@@ -770,9 +771,10 @@ class TestPropagator:
         # alpha = 0 leaves the constant-input generator alone, a unitary flow
         z = embed([1.0, 0.5], mu=0.5, n=16)
         op = ObserverOperator(0.5, 0.0, embedded_target(16))
+        plan = expm_plan(op, np.array([0.4]), 0.01)
         norms = [np.linalg.norm(z)]
         for _ in range(2000):
-            z = observer_propagate(op, z, 0.4, 0.01)
+            z = expm_action(op, z[None], plan)[0]
             norms.append(np.linalg.norm(z))
         assert np.max(np.abs(np.array(norms) - norms[0])) < 1e-12
 

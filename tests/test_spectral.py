@@ -21,11 +21,12 @@ from unobs_stab.spectral import (
     default_j,
     embed,
     embedded_target,
+    expm_action,
+    expm_plan,
     generator_matrix,
     left_inverse,
     linearized_output,
     observer_matrix,
-    observer_propagate,
     output_value,
     output_vector,
     polar as polar_form,
@@ -210,6 +211,12 @@ class TestObserverOperator:
 class TestPropagation:
     MU, ALPHA, N = 0.1, 1.0, 24
 
+    @staticmethod
+    def one_row(op, z, u, h):
+        """expm(h * observer_matrix(u, ...)) z for the one vector z."""
+        rows = np.asarray(z, dtype=complex)[None]
+        return expm_action(op, rows, expm_plan(op, np.array([u]), h))[0]
+
     def vectors(self, zeta):
         rng = np.random.default_rng(11)
         m = 2 * self.N + 1
@@ -229,7 +236,7 @@ class TestPropagation:
         dense = scipy.linalg.expm(h * observer_matrix(u, self.MU, self.ALPHA, zeta))
         op = ObserverOperator(self.MU, self.ALPHA, zeta)
         for eps in self.vectors(zeta):
-            got = observer_propagate(op, eps, u, h)
+            got = self.one_row(op, eps, u, h)
             size = np.linalg.norm(eps)
             assert np.linalg.norm(got - dense @ eps) < 1e-14 * size
             assert np.linalg.norm(got) <= size + 1e-15
@@ -243,13 +250,13 @@ class TestPropagation:
         us = np.tile([0.0, 0.3, 5.0, 40.0, 400.0], 2)
         eps = np.array([full, loop] * 5)
         op = ObserverOperator(self.MU, self.ALPHA, zeta)
-        batch = observer_propagate(op, eps, us, 0.5)
+        batch = expm_action(op, eps, expm_plan(op, us, 0.5))
         for u, e, row in zip(us, eps, batch):
-            assert np.array_equal(observer_propagate(op, e, u, 0.5), row)
+            assert np.array_equal(self.one_row(op, e, u, 0.5), row)
 
-    @staticmethod
-    def terms_per_substep(monkeypatch, op, z, u, h):
-        """The Taylor terms (op.apply calls) of each of observer_propagate's
+    @classmethod
+    def terms_per_substep(cls, monkeypatch, op, z, u, h):
+        """The Taylor terms (op.apply calls) of each of expm_action's
         sub-steps on the one row z: a sub-step starts with the norm of its
         input, then each term is one apply and one norm."""
         events = []
@@ -258,7 +265,7 @@ class TestPropagation:
             patch.setattr(spectral, "_sq_norms", lambda rows: events.append("n") or sq_norms(rows))
             patch.setattr(ObserverOperator, "apply",
                           lambda self, *args: events.append("a") or apply(self, *args))
-            observer_propagate(op, z, u, h)
+            cls.one_row(op, z, u, h)
         counts = []
         for before, event in zip([None] + events, events):
             if event == "a":
