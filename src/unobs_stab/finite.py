@@ -6,13 +6,16 @@ system with linear output, which admits a Luenberger observer whose error norm
 never increases.  Feedback is the stabilizing gain plus a small multiple of the
 estimated output coordinate; that perturbation is what restores observability
 of the closed loop at the target.  closed_loop_rhs states the whole loop once,
-on packed rows (x, zhat); sim.run_finite_batch steps those rows.
+on packed rows s = (x, zhat), as sdot = L s + q(s): L the loop's 5 x 5 linear
+part (FinParams.loop, built once with the gains) and q its two bilinear
+terms, in the input u times the innovation and times zhat1;
+sim.run_finite_batch steps those rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,23 +55,41 @@ class FinParams:
     K is the stabilizing state-feedback row, delta the feedback perturbation,
     alpha the observer output-injection gain.  Whether delta stays below
     delta_margin for the ball of starts is settled by the config parser.
+    Built with them, once: feedback, the row (K, delta) that u reads off
+    zhat, and loop, the 5 x 5 linear part of closed_loop_rhs.
     """
 
     K: np.ndarray
     delta: float
     alpha: float
+    feedback: np.ndarray = field(init=False, repr=False, compare=False)
+    loop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "K", np.asarray(self.K, dtype=float).reshape(-1))
+        if self.K.shape != (2,):
+            raise ValueError("FinParams: K must be one gain per plant state, two")
         if self.delta <= 0.0:
             raise ValueError("FinParams: delta must be positive")
         if self.alpha <= 0.0:
             raise ValueError("FinParams: alpha must be positive")
+        k0, k1 = self.K.tolist()
+        d, alpha = float(self.delta), float(self.alpha)
+        # rows x0', x1', zhat0', zhat1', zhat2' of s = (x, zhat)
+        loop = np.array([[0.0, -1.0, 0.0, 0.0, 0.0],
+                         [1.0, 0.0, k0, k1, d],
+                         [0.0, 0.0, 0.0, -1.0, 0.0],
+                         [0.0, 0.0, 1.0 + k0, k1, d],
+                         [0.0, 0.0, 0.0, 0.0, -alpha]])
+        object.__setattr__(self, "feedback", _feedback_row(self.K, d))
+        object.__setattr__(self, "loop", loop)
+        self.feedback.setflags(write=False)
+        self.loop.setflags(write=False)
 
 
 def _half_sq(x) -> np.ndarray:
     """|x|^2 / 2 per row, the loop's one summation of the lift."""
-    return 0.5 * np.add.reduce(x * x, axis=-1)
+    return 0.5 * np.vecdot(x, x)
 
 
 def embed(x) -> np.ndarray:
@@ -77,11 +98,15 @@ def embed(x) -> np.ndarray:
     return np.concatenate([x, _half_sq(x)[..., None]], axis=-1)
 
 
+def _feedback_row(K, delta: float) -> np.ndarray:
+    return np.append(np.asarray(K, dtype=float).reshape(-1), delta)
+
+
 def perturbed_feedback(zhat, K, delta: float):
-    """u = K zhat[:n] + delta * zhat[n] for each row of zhat; on embedded
-    states this equals K x + (delta/2) |x|^2."""
-    zhat = np.asarray(zhat, dtype=float)
-    return np.add.reduce(zhat[..., :-1] * K, axis=-1) + delta * zhat[..., -1]
+    """u = K zhat[:n] + delta * zhat[n] for each row of zhat, one dot product
+    with the row (K, delta), as closed_loop_rhs takes it; on embedded states
+    this equals K x + (delta/2) |x|^2."""
+    return np.vecdot(np.asarray(zhat, dtype=float), _feedback_row(K, delta))
 
 
 def _rotation_field(x, u, out):
@@ -101,14 +126,21 @@ def closed_loop_rhs(s, params: FinParams) -> np.ndarray:
     A_emb(u) = [[A, 0], [u b', 0]], B_emb = (b, 0), C = (0, 0, 1) and
     L(u) = (b u, alpha).  The error matrix A_emb(u) - L(u) C has symmetric
     part -alpha C'C, which is what makes the estimation error dissipative.
+
+    Stated as sdot = params.loop s + q(s): loop holds the quarter turn on x
+    and on zhat[:2], the feedback row (K, delta) in the rows of x1' and
+    zhat1' (there with 1 + K0, the quarter turn's zhat0 folded in) and
+    -alpha on zhat2'; q holds the two bilinear terms, -u innov on zhat1' and
+    u zhat1 + alpha |x|^2 / 2 on zhat2', innov = zhat2 - |x|^2 / 2.  So a
+    call is one per-row matrix-vector product and two dot products, u and
+    |x|^2, each row on its own.
     """
     x, zhat = s[..., :2], s[..., 2:]
-    u = perturbed_feedback(zhat, params.K, params.delta)
-    innov = zhat[..., 2] - _half_sq(x)
-    out = np.empty_like(s)
-    _rotation_field(x, u, out[..., :2])
-    _rotation_field(zhat[..., :2], u * (1.0 - innov), out[..., 2:4])
-    np.subtract(u * zhat[..., 1], params.alpha * innov, out=out[..., 4])
+    u = np.vecdot(zhat, params.feedback)
+    half_sq = _half_sq(x)
+    out = np.matvec(params.loop, s)
+    out[..., 3] -= u * (zhat[..., 2] - half_sq)
+    out[..., 4] += u * zhat[..., 1] + params.alpha * half_sq
     return out
 
 

@@ -34,10 +34,10 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     return scipy.linalg.expm(t * m)
 
 
-def kalman_matrix(c, a) -> tuple[np.ndarray, int]:
+def kalman_matrix(c, a) -> np.ndarray:
     """Observability matrix [C; CA; ...; CA^{n-1}] of a pair, for a row
-    vector C, plus its numerical rank.  The controllability matrix of (A, b)
-    is the transpose of the observability matrix of (A', b')."""
+    vector C.  The controllability matrix of (A, b) is the transpose of the
+    observability matrix of (A', b')."""
     a = _square(a)
     n = a.shape[0]
     v = np.asarray(c, dtype=float).reshape(-1)
@@ -46,8 +46,7 @@ def kalman_matrix(c, a) -> tuple[np.ndarray, int]:
     rows = [v]
     for _ in range(n - 1):
         rows.append(rows[-1] @ a)
-    m = np.vstack(rows)
-    return m, int(np.linalg.matrix_rank(m, tol=1e-10))
+    return np.vstack(rows)
 
 
 def place_poles(a, b, poles) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Two loops are provided, each vectorized over runs.  The finite strategy
 steps the packed rows (x, zhat) of the coupled plant/observer ODE
-(finite.closed_loop_rhs, continuous feedback) with classical fixed-step RK4.
+(finite.closed_loop_rhs, continuous feedback) with classical fixed-step RK4;
+each stage of its field is one per-row product with the loop's 5 x 5 matrix
+(FinParams.loop, built with the gains), two dot products and two bilinear
+terms.
 The spectral strategy is sampled: the control is held constant on each
 interval, so the truncated error system is linear time-invariant there and
 is propagated by the action of its exponential (spectral.expm_action under
@@ -254,8 +257,10 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     timings pass it.
 
     The state of a run is the packed row (x, zhat), stepped by RK4 on
-    finite.closed_loop_rhs in blocks of _BLOCK_STEPS steps, the error and the
-    stop rule then taken over the block at once.  Its error is
+    finite.closed_loop_rhs (params.loop s plus the two bilinear terms) in
+    blocks of _BLOCK_STEPS steps, the error and the stop rule then taken over
+    the block at once; the recorded u is the field's, the same dot product
+    with (K, delta).  Its error is
     eps = zhat - finite.embed(x), as the spectral loop measures it: |eps| is
     checked every step and |C eps| = |eps_last| recorded.  A run whose x or
     zhat stops being finite or exceeds DIVERGENCE_NORM (_bounded) is frozen

@@ -14,6 +14,15 @@ LAPACK, which promise none across thread counts.
 
     python tests/golden.py              # rewrites tests/golden.json from this tree
     python tests/golden.py --print DIR  # prints the digests, working under DIR
+    python tests/golden.py --compare OLD_DIR NEW_DIR
+
+`--compare` reads two `--print` work trees (say, of a change's parent and of
+the change) and prints one row per output file whose bytes differ: the
+largest absolute difference of its numbers, the largest relative one (over
+numbers that are not 0 in OLD_DIR) and the largest difference scaled by
+max(1, |old|), the measure the benchmark's reference check uses; a file whose
+text around the numbers differs, or that only one tree has, is named as such.
+A rewrite of golden.json is accepted only with this table in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -22,8 +31,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
+import re
 import sys
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -81,7 +92,55 @@ def digests(work: pathlib.Path) -> dict:
     return out
 
 
+# a number as the writers print it (%.17g, %.4g, %.2f, nan, inf), signed
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:nan|inf)\b")
+
+
+def _numbers(text: str) -> tuple[str, list[float]]:
+    """The text with each number replaced by `#`, and the numbers."""
+    return _NUMBER.sub("#", text), [float(m) for m in _NUMBER.findall(text)]
+
+
+def _moved_by(x: float, y: float) -> float:
+    """|y - x|, and inf where that is nan (a number that turned nan, or inf
+    where it was finite)."""
+    d = abs(y - x)
+    return math.inf if math.isnan(d) else d
+
+
+def compare(old: pathlib.Path, new: pathlib.Path) -> list[str]:
+    """The --compare table of two --print work trees, one row per moved file."""
+    def outputs(work):
+        return {p.relative_to(work).as_posix().replace("/out/", "/"): p
+                for p in sorted(work.glob("**/out/*"))}
+
+    before, after = outputs(old), outputs(new)
+    rows = [f"{'file':<40} {'max abs':>9} {'max rel':>9} {'scaled':>9}"]
+    for name in sorted(before.keys() | after.keys()):
+        if name not in before or name not in after:
+            rows.append(f"{name:<40} only in {'NEW_DIR' if name in after else 'OLD_DIR'}")
+            continue
+        a, b = before[name].read_bytes(), after[name].read_bytes()
+        if a == b:
+            continue
+        (shape_a, xs), (shape_b, ys) = (_numbers(t.decode("utf-8")) for t in (a, b))
+        if shape_a != shape_b:
+            rows.append(f"{name:<40} text differs")
+            continue
+        moved = [(x, _moved_by(x, y)) for x, y in zip(xs, ys)
+                 if x != y and not (math.isnan(x) and math.isnan(y))]
+        big = max((d for _, d in moved), default=0.0)
+        rel = max((d / abs(x) for x, d in moved if x != 0.0), default=0.0)
+        scaled = max((d / max(1.0, abs(x)) for x, d in moved), default=0.0)
+        rows.append(f"{name:<40} {big:9.2e} {rel:9.2e} {scaled:9.2e}")
+    rows.append(f"{len(rows) - 1} of {len(before.keys() | after.keys())} files moved")
+    return rows
+
+
 def main(argv: list) -> int:
+    if argv[:1] == ["--compare"] and len(argv) == 3:
+        print("\n".join(compare(pathlib.Path(argv[1]), pathlib.Path(argv[2]))))
+        return 0
     if argv[:1] == ["--print"] and len(argv) == 2:
         print(json.dumps({"machine": machine(), "files": digests(pathlib.Path(argv[1]))}))
         return 0

@@ -61,6 +61,9 @@ MUTANTS = [
     ("src/unobs_stab/finite.py", "(q - 1.0)", "(q + 1.0)"),
     ("src/unobs_stab/finite.py", "a > 0.0", "a >= 0.0"),
     ("src/unobs_stab/finite.py", "c < 0.0", "c <= 0.0"),
+    ("src/unobs_stab/finite.py", "[0.0, 0.0, 1.0 + k0, k1, d]", "[0.0, 0.0, k0, k1, d]"),
+    ("src/unobs_stab/finite.py", "0.0, -alpha]]", "0.0, alpha]]"),
+    ("src/unobs_stab/finite.py", "out[..., 3] -= u", "out[..., 3] += u"),
 ]
 # what the copy leaves out: version control, caches, build and run outputs
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

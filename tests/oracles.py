@@ -19,7 +19,8 @@ the packed spectral driver, which runs on it, is run_spectral_batch's
 rk4_coupled loop one step at a time, either on the plant's block maps and,
 where the loop takes them, the observer's step maps (pinning the block
 loop's bits) or with plant and observer stepped by RK4 together, as the
-loop did before the maps.
+loop did before the maps.  The finite loop's field is spelled out in its
+matrix form from the paper's blocks, one row at a time.
 """
 
 from __future__ import annotations
@@ -536,3 +537,34 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg, plant="maps"):
     for traj, count in zip(trajs, clamp_count):
         traj.clamp_count = int(count)
     return trajs
+
+
+def finite_rhs_matrix_form(rows, K, delta: float, alpha: float) -> np.ndarray:
+    """The finite loop's field sdot = L s + q(s) on packed rows s = (x, zhat),
+    one row at a time.  L is built from the blocks of the embedded loop,
+    with k = (K, delta) the feedback row (u = k zhat):
+
+        L = [[A, b k], [0, A_emb(0) + B_emb k - alpha e3 e3']],
+
+    A the quarter turn, b = (0, 1), A_emb(0) = [[A, 0], [0, 0]] and
+    B_emb = (b, 0); q(s) = (0, 0, 0, -u innov, u zhat1 + alpha |x|^2 / 2) with
+    innov = zhat2 - |x|^2 / 2 holds the two bilinear terms.  u and |x|^2 are
+    dot products, and L s a matrix-vector product."""
+    a = np.array([[0.0, -1.0], [1.0, 0.0]])
+    b = np.array([0.0, 1.0])
+    k = np.append(np.asarray(K, dtype=float), delta)
+    a_emb, b_emb, e3 = np.zeros((3, 3)), np.append(b, 0.0), np.eye(3)[2]
+    a_emb[:2, :2] = a
+    lin = np.zeros((5, 5))
+    lin[:2, :2] = a
+    lin[:2, 2:] = np.outer(b, k)
+    lin[2:, 2:] = a_emb + np.outer(b_emb, k) - alpha * np.outer(e3, e3)
+    out = np.empty((len(rows), 5))
+    for i, s in enumerate(np.asarray(rows, dtype=float)):
+        x, zhat = s[:2], s[2:]
+        u = np.vecdot(zhat, k)
+        half_sq = 0.5 * np.vecdot(x, x)
+        out[i] = np.matvec(lin, s)
+        out[i, 3] -= u * (zhat[2] - half_sq)
+        out[i, 4] += u * zhat[1] + alpha * half_sq
+    return out

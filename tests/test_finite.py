@@ -14,6 +14,8 @@ from unobs_stab.finite import (
 )
 from unobs_stab.linalg import place_poles
 
+from oracles import finite_rhs_matrix_form
+
 
 @pytest.fixture
 def plant():
@@ -108,17 +110,27 @@ def test_error_norm_derivative_is_dissipative(gain):
 
 
 def test_rhs_is_the_matrix_form(plant, gain):
-    # the elementwise field is A x + b u and A_emb(u) zhat + B_emb u - L(u) innov
-    # in matrix form, bit for bit: the products it drops are by an exact 0 or 1
+    # the field is L s + q(s), bit for bit as the oracle spells it from the
+    # paper's blocks; and it is the block form A x + b u,
+    # A_emb(u) zhat + B_emb u - L(u) innov within 8 ulp of the largest term
+    # of its row (the matrix form sums zhat0 and u in one dot product)
     params = FinParams(K=gain, delta=0.15, alpha=4.0)
-    rows = np.random.default_rng(5).normal(size=(50, 5))
+    rows = np.random.default_rng(5).normal(size=(2000, 5))
+    got = closed_loop_rhs(rows, params)
+    assert got.tobytes() == finite_rhs_matrix_form(rows, gain, params.delta,
+                                                   params.alpha).tobytes()
     x, zbar, zlast = rows[:, :2], rows[:, 2:4], rows[:, 4]
     u = perturbed_feedback(rows[:, 2:], gain, params.delta)
     innov = zlast - 0.5 * (x * x).sum(axis=1)
     want = np.hstack([x @ plant.A.T + u[:, None] * plant.b,
                       zbar @ plant.A.T + (u * (1.0 - innov))[:, None] * plant.b,
                       (u * (zbar @ plant.b) - params.alpha * innov)[:, None]])
-    assert np.array_equal(closed_loop_rhs(rows, params), want)
+    terms = np.hstack([np.abs(rows), np.abs(u * innov)[:, None],
+                       np.abs(u * zbar[:, 1])[:, None], params.alpha * np.abs(innov)[:, None],
+                       np.abs(rows[:, 2:] * params.feedback)])
+    ulp = np.spacing(terms.max(axis=1))
+    assert np.all(np.abs(got - want) <= 8 * ulp[:, None])
+    assert not np.array_equal(got, want)
 
 
 def test_delta_margin_formula(plant, gain):
@@ -191,3 +203,5 @@ def test_fin_params_validation(gain):
         FinParams(K=gain, delta=0.0, alpha=1.0)
     with pytest.raises(ValueError):
         FinParams(K=gain, delta=0.1, alpha=-1.0)
+    with pytest.raises(ValueError, match="two"):
+        FinParams(K=[1.0, -3.0, 0.5], delta=0.1, alpha=1.0)
