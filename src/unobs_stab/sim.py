@@ -8,9 +8,14 @@ each stage of its field is one per-row product with the loop's 5 x 5 matrix
 terms.
 The spectral strategy is sampled: the control is held constant on each
 interval, so the truncated error system is linear time-invariant there and
-is propagated by the action of its exponential (spectral.expm_action under
-one Taylor plan per block, exact up to roundoff), while the plant state
-follows the closed-form rotation-with-constant-input solution.  An
+is propagated by its exponential exp(h M(u)) (exact up to roundoff), while
+the plant state follows the closed-form rotation-with-constant-input
+solution.  At N <= _MAP_MAX_N that exponential is one stacked map per batch,
+its Chebyshev interpolant in u of degree _MAP_DEGREE (error_map, read off
+spectral.expm_action at its nodes); a step of a row is then two per-row
+matrix-vector products under the row's weights, worked out once per block
+(error_steps).  A row held past the map's cap (map_cap), and every row past
+_MAP_MAX_N, takes spectral.expm_action under one Taylor plan per block.  An
 independent path, for cross-validation, integrates plant and observer with
 the same RK4 step (rk4_step), the observer fed by the transformed
 measurement.  Under the held control both RK4 steps are fixed maps, each
@@ -91,8 +96,14 @@ _BLOCK_STEPS = 64
 # a block 0.13x on 1 row, 0.31x on 10 and 0.92x on 100 and 1000.  At N = 32,
 # or at 4 steps a block, they are slower on 100 rows, at one step a block
 # 3x slower.  Their rows go in pieces of _MAP_ROWS (about 1.3 MB of maps at
-# N = 24), so their memory does not grow with the batch.
+# N = 24), so their memory does not grow with the batch.  exact_linear's
+# error map (error_map) is built at N <= _MAP_MAX_N too: its step costs
+# O(N^2) a row against expm_action's O(N) in some 120 numpy calls, timed at
+# N = 24 and h = 1/32 at 0.15x on 1 row, 0.36x on 10, 0.92x on 100 and
+# 0.85x on 1000.
 _MAP_MAX_N, _MAP_MIN_STEPS, _MAP_ROWS = 24, 8, 32
+# the degree D of error_map's Chebyshev interpolant in u
+_MAP_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -440,6 +451,73 @@ def observer_steps(coef, c, fy, zhat) -> np.ndarray:
     return zhats
 
 
+def map_cap(mu: float, h: float) -> float:
+    """The largest |u| error_map covers at frequency mu and step h: u_cap =
+    2 c_cap / mu for the off-diagonal weight c = u mu / 2.
+
+    Because e^{t M(0)} is a contraction and ||S|| <= 2 in M(u) = M(0) + c S,
+    the Chebyshev coefficients of c -> exp(h M) on [-c_cap, c_cap] obey
+    ||a_q|| <= 2 I_q(2 h c_cap) (expand in c: the c^k term is at most
+    (2h)^k / k!).  c_cap sets the first one the degree D = _MAP_DEGREE
+    interpolant drops, 2 I_{D+1}(2 h c_cap) ~ 2 (h c_cap)^(D+1) / (D+1)!, to
+    2^-53: c_cap ~ 0.515 at h = 1/32, |u| <= 10.3 at mu = 0.1."""
+    d = _MAP_DEGREE + 1
+    return 2.0 * (math.factorial(d) * 2.0 ** -54) ** (1.0 / d) / h / mu
+
+
+def error_map(op: ObserverOperator, h: float, u_cap: float) -> np.ndarray:
+    """exact_linear's error step exp(h M(u)), M(u) = observer_matrix(u, ...),
+    for |u| <= u_cap as its Chebyshev interpolant in x = u / u_cap of degree
+    D = _MAP_DEGREE: sum_q T_q(x) C_q over q = 0..D.
+
+    The interpolant is read off expm_action at the D + 1 Chebyshev points
+    x_i = cos(pi (i + 1/2) / (D + 1)), one node at a time (the action on the
+    identity's rows is the exponential's columns), and C_q is the discrete
+    cosine transform (2 - [q = 0]) / (D + 1) sum_i T_q(x_i) exp(h M(u_cap x_i)).
+    Returned as the C-contiguous ((D + 1) m, m) matrix, m = 2N+1, whose row
+    k (D + 1) + q is row k of C_q: np.matvec of it with a row eps, reshaped to
+    (m, D + 1), holds C_q eps in column q (error_steps)."""
+    m, d = 2 * op.n + 1, _MAP_DEGREE + 1
+    angles = np.pi * (np.arange(d) + 0.5) / d
+    # cheb[i, q]: T_q at node i, times the transform's weight
+    cheb = np.cos(np.outer(angles, np.arange(d))) * (2.0 / d)
+    cheb[:, 0] *= 0.5
+    eye = np.eye(m, dtype=complex)
+    coef = np.zeros((m, d, m), dtype=complex)
+    for i, x in enumerate(np.cos(angles)):
+        cols = expm_action(op, eye, expm_plan(op, np.full(m, u_cap * x), h))
+        coef += cheb[i][:, None] * cols.T[:, None, :]
+    return coef.reshape(m * d, m)
+
+
+def map_weights(x) -> np.ndarray:
+    """T_0(x)..T_D(x), D = _MAP_DEGREE, of each row's x = u / u_cap by the
+    three-term recurrence T_{p+1} = 2 x T_p - T_{p-1}, elementwise; complex,
+    as error_steps takes them."""
+    w = np.empty((_MAP_DEGREE + 1,) + x.shape)
+    w[0] = 1.0
+    w[1] = x
+    for p in range(2, _MAP_DEGREE + 1):
+        np.subtract(2.0 * x * w[p - 1], w[p - 2], out=w[p])
+    return np.ascontiguousarray(w.T, dtype=complex)
+
+
+def error_steps(coef, w, eps, steps: int) -> np.ndarray:
+    """`steps` steps of exp(h M(u)) from the rows eps by error_map's coef,
+    w = map_weights of each row's x: each step is one per-row np.matvec of
+    coef with the row, giving C_q eps for every q, and one per-row np.matvec
+    of those with the row's weights.  Nothing is formed per row, and each row
+    is computed on its own.  Returns the steps' rows, shape (steps, rows, m)."""
+    rows, m = eps.shape
+    out = np.empty((steps, rows, m), dtype=complex)
+    terms = np.empty((rows, coef.shape[0]), dtype=complex)
+    by_degree = terms.reshape(rows, m, _MAP_DEGREE + 1)
+    for k in range(steps):
+        np.matvec(coef, eps, out=terms)
+        eps = np.matvec(by_degree, w, out=out[k])
+    return out
+
+
 def steps_by_maps(n: int, n_sub: int) -> bool:
     """Whether rk4_coupled steps the observer by observer_maps (else by
     rk4_step on ObserverOperator.apply): at N <= _MAP_MAX_N with at least
@@ -477,8 +555,15 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     each started from zhat(0) = embed(xhat0).
 
     method "exact_linear": plant state by the closed-form rotation solution,
-    embedded state analytically, estimation error by the action of the
-    matrix exponential of the (frozen-input) error system.  method
+    embedded state analytically, estimation error by the matrix exponential
+    exp(h M(u)) of the (frozen-input) error system.  At N <= _MAP_MAX_N it
+    is error_map's Chebyshev interpolant in u, built once per batch at its
+    D + 1 nodes by expm_action: each row's weights T_q(u / u_cap) are worked
+    out once per block (map_weights) and each step is two per-row np.matvec
+    (error_steps), no plan or Taylor term per step.  A row with |u| > u_cap
+    (map_cap), and every row past _MAP_MAX_N, takes expm_action on those
+    rows alone under one Taylor plan per block.  The map is within 1e-14 of
+    the dense exponential, entry by entry.  method
     "rk4_coupled": plant and observer by RK4, the observer fed by the
     transformed measurement.  Under the held control the plant's RK4 path
     over a block (the hold interval, in pieces of _BLOCK_STEPS steps) is
@@ -526,16 +611,27 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
         return u
 
     def exact_linear(x, eps, zhat, u, active, b):
-        # the plant by its closed-form step and the error by the action of the
-        # exponential, step by step under the block's one Taylor plan; every
-        # step end embedded in one call.  Under the held u neither grows past
-        # a valid start by much, so a row stepped past its first invalid step
+        # the plant by its closed-form step and the error by exp(h M(u)): a
+        # row with |u| <= u_cap by the batch's error map under its weights,
+        # worked out once per block, the others by the action of the
+        # exponential under the block's one Taylor plan for them; every step
+        # end embedded in one call.  Under the held u neither grows past a
+        # valid start by much, so a row stepped past its first invalid step
         # does not overflow
-        xs, epss = np.empty((b,) + x.shape), np.empty((b,) + eps.shape, dtype=complex)
-        plan = expm_plan(op, u, h)
+        xs = np.empty((b,) + x.shape)
         for k in range(b):
             x = xs[k] = rotation_step(x, u, h)
-            eps = epss[k] = expm_action(op, eps, plan)
+        near = np.abs(u) <= u_cap
+        if near.all():
+            epss = error_steps(coef, map_weights(u / u_cap), eps, b)
+        else:
+            epss = np.empty((b,) + eps.shape, dtype=complex)
+            if near.any():
+                epss[:, near] = error_steps(coef, map_weights(u[near] / u_cap), eps[near], b)
+            far = ~near
+            plan, e = expm_plan(op, u[far], h), eps[far]
+            for k in range(b):
+                e = epss[k, far] = expm_action(op, e, plan)
         ok = active & _valid(np.hypot(xs[..., 0], xs[..., 1]), mu)
         zhats = embed(np.where(ok[..., None], xs, 0.0), mu, n) + epss
         return xs, epss, zhats, ok & _bounded(xs, zhats), _row_norm(epss)
@@ -569,6 +665,9 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
 
     if cfg.method == "exact_linear":
         step = exact_linear
+        # past _MAP_MAX_N no map is built and no row is near (u_cap < 0)
+        u_cap = map_cap(mu, h) if n <= _MAP_MAX_N else -1.0
+        coef = error_map(op, h, u_cap) if u_cap > 0.0 else None
     else:
         step, maps = rk4_coupled, plant_maps(h, min(_BLOCK_STEPS, n_sub))
         coef = observer_maps(op, h) if steps_by_maps(n, n_sub) else None

@@ -225,7 +225,10 @@ def expm_action(op: ObserverOperator, rows, plan) -> np.ndarray:
     theta^{m+1} / (m+1)! <= 2^-53, as |term_m*| <= theta^m* / m*! |v| and
     e^theta - 1 <= theta e^{theta_max}, with a margin of at least theta_max /
     (1 - e^{-theta_max}) ~ 1.68 that roundoff cannot close: 18 terms bound the
-    loop.  The loop's error vectors (N = 24, Delta = 1/32) stop after 8 terms (m* = 16).
+    loop.  The hold loop calls it on the identity's rows at the D + 1 nodes
+    of its error map, once per batch (sim.error_map), on the rows held past
+    the map's cap, and on every row past sim._MAP_MAX_N; the Gramian calls
+    it on the identity at alpha = 0.
     """
     c, subs, count, scales, stop = plan
     out = rows.copy()
@@ -299,7 +302,8 @@ def output_value(spec: OutputSpec, mu: float, r, theta):
 
 def linearized_output(spec: OutputSpec, mu: float, y):
     """Transform the measurement into the value of the linear functional,
-    i.e. the map sending h(x) to <embed(x, mu, N), output_vector>."""
+    i.e. the map sending h(x) to <embed(x, mu, N), output_vector>: a float
+    for the radial kinds, whose functional is real, complex otherwise."""
     y = np.asarray(y)
     if spec.kind in (NORM_SQ, NORM) and np.any(y < 0.0):
         raise ValueError(f"linearized_output: {spec.kind} output cannot be negative")
@@ -310,8 +314,8 @@ def linearized_output(spec: OutputSpec, mu: float, y):
     elif spec.kind == J0_RADIAL:
         value = y + 1.0
     else:
-        value = y
-    return np.asarray(value, dtype=complex)[()]
+        return np.asarray(y, dtype=complex)[()]
+    return np.asarray(value, dtype=float)[()]
 
 
 def output_vector(spec: OutputSpec, n: int) -> np.ndarray:

@@ -57,6 +57,10 @@ MUTANTS = [
      "inputs += w[:, 1] * fy[:, 2, rows, None]"),
     ("src/unobs_stab/sim.py", "np.matvec(t, z), zhats[k, rows]",
      "np.matvec(t, z), zhats[k - 1, rows]"),
+    ("src/unobs_stab/sim.py", "_MAP_DEGREE = 6", "_MAP_DEGREE = 5"),
+    ("src/unobs_stab/sim.py", "2.0 * x * w[p - 1]", "x * w[p - 1]"),
+    ("src/unobs_stab/sim.py", "np.arange(d) + 0.5", "np.arange(d) + 1.0"),
+    ("src/unobs_stab/sim.py", "near = np.abs(u) <= u_cap", "near = np.abs(u) < 2.0 * u_cap"),
     ("src/unobs_stab/linalg.py", "p1 * p2 - 1.0", "p1 * p2 + 1.0"),
     ("src/unobs_stab/finite.py", "(q - 1.0)", "(q + 1.0)"),
     ("src/unobs_stab/finite.py", "a > 0.0", "a >= 0.0"),

@@ -19,8 +19,10 @@ the packed spectral driver, which runs on it, is run_spectral_batch's
 rk4_coupled loop one step at a time, either on the plant's block maps and,
 where the loop takes them, the observer's step maps (pinning the block
 loop's bits) or with plant and observer stepped by RK4 together, as the
-loop did before the maps.  The finite loop's field is spelled out in its
-matrix form from the paper's blocks, one row at a time.
+loop did before the maps.  exact_linear's error step is scipy's dense
+expm of the dense observer_matrix, and its loop is rebuilt one step at a
+time from each run's recorded hold values.  The finite loop's field is
+spelled out in its matrix form from the paper's blocks, one row at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+import scipy.linalg
 
 from unobs_stab import sim, spectral
 from unobs_stab.artifacts import _FMT, _HEIGHT, _PALETTE, _WIDTH, _thin, _ticks
@@ -537,6 +540,44 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg, plant="maps"):
     for traj, count in zip(trajs, clamp_count):
         traj.clamp_count = int(count)
     return trajs
+
+
+def dense_error_step(u: float, h: float, mu: float, alpha: float, zeta) -> np.ndarray:
+    """exp(h observer_matrix(u, mu, alpha, zeta)) by scipy's dense expm: the
+    error system's step under the held u."""
+    return scipy.linalg.expm(h * spectral.observer_matrix(u, mu, alpha, zeta))
+
+
+def exact_linear_per_step(spec, params, cfg, x0s, xhat0s, trajs) -> np.ndarray:
+    """Each run's zhat at every step of run_spectral_batch's exact_linear
+    trajs (recorded every step, none frozen), rebuilt one step at a time
+    under the runs' recorded hold values: zhat = embed(x) + eps, eps stepped
+    where the loop builds sim.error_map (N <= sim._MAP_MAX_N) and
+    |u| <= sim.map_cap by one step of the map under the row's weights, two
+    np.matvec on the row alone, and otherwise by expm_action on the row alone
+    under a plan of its own.  Shape (steps + 1, runs, 2N+1)."""
+    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+    xhat0s = np.atleast_2d(np.asarray(xhat0s, dtype=float))
+    n, mu, h = params.N, params.mu, cfg.step
+    n_sub = sim.hold_grid(params.Delta, h, cfg.horizon)[0]
+    op = spectral.ObserverOperator(mu, params.alpha, spectral.output_vector(spec, n))
+    u_cap = sim.map_cap(mu, h)
+    coef = sim.error_map(op, h, u_cap) if n <= sim._MAP_MAX_N else None
+    zhats = []
+    for run, traj in enumerate(trajs):
+        eps = spectral.embed(xhat0s[run], mu, n) - spectral.embed(x0s[run], mu, n)
+        row = [spectral.embed(x0s[run], mu, n) + eps]
+        for k in range(len(traj.times) - 1):
+            u = traj.u[k - k % n_sub]
+            if coef is not None and abs(u) <= u_cap:
+                w = sim.map_weights(np.array([u / u_cap]))
+                terms = np.matvec(coef, eps[None]).reshape(1, 2 * n + 1, -1)
+                eps = np.matvec(terms, w)[0]
+            else:
+                eps = spectral.expm_action(op, eps[None], spectral.expm_plan(op, np.array([u]), h))[0]
+            row.append(spectral.embed(traj.x[k + 1], mu, n) + eps)
+        zhats.append(row)
+    return np.swapaxes(np.array(zhats), 0, 1)
 
 
 def finite_rhs_matrix_form(rows, K, delta: float, alpha: float) -> np.ndarray:

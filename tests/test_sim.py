@@ -4,9 +4,11 @@ import math
 import pstats
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from oracles import drive_per_step, run_spectral_packed
+from oracles import (dense_error_step, drive_per_step, exact_linear_per_step,
+                     run_spectral_packed)
 
 from unobs_stab import sim, spectral
 from unobs_stab.bessel import bessel_j
@@ -667,6 +669,84 @@ class TestObserverMaps:
             assert_same_run(want, got)
 
 
+class TestErrorMap:
+    # exact_linear's error step exp(h M(u)) as a degree-6 Chebyshev
+    # interpolant in u on [-u_cap, u_cap], read off expm_action at 7 nodes
+    # once per batch
+    @pytest.mark.parametrize("alpha", [1.0, 10.0])
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != BESSEL_SERIES])
+    @pytest.mark.parametrize("h", [1 / 256, 1 / 32])
+    def test_matches_dense_expm(self, h, kind, alpha):
+        # every entry of the map within 1e-14 of scipy's dense expm, for u
+        # across the cap, ends included
+        mu, n = 0.1, 24
+        zeta = output_vector(OutputSpec(kind=kind), n)
+        op = ObserverOperator(mu, alpha, zeta)
+        u_cap = sim.map_cap(mu, h)
+        coef = sim.error_map(op, h, u_cap)
+        assert coef.shape == (7 * 49, 49) and coef.flags.c_contiguous
+        eye = np.eye(49, dtype=complex)
+        for u in np.linspace(-u_cap, u_cap, 13):
+            rows = sim.error_steps(coef, sim.map_weights(np.full(49, u / u_cap)), eye, 1)[0]
+            assert np.abs(rows.T - dense_error_step(u, h, mu, alpha, zeta)).max() <= 1e-14
+
+    def test_cap_keeps_the_dropped_coefficients_at_2_to_the_minus_53(self):
+        # 2 I_7(2 h c_cap) = 2^-53 for c_cap = u_cap mu / 2, whatever h and mu:
+        # c_cap ~ 0.515 at h = 1/32, |u| <= 10.3 at mu = 0.1
+        for h, mu in ((1 / 32, 0.1), (1 / 256, 0.1), (0.05, 1.0)):
+            c_cap = 0.5 * sim.map_cap(mu, h) * mu
+            tail = 2.0 * float(mpmath.besseli(7, 2.0 * h * c_cap))
+            assert tail == pytest.approx(2.0 ** -53, rel=1e-3)
+        assert 0.5 * sim.map_cap(0.1, 1 / 32) * 0.1 == pytest.approx(0.515, abs=1e-3)
+
+    @staticmethod
+    def hold_setup(n=24, horizon=0.25):
+        spec = OutputSpec(kind=NORM_SQ)
+        params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
+                                Delta=1 / 32, mu=1.0, j=default_j(), N=n)
+        return spec, params, IntegratorConfig(method="exact_linear", step=1 / 64, horizon=horizon)
+
+    def test_row_beyond_the_cap_takes_expm_action(self, monkeypatch):
+        # at mu = 1 the map covers |u| <= 2.06; a row held past that on every
+        # interval comes out bitwise as it does with no map built, all its
+        # steps by expm_action, beside a row the map steps
+        spec, params, cfg = self.hold_setup(horizon=0.125)
+        x0s, xh0s = [[0.3, 0.2], [0.5, -0.4]], [[0.1, 0.1], [0.2, -1.5]]
+        u_cap = sim.map_cap(params.mu, cfg.step)
+        mapped = run_spectral_batch(spec, params, x0s, xh0s, cfg)
+        assert np.all(np.abs(mapped[0].u) <= u_cap) and np.all(np.abs(mapped[1].u) > u_cap)
+        monkeypatch.setattr(sim, "_MAP_MAX_N", 0)
+        assert_same_run(run_spectral_batch(spec, params, x0s[1], xh0s[1], cfg)[0], mapped[1])
+        assert not np.array_equal(
+            run_spectral_batch(spec, params, x0s[0], xh0s[0], cfg)[0].zhat, mapped[0].zhat)
+
+    def test_mixed_batch_matches_each_row_alone(self):
+        # rows inside and beyond the cap, some crossing it between hold
+        # intervals: each run bitwise the same as alone, and as the per-step
+        # loop that steps each row alone by the map or by expm_action
+        spec, params, cfg = self.hold_setup()
+        x0s = np.array([[0.3, 0.2], [0.5, -0.4], [-0.8, 0.1], [0.0, 0.0], [1.2, 0.6]])
+        xh0s = np.array([[0.1, 0.1], [0.2, -1.5], [-0.6, 0.9], [1.1, 0.3], [0.0, 0.0]])
+        batch = run_spectral_batch(spec, params, x0s, xh0s, cfg)
+        near = np.array([np.abs(t.u) <= sim.map_cap(params.mu, cfg.step) for t in batch])
+        assert near[:, 0].any() and not near[:, 0].all()
+        assert (near.any(axis=1) & ~near.all(axis=1)).any()
+        for x0, xh0, traj in zip(x0s, xh0s, batch):
+            assert_same_run(run_spectral_batch(spec, params, x0, xh0, cfg)[0], traj)
+        want = exact_linear_per_step(spec, params, cfg, x0s, xh0s, batch)
+        assert np.array([t.zhat for t in batch]).swapaxes(0, 1).tobytes() == want.tobytes()
+
+    def test_past_map_max_n_every_row_takes_expm_action(self, monkeypatch):
+        # at N = 25 no map is built, and the batch is bitwise the per-step
+        # loop that steps every row by expm_action alone
+        monkeypatch.setattr(sim, "error_map", None)
+        spec, params, cfg = self.hold_setup(n=25)
+        x0s, xh0s = [[0.3, 0.2], [0.5, -0.4]], [[0.1, 0.1], [0.2, -1.5]]
+        batch = run_spectral_batch(spec, params, x0s, xh0s, cfg)
+        want = exact_linear_per_step(spec, params, cfg, x0s, xh0s, batch)
+        assert np.array([t.zhat for t in batch]).swapaxes(0, 1).tobytes() == want.tobytes()
+
+
 class TestCallBudget:
     def test_finite_calls_per_step(self, plant):
         # criterion 4's loop: 156 calls per step through the general-A rhs
@@ -714,7 +794,7 @@ class TestCallBudget:
         assert sum(calls for _, calls in counts) / steps <= 30
 
     def test_exact_linear_terms_per_interval(self):
-        # the loop's error vectors stop their Taylor series on its measured
+        # the loop's error vectors stopped their Taylor series on its measured
         # tail: 8 terms per interval, where the a-priori degree m* is 16 (16
         # terms when the series ran to m*); 376 calls per interval when each
         # interval worked out the batch's constants again, 352 with the
@@ -727,45 +807,47 @@ class TestCallBudget:
         # it is one value for every row (a one-step block's bookkeeping costs
         # what a step's did), 203 with the Taylor plan worked out apart from
         # its action (expm_plan, expm_action) and <z, zeta> summed by one
-        # np.add.reduce
+        # np.add.reduce, 163 (126 past the build, at 256 intervals) with the
+        # error step one stacked Chebyshev map per batch: expm_action runs at
+        # its D + 1 = 7 nodes, once per batch, and never per interval while
+        # every row's |u| is within the map's cap
         params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
                                 Delta=0.03125, mu=0.1, j=default_j(), N=24)
         cfg = IntegratorConfig(method="exact_linear", step=0.03125, horizon=1.0)
         x0s = np.array([[0.6, 0.2], [-0.9, 0.4], [0.3, -0.7], [-0.2, -0.5]])
         xh0s = np.array([[0.1, -0.4], [0.3, 0.3], [0.5, -0.2], [-0.6, 0.1]])
         spec = OutputSpec(kind=NORM_SQ)
-        run_spectral_batch(spec, params, x0s, xh0s, cfg)  # fill the caches first
+        trajs = run_spectral_batch(spec, params, x0s, xh0s, cfg)  # fill the caches first
+        assert max(np.abs(t.u).max() for t in trajs) <= sim.map_cap(params.mu, cfg.step)
         prof = cProfile.Profile()
         prof.runcall(run_spectral_batch, spec, params, x0s, xh0s, cfg)
         counts = [(name, calls) for (_, _, name), (_, calls, _, _, _) in
                   pstats.Stats(prof).stats.items()]
         calls = dict(counts)
-        assert calls["expm_plan"] == calls["expm_action"] == 32
-        assert calls["apply"] <= 9 * calls["expm_action"]
-        assert sum(calls for _, calls in counts) / 32 <= 205
+        assert calls["expm_plan"] == calls["expm_action"] == 7
+        assert calls["error_steps"] == calls["map_weights"] == 32
+        assert sum(calls for _, calls in counts) / 32 <= 165
 
-    def test_exact_linear_plans_once_per_block(self, monkeypatch):
-        # at step = Delta / 8 an interval's 8 steps share one held u, so its
-        # Taylor plan is worked out once per block, not once per step, and
-        # every bit stays that of planning each step anew
-        plans = []
-        plan = spectral.taylor_plan
-        monkeypatch.setattr(spectral, "taylor_plan",
-                            lambda *args: plans.append(0) or plan(*args))
+    def test_exact_linear_weights_once_per_block(self, monkeypatch):
+        # at step = Delta / 8 an interval's 8 steps share one held u, so each
+        # row's Chebyshev weights are worked out once per block, not once per
+        # step, and no Taylor plan is worked out past the map's build; every
+        # bit stays that of stepping each row alone one step at a time
+        weights = []
+        monkeypatch.setattr(sim, "map_weights",
+                            lambda x, f=sim.map_weights: weights.append(x.shape) or f(x))
         spec, params = spectral_setup(Delta=1 / 32, n=24)
         cfg = IntegratorConfig(method="exact_linear", step=1 / 256, horizon=0.5)
         x0s = np.array([[0.6, 0.2], [-0.9, 0.4], [0.3, -0.7]])
         xh0s = np.array([[0.1, -0.4], [0.3, 0.3], [20.0, 0.0]])
+        plans = []
+        plan = spectral.taylor_plan
+        monkeypatch.setattr(spectral, "taylor_plan",
+                            lambda *args: plans.append(0) or plan(*args))
         trajs = run_spectral_batch(spec, params, x0s, xh0s, cfg)
-        assert len(plans) == 16
-        op = ObserverOperator(params.mu, params.alpha, output_vector(spec, params.N))
-        eps = embed(xh0s, params.mu, params.N) - embed(x0s, params.mu, params.N)
-        u = np.array([traj.u[0] for traj in trajs])
-        for k in range(1, 9):
-            eps = expm_action(op, eps, expm_plan(op, u, cfg.step))
-            x = np.array([traj.x[k] for traj in trajs])
-            got = np.array([traj.zhat[k] for traj in trajs])
-            assert got.tobytes() == (embed(x, params.mu, params.N) + eps).tobytes()
+        assert (len(plans), weights) == (7, [(3,)] * 16)
+        want = exact_linear_per_step(spec, params, cfg, x0s, xh0s, trajs)
+        assert np.array([t.zhat for t in trajs]).swapaxes(0, 1).tobytes() == want.tobytes()
 
 
 class TestPropagator:

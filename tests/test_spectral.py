@@ -11,6 +11,7 @@ from unobs_stab.observability import GRAMIAN_STEPS, working_disc_inverse_lipschi
 from unobs_stab.spectral import (
     J0_RADIAL,
     J2_COS2THETA,
+    KINDS,
     NORM,
     NORM_SQ,
     BESSEL_SERIES,
@@ -312,6 +313,18 @@ class TestOutputs:
         assert linearized_output(spec, mu, r) == pytest.approx(bessel_j(0, mu * r))
         spec = OutputSpec(kind=J2_COS2THETA)
         assert linearized_output(spec, mu, 0.123) == pytest.approx(0.123)
+
+    def test_radial_kinds_linearize_to_floats(self):
+        # the radial kinds' functional is real, so their rows stay float and
+        # the observer's inputs are complex-by-real products; the other
+        # kinds' values are complex
+        y = np.array([[0.0, 0.3], [1.2, 2.5]])
+        for kind in KINDS:
+            spec = OutputSpec(kind=kind, coeffs={-1: 0.7} if kind == BESSEL_SERIES else {})
+            got = linearized_output(spec, 0.8, y)
+            radial = kind in (NORM_SQ, NORM, J0_RADIAL)
+            assert (got.shape, got.dtype) == (y.shape, np.dtype(float if radial else complex))
+            assert isinstance(linearized_output(spec, 0.8, 0.3), float if radial else complex)
 
     def test_negative_measurements_rejected(self):
         spec = OutputSpec(kind=NORM_SQ)
