@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from unobs_stab.artifacts import write_trajectory_svg
+from unobs_stab.artifacts import svg_time_axis, write_trajectory_svg
 from unobs_stab.finite import FinParams, delta_margin, embed, rotation_plant
 from unobs_stab.linalg import place_poles
 from unobs_stab.sim import IntegratorConfig, convergence_metrics, run_finite_batch
@@ -35,7 +35,7 @@ for key, value in convergence_metrics(traj).items():
     print(f"{key} = {value}")
 
 out = os.path.join(os.path.dirname(__file__), "finite_strategy_demo.svg")
-write_trajectory_svg(out, traj, "embedded-observer loop")
+write_trajectory_svg(out, traj, "embedded-observer loop", svg_time_axis(traj.times))
 print(f"plot written to {out}")
 print("note: |x| keeps shrinking only through quadratic coupling terms, so the"
       " tail decay is slow (no exponential margin at the unobservable target).")

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .artifacts import write_csv, write_summary, write_trajectory_svg
+from .artifacts import svg_time_axis, time_text, write_csv, write_summary, write_trajectory_svg
 from .bessel import J0_ZERO, J1_ARGMAX
 from .config import ConfigError, ScenarioConfig, parse_config
 from .finite import FinParams, embed as embed_fin, observability_certificate, rotation_plant
@@ -96,11 +96,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, jobs: int = 1,
 
     summary: dict = {"strategy": cfg.strategy, "seed": cfg.seed, "runs": len(results)}
     all_pass = True
+    # every run is recorded on a prefix of the longest run's times (one grid,
+    # the same in every shard): its text is formatted once, its plot axis once
+    # for the runs of its length and once for each run that ended early
+    times = max((traj.times for traj in results), key=len)
+    t_text = time_text(times)
+    axis = svg_time_axis(times) if svg else None
     for index, traj in enumerate(results):
         name = f"run_{index:03d}"
-        write_csv(os.path.join(out_dir, name + ".csv"), traj)
+        write_csv(os.path.join(out_dir, name + ".csv"), traj, t_text)
         if svg:
-            write_trajectory_svg(os.path.join(out_dir, name + ".svg"), traj, name)
+            own = axis if len(traj.times) == len(times) else svg_time_axis(traj.times)
+            write_trajectory_svg(os.path.join(out_dir, name + ".svg"), traj, name, own)
         metrics = convergence_metrics(traj)
         passed = (not metrics["diverged"]
                   and metrics["dissipativity_violations"] == 0

@@ -20,11 +20,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .bessel import J1_ARGMAX
 from .finite import delta_margin, rotation_plant
 from .linalg import place_poles
 from .observability import GRAMIAN_STEPS
-from .sim import METHODS, VALID_MU_R, hold_grid
-from .spectral import (BESSEL_SERIES, J_FRAC, KINDS, OutputSpec, taylor_plan,
+from .sim import DIVERGENCE_NORM, METHODS, VALID_MU_R, hold_grid
+from .spectral import (BESSEL_SERIES, J_FRAC, KINDS, WEAK_NORM_BOUND, OutputSpec, taylor_plan,
                        truncation_tail_bound)
 
 STRATEGIES = ("finite", "spectral")
@@ -205,6 +206,7 @@ def parse_config(path: str) -> ScenarioConfig:
         problems.append(f"params.j_frac: must lie in (0, 1), got {cfg.j_frac}")
 
     grid = None  # the time grid's period and its key, once both are known valid
+    held_load = None  # exact_linear's rank-one load, checked once K is settled
     if strategy == "spectral":
         orders, re_part, im_part = cfg.output_orders, cfg.output_coeffs_re, cfg.output_coeffs_im
         coeffs = None
@@ -266,6 +268,7 @@ def parse_config(path: str) -> ScenarioConfig:
                       max(map(abs, cfg.analyze_u_grid)), 0.0)]
             if cfg.method == "exact_linear":
                 loads.append(("params.alpha", cfg.step, 0.0, cfg.alpha))
+                held_load = cfg.alpha * sq_norm
             for key, h, u, alpha in loads:
                 if (subs := taylor_plan(cfg.N, cfg.mu, alpha * sq_norm, h, u)[0]) > MAX_SUBSTEPS:
                     problems.append(f"{key}: {subs:.3g} Taylor sub-steps per step of {h:g}, "
@@ -281,6 +284,24 @@ def parse_config(path: str) -> ScenarioConfig:
         elif "params.delta" not in raw and "init.rho" not in raw:
             problems.append("params.delta_frac: needs init.rho, the ball delta_margin certifies")
         grid = (cfg.step, "integrator.step")
+        # every start must enter the loop inside its bounded region: |x| and
+        # |zhat| = |(xhat, |xhat|^2 / 2)| within DIVERGENCE_NORM, explicit points
+        # at their farthest, drawn ones at their balls' radii (one ball for
+        # both: its lift is the larger norm)
+        if cfg.x0 is not None:
+            starts = [("init.x0", cfg.x0, False), ("init.xhat0", cfg.xhat0, True)]
+        elif cfg.init_radius_xhat is not None:
+            starts = [("init.rho", cfg.rho, False), ("init.radius_xhat", cfg.init_radius_xhat, True)]
+        else:
+            starts = [("init.rho", cfg.rho, True)]
+        for key, start, lifted in starts:
+            if start is None:
+                continue
+            r = float(np.hypot(*start.T).max()) if isinstance(start, np.ndarray) else start
+            if (norm := math.hypot(r, r * r / 2.0) if lifted else r) > DIVERGENCE_NORM:
+                problems.append(f"{key}: {'|(p, |p|^2 / 2)|' if lifted else '|p|'} = {norm!r} "
+                                f"at its farthest point must stay within the divergence "
+                                f"bound {DIVERGENCE_NORM!r}")
     if grid is not None:
         period, unit = grid
         n_sub, n_per = hold_grid(period, cfg.step, cfg.horizon)
@@ -320,9 +341,25 @@ def parse_config(path: str) -> ScenarioConfig:
         key = "params.delta" if cfg.delta is not None else "params.delta_frac"
         if cfg.delta is None:
             cfg.delta = cfg.delta_frac * margin
+        if not math.isfinite(cfg.delta):
+            raise ConfigError([f"{key}: delta = {cfg.delta!r} is not finite (delta_margin "
+                               f"{margin!r} for init.rho = {cfg.rho!r})"])
         if cfg.delta >= margin:
             warnings.append(
                 f"{key}: delta={cfg.delta:.6g} >= delta_margin={margin:.6g} for radius "
                 f"{cfg.rho:g}; the perturbed feedback's basin is no longer guaranteed")
+    if held_load is not None:
+        # exact_linear's sub-steps at the loop's largest held |u|: |K xhat| is
+        # at most |K| j1/mu, the left inverse clamping |xhat| at j1/mu, and the
+        # weak-norm term delta weak_norm(zhat - target)^2 is taken at 16 nu^2
+        # delta, the bound weak_norm <= nu max_k |z_k| at coefficients of 4
+        u_top = (math.hypot(*cfg.K) * J1_ARGMAX / cfg.mu
+                 + 16.0 * WEAK_NORM_BOUND ** 2 * cfg.delta)
+        subs = (taylor_plan(cfg.N, cfg.mu, held_load, cfg.step, u_top)[0]
+                if math.isfinite(u_top) else math.inf)
+        if subs > MAX_SUBSTEPS:
+            raise ConfigError([f"params.K/params.delta: {subs:.3g} Taylor sub-steps per step "
+                               f"of {cfg.step:g} at the largest held |u| = {u_top:.3g} "
+                               f"(|K| j1/mu + 16 nu^2 delta), above the cap {MAX_SUBSTEPS}"])
     cfg.warnings = warnings
     return cfg

@@ -68,6 +68,9 @@ MUTANTS = [
     ("src/unobs_stab/finite.py", "[0.0, 0.0, 1.0 + k0, k1, d]", "[0.0, 0.0, k0, k1, d]"),
     ("src/unobs_stab/finite.py", "0.0, -alpha]]", "0.0, alpha]]"),
     ("src/unobs_stab/finite.py", "out[..., 3] -= u", "out[..., 3] += u"),
+    ("src/unobs_stab/artifacts.py", "t_text = t_text[:rows]", "t_text = t_text[:rows + 1]"),
+    ("src/unobs_stab/cli.py", "len(traj.times) == len(times)", "len(times) == len(times)"),
+    ("src/unobs_stab/artifacts.py", "while len(ticks) < _MAX_TICKS and value <=", "while value <="),
 ]
 # what the copy leaves out: version control, caches, build and run outputs
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

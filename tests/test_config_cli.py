@@ -81,6 +81,31 @@ OVERSIZED_DELTA = [
 ]
 
 # one bad value each, and the key its problem must start with
+# Extreme inputs that once hung or ended with a traceback.  exact_linear at
+# the largest held |u| (|K| j1/mu + 16 nu^2 delta, ~5e301 here) takes ~1e299
+# Taylor sub-steps a step; a plant ball of 1e300 lifts to an infinite |zhat|
+# (eps(0) NaN), and one of 1e-320 settles delta = delta_frac * inf; an
+# explicit start's |x| or lift |(p, |p|^2 / 2)| above 1e6 is outside the
+# bounded region the finite loop stops at (1415^2 / 2 > 1e6)
+FINITE_EXPLICIT = FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta = 0.1")
+EXTREME = [
+    ("spectral-delta-held-over-cap",
+     SPECTRAL_CFG.replace("params.delta = 0.003", "params.delta = 1e300"), "params.K/params.delta"),
+    ("spectral-K-held-over-cap",
+     SPECTRAL_CFG.replace("params.K = 1.0, -2.0", "params.K = 1e300, -2.0"),
+     "params.K/params.delta"),
+    ("finite-rho-lift-overflows", FINITE_CFG.replace("init.rho = 3.0", "init.rho = 1e300"),
+     "init.rho"),
+    ("finite-rho-delta-inf", FINITE_CFG.replace("init.rho = 3.0", "init.rho = 1e-320"),
+     "params.delta_frac"),
+    ("finite-radius_xhat-lift-past-bound", FINITE_CFG + "init.radius_xhat = 1415.0\n",
+     "init.radius_xhat"),
+    ("finite-x0-past-bound", FINITE_EXPLICIT.replace("init.rho = 3.0", "init.x0 = 0.0, 0.0, 2e6, 0.0\n"
+     "init.xhat0 = 0.0, 0.0, 0.0, 0.0"), "init.x0"),
+    ("finite-xhat0-lift-past-bound", FINITE_EXPLICIT.replace("init.rho = 3.0", "init.x0 = 1.0, 0.0\n"
+     "init.xhat0 = 0.0, 1415.0"), "init.xhat0"),
+]
+
 BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
     ("spectral-K-scalar", SPECTRAL_CFG.replace("params.K = 1.0, -2.0", "params.K = 1.0"),
      "params.K"),
@@ -164,6 +189,7 @@ BAD_VALUES = [pytest.param(text, key, id=name) for name, text, key in [
      .replace("integrator.horizon = 2.0", "integrator.horizon = 1000.0"), "integrator.horizon"),
     ("spectral-records-over-cap", SPECTRAL_CFG.replace("init.count = 2", "init.count = 100000"),
      "integrator.horizon"),
+    *EXTREME,
 ]]
 
 # a valid text of each kind a strategy-scoped key has
@@ -196,6 +222,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, text))
         assert any(p.startswith(f"{key}:") for p in err.value.problems), err.value.problems
+
+    def test_start_just_inside_the_bound_parses(self, tmp_path):
+        # 1414^2 / 2 < 1e6 < 1415^2 / 2
+        for text in (FINITE_CFG + "init.radius_xhat = 1414.0\n",
+                     FINITE_EXPLICIT.replace("init.rho = 3.0",
+                                             "init.x0 = 1.0, 0.0\ninit.xhat0 = 0.0, 1414.0")):
+            assert parse_config(write(tmp_path, text)).warnings == []
 
     def test_large_N_refused_without_building_it(self, tmp_path):
         # the sub-step and record caps are checked from N alone: an output
@@ -618,6 +651,14 @@ class TestMain:
         path = write(tmp_path, FINITE_CFG)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "UNOBS_STAB_SEED: expected a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text,key", [case[1:] for case in EXTREME],
+                             ids=[case[0] for case in EXTREME])
+    def test_extreme_input_exit_code(self, tmp_path, capsys, text, key):
+        path = write(tmp_path, text)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--svg"]) == 2
+        assert f"  - {key}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text,key", OVERSIZED_DELTA, ids=["delta", "delta_frac"])
