@@ -29,9 +29,6 @@ _WIDTH, _HEIGHT = 720, 420
 _LEFT, _RIGHT, _TOP, _BOTTOM = 64.0, 16.0, 28.0, 42.0
 _PLOT_W, _PLOT_H = _WIDTH - _LEFT - _RIGHT, _HEIGHT - _TOP - _BOTTOM
 _MAX_POINTS = 1500
-# an axis gets at most five ticks, its step being at least a quarter of its
-# span; the cap ends one whose step is too small to move the value
-_MAX_TICKS = 8
 
 
 def time_text(times) -> list[str]:
@@ -76,9 +73,10 @@ def write_summary(path: str, entries: dict) -> None:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    """About five round values from lo to hi, at most _MAX_TICKS; none for a
-    span that is not finite or whose quarter is below the smallest normal
-    float."""
+    """About five round values from lo to hi, strictly increasing: they end
+    where adding the step no longer moves the value (a span of a few ulps);
+    none for a span that is not finite or whose quarter is below the
+    smallest normal float."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
@@ -92,7 +90,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
             break
     ticks = []
     value = math.ceil(lo / step) * step
-    while len(ticks) < _MAX_TICKS and value <= hi + 1e-12 * span:
+    while value <= hi + 1e-12 * span and (not ticks or value > ticks[-1]):
         ticks.append(value)
         value += step
     return ticks

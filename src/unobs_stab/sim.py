@@ -8,27 +8,27 @@ each stage of its field is one per-row product with the loop's 5 x 5 matrix
 terms.
 The spectral strategy is sampled: the control is held constant on each
 interval, so the truncated error system is linear time-invariant there and
-is propagated by its exponential exp(h M(u)) (exact up to roundoff), while
-the plant state follows the closed-form rotation-with-constant-input
-solution.  At N <= _MAP_MAX_N that exponential is one stacked map per batch,
-its Chebyshev interpolant in u of degree _MAP_DEGREE (error_map, read off
-spectral.expm_action at its nodes); a step of a row is then two per-row
-matrix-vector products under the row's weights, worked out once per block
-(error_steps).  A row held past the map's cap (map_cap), and every row past
-_MAP_MAX_N, takes spectral.expm_action under one Taylor plan per block.  An
-independent path, for cross-validation, integrates plant and observer with
-the same RK4 step (rk4_step), the observer fed by the transformed
-measurement.  Under the held control both RK4 steps are fixed maps, each
-read off one rk4_step per batch.  The plant never reads the observer and
-its step is affine in (x, u), so its path over a block of steps is affine
-maps of the block's start (plant_maps): its stage points are measured and
-its step ends embedded in one call each.  The observer's step is linear in
-(zhat, y) and a polynomial of degree 4 in c = u mu / 2 (observer_maps).
-Where that pays (steps_by_maps: small N, several steps per hold interval)
-each row's step map and input weights are formed in its c once per block
-(held_maps) and every step is one per-row matrix-vector product plus that
-step's input (observer_steps); elsewhere the observer is stepped by
-rk4_step.  Both methods apply the batch's one spectral.ObserverOperator.
+is propagated by its exponential exp(h M(u)) (exact up to roundoff).  The
+plant never reads the observer and its step under the held control is affine
+in (x, u), so both methods step it by a one-step lift, 3 x 3 on (x0, x1, u),
+composed into maps of a block's start (plant_maps): the closed-form
+rotation-with-constant-input step (exact_lift) or the RK4 step with its four
+stage maps (rk4_lift).  At N <= _MAP_MAX_N the exponential is one stacked
+map per batch, its Chebyshev interpolant in u of degree _MAP_DEGREE
+(error_map, read off spectral.expm_action at its nodes); a step of a row is
+then two per-row matrix-vector products under the row's weights, worked out
+once per block (error_steps).  A row held past the map's cap (map_cap), and
+every row past _MAP_MAX_N, takes spectral.expm_action under one Taylor plan
+per block.  An independent path, for cross-validation, integrates plant and
+observer with the same RK4 step (rk4_step), the observer fed by the
+transformed measurement, the plant's stage points measured in one call.  The
+observer's step is linear in (zhat, y) and a polynomial of degree 4 in
+c = u mu / 2 (observer_maps).  Where that pays (steps_by_maps: small N,
+several steps per hold interval) each row's step map and input weights are
+formed in its c once per block (held_maps) and every step is one per-row
+matrix-vector product plus that step's input (observer_steps); elsewhere the
+observer is stepped by rk4_step.  Both methods apply the batch's one
+spectral.ObserverOperator.
 
 The batch drivers are the only drivers: a single run is their one-row case,
 run_*_batch(...)[0].  Each strategy supplies only its step and what it
@@ -316,32 +316,10 @@ def run_finite_batch(plant: Plant, params: FinParams, x0s, zhat0s,
     return _drive((s, eps), eps_norm, advance, sample, steps, cfg)
 
 
-def rotation_step(x, u, h: float) -> np.ndarray:
-    """Exact step of xdot = A x + b u for the quarter-turn plant and constant
-    input: x(h) = R(h) x + u (cos h - 1, sin h).  x has shape (..., 2) and u
-    one value per point."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    ch, sh = math.cos(h), math.sin(h)
-    out = np.empty(x.shape)
-    out[..., 0] = ch * x[..., 0] - sh * x[..., 1] + u * (ch - 1.0)
-    out[..., 1] = sh * x[..., 0] + ch * x[..., 1] + u * sh
-    return out
-
-
-def plant_maps(h: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The plant's RK4 path under a held input, as affine maps of a block's
-    start (x, u), for a block of up to `steps` steps of size h.
-
-    The RK4 step of the plant's field is affine in (x, u): its end is
-    R x + r u and its four stage points (where rk4_step evaluates the field)
-    are P_j x + p_j u.  One rk4_step on the basis rows (e1, 0), (e2, 0) and
-    (0, 1) reads them off, and they compose into maps from the block's start:
-    ends[k] takes it to the end of its k-th step (ends[0] is the identity, k
-    up to steps) and stages[k, j] to the j-th stage point of step k (k below
-    steps).  Apply a map with _affine; each is stored by coefficient, on
-    axes (..., 3, 1, 2): the coefficient of x0, x1 and u in each coordinate.
-    """
+def rk4_lift(h: float) -> np.ndarray:
+    """The plant's RK4 step of size h under a held input as a lift for
+    plant_maps: its four stage maps, then its end map, read off one rk4_step
+    on the basis rows (e1, 0), (e2, 0) and (0, 1)."""
     rows = np.eye(3, 2)
     u = np.array([0.0, 0.0, 1.0])
     points = []
@@ -351,16 +329,34 @@ def plant_maps(h: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
         return _rotation_field(p, u, np.empty_like(p))
 
     end = rk4_step(field, rows, h)
-    # the step and stage maps as 3x3 matrices acting on columns (x0, x1, u)
     lift = np.zeros((5, 3, 3))
     lift[:, 2, 2] = 1.0
     lift[:4, :2] = np.swapaxes(points, 1, 2)
     lift[4, :2] = end.T
+    return lift
+
+
+def exact_lift(h: float) -> np.ndarray:
+    """The plant's exact step of size h under a held input as a lift for
+    plant_maps, its end map alone: x(h) = R(h) x + u (cos h - 1, sin h)."""
+    ch, sh = math.cos(h), math.sin(h)
+    return np.array([[[ch, -sh, ch - 1.0], [sh, ch, sh], [0.0, 0.0, 1.0]]])
+
+
+def plant_maps(lift, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The plant's path under a held input over a block of up to `steps`
+    steps, as affine maps of the block's start (x, u), composed from the
+    one-step lift: its stage maps, then its end map, each a 3x3 matrix acting
+    on columns (x0, x1, u).  ends[k] takes the start to the end of step k
+    (ends[0] is the identity, k up to steps) and stages[k, j] to the j-th
+    stage point of step k (k below steps).  Apply a map with _affine; each is
+    stored by coefficient, on axes (..., 3, 1, 2): the coefficient of x0, x1
+    and u in each coordinate."""
     ends = np.empty((steps + 1, 3, 3))
     ends[0] = np.eye(3)
     for k in range(steps):
-        ends[k + 1] = lift[4] @ ends[k]
-    stages = lift[:4] @ ends[:steps, None]
+        ends[k + 1] = lift[-1] @ ends[k]
+    stages = lift[:-1] @ ends[:steps, None]
     # (..., coefficient, 1, coordinate)
     return (np.swapaxes(ends[:, :2], -1, -2)[..., None, :],
             np.swapaxes(stages[..., :2, :], -1, -2)[..., None, :])
@@ -554,8 +550,13 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     """Sample-and-hold spectral observer loops, one per row of (x0s, xhat0s),
     each started from zhat(0) = embed(xhat0).
 
-    method "exact_linear": plant state by the closed-form rotation solution,
-    embedded state analytically, estimation error by the matrix exponential
+    Both methods step the plant by composed one-step lifts: under the held
+    control its path over a block (the hold interval, in pieces of
+    _BLOCK_STEPS steps) is plant_maps of the block's start, built once per
+    batch, and the block's step ends are one elementwise expression in the
+    start's x and u, embedded in one call (a step end outside the valid
+    region at radius 0).  method "exact_linear": the plant by exact_lift,
+    the closed-form step, and the estimation error by the matrix exponential
     exp(h M(u)) of the (frozen-input) error system.  At N <= _MAP_MAX_N it
     is error_map's Chebyshev interpolant in u, built once per batch at its
     D + 1 nodes by expm_action: each row's weights T_q(u / u_cap) are worked
@@ -563,20 +564,15 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
     (error_steps), no plan or Taylor term per step.  A row with |u| > u_cap
     (map_cap), and every row past _MAP_MAX_N, takes expm_action on those
     rows alone under one Taylor plan per block.  The map is within 1e-14 of
-    the dense exponential, entry by entry.  method
-    "rk4_coupled": plant and observer by RK4, the observer fed by the
-    transformed measurement.  Under the held control the plant's RK4 path
-    over a block (the hold interval, in pieces of _BLOCK_STEPS steps) is
-    plant_maps of the block's start, built once per batch: its stage points
-    and step ends are two elementwise expressions in the start's x and u.
-    All stage points are measured in one output_value call and all step ends
-    embedded in one embed call, a step whose stages or end fall outside the
-    valid region at radius 0.  The observer is then stepped alone on those
-    measurements: where steps_by_maps holds, by observer_steps on the step
-    maps T(c) zhat + sum_j y_j W(c)[j] of observer_maps, built once per
-    batch, and elsewhere by rk4_step on ObserverOperator.apply.  The maps
-    follow rk4_step on the plant's field and on ObserverOperator.apply to a
-    few ulp a step.
+    the dense exponential, entry by entry.  method "rk4_coupled": plant and
+    observer by RK4, the observer fed by the transformed measurement.  The
+    plant steps by rk4_lift, its stage points measured in one output_value
+    call (a step whose stages fall outside the valid region at radius 0),
+    and the observer alone on those measurements: where steps_by_maps
+    holds, by observer_steps on the step maps T(c) zhat + sum_j y_j W(c)[j]
+    of observer_maps, built once per batch, and elsewhere by rk4_step on
+    ObserverOperator.apply.  The maps follow rk4_step on the plant's field
+    and on ObserverOperator.apply to a few ulp a step.
     The control is refreshed at every sample instant from the left limit of
     the observer state and held in between.
 
@@ -610,17 +606,12 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
         clamp_count[active & clamped] += 1
         return u
 
-    def exact_linear(x, eps, zhat, u, active, b):
-        # the plant by its closed-form step and the error by exp(h M(u)): a
-        # row with |u| <= u_cap by the batch's error map under its weights,
-        # worked out once per block, the others by the action of the
-        # exponential under the block's one Taylor plan for them; every step
-        # end embedded in one call.  Under the held u neither grows past a
-        # valid start by much, so a row stepped past its first invalid step
-        # does not overflow
-        xs = np.empty((b,) + x.shape)
-        for k in range(b):
-            x = xs[k] = rotation_step(x, u, h)
+    def exact_linear(x, eps, zhat, u, xs, ok):
+        # the error by exp(h M(u)): a row with |u| <= u_cap by the batch's
+        # error map under its weights, worked out once per block, the others
+        # by the action of the exponential under the block's one Taylor plan
+        # for them; zhat is rebuilt from it and the embedded step ends
+        b = xs.shape[0]
         near = np.abs(u) <= u_cap
         if near.all():
             epss = error_steps(coef, map_weights(u / u_cap), eps, b)
@@ -632,50 +623,49 @@ def run_spectral_batch(spec: OutputSpec, params: SpectralParams, x0s, xhat0s,
             plan, e = expm_plan(op, u[far], h), eps[far]
             for k in range(b):
                 e = epss[k, far] = expm_action(op, e, plan)
-        ok = active & _valid(np.hypot(xs[..., 0], xs[..., 1]), mu)
-        zhats = embed(np.where(ok[..., None], xs, 0.0), mu, n) + epss
-        return xs, epss, zhats, ok & _bounded(xs, zhats), _row_norm(epss)
+        return epss, embed(np.where(ok[..., None], xs, 0.0), mu, n) + epss, ok
 
-    def rk4_coupled(x, eps, zhat, u, active, b):
-        # the plant never reads the observer, so under the held u its RK4
-        # path over the block is two affine maps of the block's start: every
-        # stage is measured in one output call, a point outside at radius 0,
-        # and every step end whose stages and end are inside is embedded in
-        # one call (the others at 0).  The observer is then stepped alone on
-        # those measurements, by its step maps or by rk4_step
-        ends, stages = maps
-        xs = _affine(ends[1:b + 1], x, u)
+    def rk4_coupled(x, eps, zhat, u, xs, ok):
+        # every stage point is measured in one output call, a point outside
+        # at radius 0 and its step invalid; the observer is then stepped
+        # alone on those measurements, by its step maps or by rk4_step, and
+        # its error taken against the embedded step ends
+        b = xs.shape[0]
         r, theta = polar(_affine(stages[:b], x, u))
         inside = _valid(r, mu)
         fy = linearized_output(spec, mu, output_value(spec, mu, np.where(inside, r, 0.0), theta))
-        ok = active & inside.all(axis=1) & _valid(np.hypot(xs[..., 0], xs[..., 1]), mu)
+        ok = ok & inside.all(axis=1)
         c = op.offdiag(u)
-        # a row whose observer passes the norm bound is stepped on to the
-        # block's end, where it may overflow, and those steps are discarded
-        with np.errstate(over="ignore", invalid="ignore"):
-            if coef is not None:
-                zhats = observer_steps(coef, c, fy, zhat)
-            else:
-                zhats = np.empty((b,) + zhat.shape, dtype=complex)
-                for k in range(b):
-                    stage = iter(fy[k])
-                    zhat = zhats[k] = rk4_step(lambda z: op.apply(z, c, next(stage)), zhat, h)
-            epss = zhats - embed(np.where(ok[..., None], xs, 0.0), mu, n)
-            return xs, epss, zhats, ok & _bounded(xs, zhats), _row_norm(epss)
+        if coef is not None:
+            zhats = observer_steps(coef, c, fy, zhat)
+        else:
+            zhats = np.empty((b,) + zhat.shape, dtype=complex)
+            for k in range(b):
+                stage = iter(fy[k])
+                zhat = zhats[k] = rk4_step(lambda z: op.apply(z, c, next(stage)), zhat, h)
+        return zhats - embed(np.where(ok[..., None], xs, 0.0), mu, n), zhats, ok
 
     if cfg.method == "exact_linear":
-        step = exact_linear
+        step, lift = exact_linear, exact_lift(h)
         # past _MAP_MAX_N no map is built and no row is near (u_cap < 0)
         u_cap = map_cap(mu, h) if n <= _MAP_MAX_N else -1.0
         coef = error_map(op, h, u_cap) if u_cap > 0.0 else None
     else:
-        step, maps = rk4_coupled, plant_maps(h, min(_BLOCK_STEPS, n_sub))
+        step, lift = rk4_coupled, rk4_lift(h)
         coef = observer_maps(op, h) if steps_by_maps(n, n_sub) else None
+    ends, stages = plant_maps(lift, min(_BLOCK_STEPS, n_sub))
 
     def advance(state, active, i):
         x, eps, zhat, u = state
         b = min(_BLOCK_STEPS, n_sub - i % n_sub)
-        xs, epss, zhats, ok, eps_norm = step(x, eps, zhat, u, active, b)
+        xs = _affine(ends[1:b + 1], x, u)
+        ok = active & _valid(np.hypot(xs[..., 0], xs[..., 1]), mu)
+        # a row that passes the norm bound is stepped on to the block's end,
+        # where it may overflow, and those steps are discarded
+        with np.errstate(over="ignore", invalid="ignore"):
+            epss, zhats, ok = step(x, eps, zhat, u, xs, ok)
+            ok &= _bounded(xs, zhats)
+            eps_norm = _row_norm(epss)
         us = np.empty(ok.shape)
         us[:] = u
         if (i + b) % n_sub == 0:

@@ -70,7 +70,9 @@ MUTANTS = [
     ("src/unobs_stab/finite.py", "out[..., 3] -= u", "out[..., 3] += u"),
     ("src/unobs_stab/artifacts.py", "t_text = t_text[:rows]", "t_text = t_text[:rows + 1]"),
     ("src/unobs_stab/cli.py", "len(traj.times) == len(times)", "len(times) == len(times)"),
-    ("src/unobs_stab/artifacts.py", "while len(ticks) < _MAX_TICKS and value <=", "while value <="),
+    ("src/unobs_stab/artifacts.py", "value > ticks[-1]", "value >= ticks[-1]"),
+    ("src/unobs_stab/sim.py", "ch - 1.0", "1.0 - ch"),
+    ("src/unobs_stab/sim.py", "[ch, -sh,", "[ch, sh,"),
 ]
 # what the copy leaves out: version control, caches, build and run outputs
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -460,9 +460,9 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg, plant="maps"):
     """run_spectral_batch with cfg.method "rk4_coupled" on the per-step loop:
     every stage measures its own point, every step embeds its own end.
 
-    plant "maps" takes the plant from sim.plant_maps one step at a time, from
-    the start of its block (the hold interval in pieces of sim._BLOCK_STEPS
-    steps), and steps zhat alone, where sim.steps_by_maps holds by the step
+    plant "maps" takes the plant from sim.plant_maps on sim.rk4_lift one step
+    at a time, from the start of its block (the hold interval in pieces of
+    sim._BLOCK_STEPS steps), and steps zhat alone, where sim.steps_by_maps holds by the step
     maps of sim.observer_maps summed in c per step and elsewhere through one
     rk4_step on op.apply; plant "rk4" steps the packed complex rows
     (x, zhat) of plant and observer together through one rk4_step per step
@@ -475,7 +475,7 @@ def run_spectral_packed(spec, params, x0s, xhat0s, cfg, plant="maps"):
     op = spectral.ObserverOperator(mu, params.alpha, spectral.output_vector(spec, n))
     clamp_level = bessel_j(1, params.j)
     clamp_count = np.zeros(nb, dtype=int)
-    ends, stages = sim.plant_maps(h, min(sim._BLOCK_STEPS, n_sub))
+    ends, stages = sim.plant_maps(sim.rk4_lift(h), min(sim._BLOCK_STEPS, n_sub))
     coef = sim.observer_maps(op, h) if sim.steps_by_maps(n, n_sub) else None
     block_start = {}
 

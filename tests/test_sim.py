@@ -24,12 +24,13 @@ from unobs_stab.sim import (
     _drive,
     _valid,
     convergence_metrics,
+    exact_lift,
     held_maps,
     observer_maps,
     observer_steps,
     plant_maps,
+    rk4_lift,
     rk4_step,
-    rotation_step,
     run_finite_batch,
     run_spectral_batch,
 )
@@ -316,16 +317,25 @@ class TestBlockLoop:
 
 class TestRotationStep:
     def test_matches_rk4(self):
+        # three steps of the exact lift's composed maps against a fine RK4 path
+        ends, stages = plant_maps(exact_lift(0.1), 3)
+        assert stages.shape[1] == 0
         rng = np.random.default_rng(9)
         for _ in range(5):
             x0 = rng.normal(size=2)
             u = float(rng.normal())
             states = rk4_path(lambda s: ROT @ s + np.array([0.0, 1.0]) * u,
                               x0, 1e-4, 3000)
-            x_exact = x0.copy()
-            for _ in range(3):
-                x_exact = rotation_step(x_exact, u, 0.1)
+            x_exact = _affine(ends[3], x0[None], np.array([u]))[0]
             assert np.linalg.norm(states[-1] - x_exact) < 1e-12
+        # one step (a block at step = Delta) forms the closed-form step's
+        # products in its order, so those trajectories keep every bit
+        ch, sh = math.cos(0.1), math.sin(0.1)
+        x = rng.normal(size=(200, 2)) * 10.0 ** rng.integers(-3, 4, (200, 1))
+        u = rng.normal(size=200)
+        want = np.stack([ch * x[:, 0] - sh * x[:, 1] + u * (ch - 1.0),
+                         sh * x[:, 0] + ch * x[:, 1] + u * sh], axis=-1)
+        assert _affine(ends[1], x, u).tobytes() == want.tobytes()
 
 
 class TestSpectralLoop:
@@ -555,7 +565,7 @@ class TestPlannedPlant:
         # from each map's step end, one rk4_step on the plant's field gives the
         # next step end and that step's four stage points within 8 ulp of
         # max|x0| + |u|
-        ends, stages = plant_maps(h, 64)
+        ends, stages = plant_maps(rk4_lift(h), 64)
         rng = np.random.default_rng(3)
         x0, u = rng.uniform(-3.0, 3.0, (50, 2)), rng.uniform(-2.0, 2.0, 50)
         ulp = np.spacing(np.abs(x0).max(axis=1, keepdims=True) + np.abs(u)[:, None])
@@ -810,7 +820,8 @@ class TestCallBudget:
         # np.add.reduce, 163 (126 past the build, at 256 intervals) with the
         # error step one stacked Chebyshev map per batch: expm_action runs at
         # its D + 1 = 7 nodes, once per batch, and never per interval while
-        # every row's |u| is within the map's cap
+        # every row's |u| is within the map's cap; 164 (still 126 past the
+        # build) with the plant stepped by the exact lift's block maps
         params = SpectralParams(K=np.array([1.0, -2.0]), delta=0.003125, alpha=1.0,
                                 Delta=0.03125, mu=0.1, j=default_j(), N=24)
         cfg = IntegratorConfig(method="exact_linear", step=0.03125, horizon=1.0)
