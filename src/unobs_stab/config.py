@@ -23,10 +23,9 @@ import numpy as np
 from .bessel import J1_ARGMAX
 from .finite import delta_margin, rotation_plant
 from .linalg import place_poles
-from .observability import GRAMIAN_STEPS
+from .observability import GRAMIAN_STEPS, max_control_bound
 from .sim import DIVERGENCE_NORM, METHODS, VALID_MU_R, hold_grid
-from .spectral import (BESSEL_SERIES, J_FRAC, KINDS, WEAK_NORM_BOUND, OutputSpec, taylor_plan,
-                       truncation_tail_bound)
+from .spectral import BESSEL_SERIES, J_FRAC, KINDS, OutputSpec, taylor_plan, truncation_tail_bound
 
 STRATEGIES = ("finite", "spectral")
 SEED_ENV = "UNOBS_STAB_SEED"  # a non-negative integer here overrides the seed
@@ -240,25 +239,6 @@ def parse_config(path: str) -> ScenarioConfig:
             grid = (cfg.Delta, "params.Delta")
         if "params.delta" not in raw:
             problems.append("params.delta: required for the spectral strategy")
-        # every start must stay inside the region where the embedding can be
-        # evaluated: explicit points one by one, drawn ones by their balls
-        for key, points in (("init.x0", cfg.x0), ("init.xhat0", cfg.xhat0)):
-            if points is not None and cfg.mu is not None \
-                    and (arg := cfg.mu * np.hypot(*points.T).max()) >= VALID_MU_R:
-                problems.append(f"{key}: mu |p| = {arg!r} at its farthest point must stay "
-                                f"below the valid-region limit {VALID_MU_R!r}")
-        balls = [(r, key) for key, r in (("init.rho", cfg.rho),
-                                         ("init.radius_xhat", cfg.init_radius_xhat))
-                 if r is not None]
-        if cfg.x0 is None and cfg.mu is not None and balls:
-            radius, key = max(balls)
-            arg = cfg.mu * radius
-            if arg >= VALID_MU_R:
-                problems.append(f"params.mu/{key}: mu * {key} = {arg!r} must stay below "
-                                f"the valid-region limit {VALID_MU_R!r}")
-            elif (tail := truncation_tail_bound(arg, cfg.N)) > 1e-12:
-                warnings.append(f"params.N: truncation tail bound {tail:.3g} > 1e-12 at "
-                                f"mu * {key} = {arg:g}; the drawn starts embed inexactly")
         if cfg.mu is not None and cfg.output is not None and cfg.output.top <= cfg.N:
             # the propagator's sub-steps in analyze's Gramian steps (one period 2 pi)
             # at the sweep's largest |u|, and in exact_linear's steps at u = 0 and up;
@@ -284,24 +264,31 @@ def parse_config(path: str) -> ScenarioConfig:
         elif "params.delta" not in raw and "init.rho" not in raw:
             problems.append("params.delta_frac: needs init.rho, the ball delta_margin certifies")
         grid = (cfg.step, "integrator.step")
-        # every start must enter the loop inside its bounded region: |x| and
-        # |zhat| = |(xhat, |xhat|^2 / 2)| within DIVERGENCE_NORM, explicit points
-        # at their farthest, drawn ones at their balls' radii (one ball for
-        # both: its lift is the larger norm)
-        if cfg.x0 is not None:
-            starts = [("init.x0", cfg.x0, False), ("init.xhat0", cfg.xhat0, True)]
-        elif cfg.init_radius_xhat is not None:
-            starts = [("init.rho", cfg.rho, False), ("init.radius_xhat", cfg.init_radius_xhat, True)]
-        else:
-            starts = [("init.rho", cfg.rho, True)]
-        for key, start, lifted in starts:
-            if start is None:
-                continue
-            r = float(np.hypot(*start.T).max()) if isinstance(start, np.ndarray) else start
-            if (norm := math.hypot(r, r * r / 2.0) if lifted else r) > DIVERGENCE_NORM:
-                problems.append(f"{key}: {'|(p, |p|^2 / 2)|' if lifted else '|p|'} = {norm!r} "
-                                f"at its farthest point must stay within the divergence "
-                                f"bound {DIVERGENCE_NORM!r}")
+    # every start must enter its loop where the loop is defined (spectral: mu |p|
+    # below the valid-region limit; finite: |x| and the lift |(xhat, |xhat|^2 / 2)|
+    # within the bounded region), explicit points at their farthest, drawn ones at
+    # their balls' radii (one ball for both without init.radius_xhat)
+    drawn = cfg.x0 is None
+    starts = ([("init.rho", cfg.rho, cfg.init_radius_xhat is None),
+               ("init.radius_xhat", cfg.init_radius_xhat, True)] if drawn else
+              [("init.x0", cfg.x0, False), ("init.xhat0", cfg.xhat0, True)])
+    starts = [(key, start if drawn else float(np.hypot(*start.T).max()), lifted)
+              for key, start, lifted in starts if start is not None]
+    for key, r, lifted in starts:
+        if strategy == "spectral" and cfg.mu is not None and (arg := cfg.mu * r) >= VALID_MU_R:
+            problems.append(f"{'params.mu/' if drawn else ''}{key}: mu |p| = {arg!r} at its "
+                            f"farthest point must stay below the valid-region limit {VALID_MU_R!r}")
+        norm = math.hypot(r, r * r / 2.0) if lifted else r
+        if strategy == "finite" and norm > DIVERGENCE_NORM:
+            problems.append(f"{key}: {'|(p, |p|^2 / 2)|' if lifted else '|p|'} = {norm!r} "
+                            f"at its farthest point must stay within the divergence "
+                            f"bound {DIVERGENCE_NORM!r}")
+    if strategy == "spectral" and cfg.mu is not None and drawn and starts:
+        r, key = max((r, key) for key, r, _ in starts)
+        arg = cfg.mu * r
+        if arg < VALID_MU_R and (tail := truncation_tail_bound(arg, cfg.N)) > 1e-12:
+            warnings.append(f"params.N: truncation tail bound {tail:.3g} > 1e-12 at "
+                            f"mu * {key} = {arg:g}; the drawn starts embed inexactly")
     if grid is not None:
         period, unit = grid
         n_sub, n_per = hold_grid(period, cfg.step, cfg.horizon)
@@ -341,20 +328,17 @@ def parse_config(path: str) -> ScenarioConfig:
         key = "params.delta" if cfg.delta is not None else "params.delta_frac"
         if cfg.delta is None:
             cfg.delta = cfg.delta_frac * margin
-        if not math.isfinite(cfg.delta):
-            raise ConfigError([f"{key}: delta = {cfg.delta!r} is not finite (delta_margin "
-                               f"{margin!r} for init.rho = {cfg.rho!r})"])
+        if not 0.0 < cfg.delta < math.inf:
+            raise ConfigError([f"{key}: delta = {cfg.delta!r} must lie in (0, inf) "
+                               f"(delta_margin {margin!r} for init.rho = {cfg.rho!r})"])
         if cfg.delta >= margin:
             warnings.append(
                 f"{key}: delta={cfg.delta:.6g} >= delta_margin={margin:.6g} for radius "
                 f"{cfg.rho:g}; the perturbed feedback's basin is no longer guaranteed")
     if held_load is not None:
-        # exact_linear's sub-steps at the loop's largest held |u|: |K xhat| is
-        # at most |K| j1/mu, the left inverse clamping |xhat| at j1/mu, and the
-        # weak-norm term delta weak_norm(zhat - target)^2 is taken at 16 nu^2
-        # delta, the bound weak_norm <= nu max_k |z_k| at coefficients of 4
-        u_top = (math.hypot(*cfg.K) * J1_ARGMAX / cfg.mu
-                 + 16.0 * WEAK_NORM_BOUND ** 2 * cfg.delta)
+        # exact_linear's sub-steps at the loop's largest held |u|, the left
+        # inverse clamping |xhat| at j1/mu
+        u_top = max_control_bound(math.hypot(*cfg.K), J1_ARGMAX, cfg.mu, cfg.delta)[0]
         subs = (taylor_plan(cfg.N, cfg.mu, held_load, cfg.step, u_top)[0]
                 if math.isfinite(u_top) else math.inf)
         if subs > MAX_SUBSTEPS:

@@ -1,7 +1,8 @@
 """Small dense linear algebra for controller and observer synthesis.
 
-The dense exponential (scipy, imported only when it is called, so that
-importing the package and every CLI command needs numpy alone), the Kalman
+The dense exponential (scipy, which the package does not depend on: it comes
+with the test extra and is imported only when expm is called, so importing
+the package and every CLI command needs numpy alone), the Kalman
 stack of a pair, and the stabilizing gain of the quarter-turn plant, the one
 plant the finite loop runs, in closed form.
 """

@@ -73,6 +73,10 @@ MUTANTS = [
     ("src/unobs_stab/artifacts.py", "value > ticks[-1]", "value >= ticks[-1]"),
     ("src/unobs_stab/sim.py", "ch - 1.0", "1.0 - ch"),
     ("src/unobs_stab/sim.py", "[ch, -sh,", "[ch, sh,"),
+    ("src/unobs_stab/config.py", "(arg := cfg.mu * r) >= VALID_MU_R",
+     "(arg := cfg.mu * r) > VALID_MU_R"),
+    ("src/unobs_stab/config.py", "norm > DIVERGENCE_NORM", "norm >= DIVERGENCE_NORM"),
+    ("src/unobs_stab/config.py", "0.0 < cfg.delta < math.inf", "0.0 <= cfg.delta < math.inf"),
 ]
 # what the copy leaves out: version control, caches, build and run outputs
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -23,6 +24,7 @@ from unobs_stab.cli import (
 )
 from unobs_stab.config import _KEYS, ConfigError, ScenarioConfig, parse_config
 from unobs_stab.observability import choose_radii, max_control_bound
+from unobs_stab.sim import VALID_MU_R
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -84,9 +86,10 @@ OVERSIZED_DELTA = [
 # Extreme inputs that once hung or ended with a traceback.  exact_linear at
 # the largest held |u| (|K| j1/mu + 16 nu^2 delta, ~5e301 here) takes ~1e299
 # Taylor sub-steps a step; a plant ball of 1e300 lifts to an infinite |zhat|
-# (eps(0) NaN), and one of 1e-320 settles delta = delta_frac * inf; an
-# explicit start's |x| or lift |(p, |p|^2 / 2)| above 1e6 is outside the
-# bounded region the finite loop stops at (1415^2 / 2 > 1e6)
+# (eps(0) NaN), and one of 1e-320 settles delta = delta_frac * inf; a
+# delta_frac of 5e-324 settles delta = 0, an unperturbed loop; an explicit
+# start's |x| or lift |(p, |p|^2 / 2)| above 1e6 is outside the bounded region
+# the finite loop stops at (1415^2 / 2 > 1e6)
 FINITE_EXPLICIT = FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta = 0.1")
 EXTREME = [
     ("spectral-delta-held-over-cap",
@@ -97,6 +100,9 @@ EXTREME = [
     ("finite-rho-lift-overflows", FINITE_CFG.replace("init.rho = 3.0", "init.rho = 1e300"),
      "init.rho"),
     ("finite-rho-delta-inf", FINITE_CFG.replace("init.rho = 3.0", "init.rho = 1e-320"),
+     "params.delta_frac"),
+    ("finite-delta-underflows",
+     FINITE_CFG.replace("params.delta_frac = 0.5", "params.delta_frac = 5e-324"),
      "params.delta_frac"),
     ("finite-radius_xhat-lift-past-bound", FINITE_CFG + "init.radius_xhat = 1415.0\n",
      "init.radius_xhat"),
@@ -229,6 +235,34 @@ class TestParseConfig:
                      FINITE_EXPLICIT.replace("init.rho = 3.0",
                                              "init.x0 = 1.0, 0.0\ninit.xhat0 = 0.0, 1414.0")):
             assert parse_config(write(tmp_path, text)).warnings == []
+
+    def test_start_at_the_bound(self, tmp_path):
+        # mu |p| = VALID_MU_R exactly (mu = 1) is refused and the float below
+        # it parses; a finite |p| of exactly 1e6 parses
+        spectral = SPECTRAL_CFG.replace("params.mu = 0.1", "params.mu = 1.0")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, spectral.replace(
+                "init.rho = 1.0", f"init.x0 = {VALID_MU_R!r}, 0.0\ninit.xhat0 = 0.0, 0.2")))
+        assert [p for p in err.value.problems if p.startswith("init.x0:")], err.value.problems
+        inside = f"init.x0 = {math.nextafter(VALID_MU_R, 0.0)!r}, 0.0\ninit.xhat0 = 0.0, 0.2"
+        assert parse_config(write(tmp_path, spectral.replace("init.rho = 1.0", inside))) \
+            .warnings == []
+        finite = FINITE_EXPLICIT.replace("init.rho = 3.0", "init.x0 = 1e6, 0.0\n"
+                                         "init.xhat0 = 0.0, 0.0")
+        assert parse_config(write(tmp_path, finite)).warnings == []
+
+    def test_imaginary_coefficients(self, tmp_path):
+        text = bessel_series("0, 2", "1.0, 0.5")
+        cfg = parse_config(write(tmp_path, text + "output.coeffs_im = 0.0, 0.25\n"))
+        assert cfg.output.coeffs == {0: 1.0, 2: complex(0.5, 0.25)}
+        assert run_scenario(cfg, str(tmp_path / "out")) == 0
+        summary = read_report(tmp_path / "out" / "summary.txt")
+        assert summary["run_000.dissipativity_violations"] == "0"
+        assert summary["run_001.dissipativity_violations"] == "0"
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text + "output.coeffs_im = 0.25\n"))
+        assert [p for p in err.value.problems if p.startswith("output.orders:")], \
+            err.value.problems
 
     def test_large_N_refused_without_building_it(self, tmp_path):
         # the sub-step and record caps are checked from N alone: an output
@@ -491,6 +525,17 @@ class TestRunScenario:
         run_scenario(cfg, str(out), svg=True)
         svg = (out / "run_000.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_final_c_eps_threshold(self, tmp_path):
+        # the run passes at a bound equal to its final |C eps| and fails just below
+        text = SPECTRAL_CFG.replace("init.count = 2", "init.count = 1")
+        assert run_scenario(parse_config(write(tmp_path, text)), str(tmp_path / "free")) == 0
+        final = float(read_report(tmp_path / "free" / "summary.txt")["run_000.final_c_eps_abs"])
+        for bound, code in ((final, 0), (math.nextafter(final, 0.0), 1)):
+            out = tmp_path / f"bound-{code}"
+            cfg = parse_config(write(tmp_path, text + f"thresholds.final_c_eps_max = {bound!r}\n"))
+            assert run_scenario(cfg, str(out)) == code
+            assert read_report(out / "summary.txt")["run_000.pass"] == str(1 - code)
 
     def test_threshold_failure_sets_exit_code(self, tmp_path):
         text = FINITE_CFG + "thresholds.trailing_x_max = 1e-12\n"
